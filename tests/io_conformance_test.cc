@@ -365,6 +365,75 @@ TEST(IoFrozenNumbers, EmptyFaultPlanIsBitIdenticalToPlanFreeRun) {
   expectPhaseBitIdentical("emptyplan.read", chaos.read(), plain.read());
 }
 
+// --- 3c. frozen chaos runs ------------------------------------------------
+//
+// Seeded fault plans on the frozen deployment, pinned to exact outputs so
+// the fault injector, RPC retry, rebuild and degraded-read paths cannot
+// drift unnoticed. The fault-free cases above never reach this code.
+
+struct FaultExpect {
+  std::uint64_t retries, timeouts, degraded_reads, rebuild_bytes,
+      objects_lost;
+};
+
+/// Runs `bench` under `spec` with the chaos retry policy and checks the
+/// phases and fault counters; every exclusion's rebuild must complete.
+template <typename Bench, typename Config>
+void expectChaosRun(const std::string& label, const char* spec,
+                    const Config& cfg, const PhaseExpect& write,
+                    const PhaseExpect& read, const FaultExpect& want) {
+  apps::DaosTestbed::Options opt = frozenDaos();
+  opt.daos.rpc_retry = net::RetryPolicy::chaosDefault();
+  apps::DaosTestbed tb(opt);
+  sim::FaultTopology topo;
+  topo.engines = tb.daos().engineCount();
+  topo.targets = tb.daos().totalTargets();
+  topo.nodes = static_cast<int>(tb.cluster().nodeCount());
+  apps::FaultInjector inj(tb, sim::FaultPlan::parse(spec, topo));
+  inj.install();
+  Bench bench(tb.ioEnv(), "daos-array", cfg);
+  apps::RunResult r = apps::runSpmd(tb.sim(), tb.clientSubset(2), 2, bench);
+  inj.rethrowIfFailed();
+  expectPhase(label + ".write", r.write(), write);
+  expectPhase(label + ".read", r.read(), read);
+  const apps::FaultStats& st = inj.stats();
+  EXPECT_EQ(st.events_applied, inj.plan().size()) << label;
+  EXPECT_EQ(st.rebuilds_completed, st.rebuilds_started) << label;
+  EXPECT_EQ(tb.cluster().rpcRetries(), want.retries) << label;
+  EXPECT_EQ(tb.cluster().rpcTimeouts(), want.timeouts) << label;
+  EXPECT_EQ(tb.daos().degradedReads(), want.degraded_reads) << label;
+  EXPECT_EQ(st.rebuild_bytes_moved, want.rebuild_bytes) << label;
+  EXPECT_EQ(st.objects_lost, want.objects_lost) << label;
+}
+
+TEST(IoFrozenNumbers, IorChaosRunMatchesSeed) {
+  apps::IorConfig cfg = frozenIor();
+  cfg.oclass = placement::ObjClass::RP_2GX;
+  // The exclusion lands mid-write: reads of the pre-exclusion layout fall
+  // back to the surviving replica while rebuild restores redundancy.
+  const char* plan =
+      "slow@6ms:t3,x4;stall@7ms:e1,300us;flap@8ms:n0,500us;exclude@10ms:t6";
+  const PhaseExpect write{20971520, 80, 9064330, 237568, 731818, 1442990};
+  const PhaseExpect read{20971520, 80, 4081651, 201159, 229376, 242326};
+  const FaultExpect faults{5, 0, 4, 1048576, 1};
+  expectChaosRun<apps::Ior>("chaos.ior", plan, cfg, write, read, faults);
+}
+
+TEST(IoFrozenNumbers, FdbChaosRunMatchesSeed) {
+  apps::FdbConfig cfg;
+  cfg.field_size = 256 * kKiB;
+  cfg.fields = 20;
+  cfg.array_oclass = placement::ObjClass::RP_2G1;
+  cfg.kv_oclass = placement::ObjClass::RP_2G1;
+  // The flap hits the write phase; the exclusion's rebuild overlaps the
+  // retrieve phase.
+  const char* plan = "flap@12ms:n1,400us;exclude@21ms:t17";
+  const PhaseExpect write{20971520, 80, 14488629, 660401, 851968, 1782579};
+  const PhaseExpect read{20971520, 80, 6205064, 294912, 341723, 356078};
+  const FaultExpect faults{5, 0, 0, 3407872, 1};
+  expectChaosRun<apps::Fdb>("chaos.fdb", plan, cfg, write, read, faults);
+}
+
 // --- 4. queue depth ------------------------------------------------------
 
 TEST(IoQueueDepth, DeeperQueuesNeverLowerIorWriteBandwidth) {
