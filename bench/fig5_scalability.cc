@@ -6,13 +6,8 @@
 // four APIs and for Field I/O / fdb-hammer; HDF5-on-DFUSE+IL reaches about
 // half and flattens around 16 servers; HDF5-on-libdaos stops scaling beyond
 // ~4 servers (serialized adaptor metadata). The 32/48/64-server points
-// extend past the paper's measured range; they run on the sharded kernel
-// where the API allows it (DESIGN.md §11c), which is what makes them
-// affordable by default.
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-
+// extend past the paper's measured range to show where the simulated
+// systems stop scaling.
 #include "apps/fdb.h"
 #include "apps/fieldio.h"
 #include "apps/ior.h"
@@ -29,40 +24,6 @@ using apps::SweepPoint;
 constexpr int kClients = 16;
 constexpr int kPpn = 16;
 
-// Beyond the paper's 24-engine ceiling, deploy on the sharded kernel.
-constexpr int kShardThresholdServers = 32;
-constexpr int kShards = 4;
-
-// Wall-clock guard for the extended points: once the process has been
-// running for DAOSIM_FIG5_BUDGET_S seconds (default 900, 0 = unlimited),
-// remaining >= 32-server points are skipped (reported as zero rows) so a
-// default run cannot blow a CI time budget. The paper-range points always
-// run.
-std::chrono::steady_clock::time_point processStart() {
-  static const auto t0 = std::chrono::steady_clock::now();
-  return t0;
-}
-
-bool overBudget() {
-  static const long budget_s = [] {
-    const char* v = std::getenv("DAOSIM_FIG5_BUDGET_S");
-    return v == nullptr ? 900L : std::atol(v);
-  }();
-  if (budget_s <= 0) return false;
-  const auto elapsed = std::chrono::steady_clock::now() - processStart();
-  return std::chrono::duration_cast<std::chrono::seconds>(elapsed).count() >=
-         budget_s;
-}
-
-bool skipExtendedPoint(const char* series, int servers) {
-  if (servers < kShardThresholdServers || !overBudget()) return false;
-  std::fprintf(stderr,
-               "fig5: wall-clock budget exhausted (DAOSIM_FIG5_BUDGET_S); "
-               "skipping %s at %d servers (zero row)\n",
-               series, servers);
-  return true;
-}
-
 // Run label for DAOSIM_TELEMETRY dumps ("s" = server count on this figure).
 std::string runLabel(const std::string& series, SweepPoint pt,
                      std::uint64_t seed) {
@@ -76,24 +37,11 @@ DaosTestbed makeTestbed(int servers, std::uint64_t seed, bool with_dfuse) {
   opt.client_nodes = kClients;
   opt.seed = seed;
   opt.with_dfuse = with_dfuse;
-  // Extended points deploy on the sharded kernel when no FUSE daemon is
-  // required; dfuse-backed APIs stay serial at every size (§11c).
-  if (servers >= kShardThresholdServers && !with_dfuse) {
-    opt.sim_jobs = kShards;
-  }
   return DaosTestbed(opt);
 }
 
-/// Harness dispatch, as in daosim_run: sharded testbeds run on the
-/// ShardGroup harness, serial ones on the frozen serial harness.
-/// Telemetry only attaches serially (samplers bind to one simulation).
 apps::RunResult runOn(DaosTestbed& tb, const std::string& label,
                       apps::SpmdBenchmark& bench) {
-  if (tb.shardGroup() != nullptr) {
-    return apps::runSpmdSharded(tb.cluster(), *tb.shardGroup(),
-                                tb.clientSubset(kClients), kPpn, tb.seed(),
-                                bench);
-  }
   apps::ScopedRunTelemetry telem(tb.sim(), label);
   if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
   return apps::runSpmd(tb.sim(), tb.clientSubset(kClients), kPpn, bench);
@@ -102,7 +50,6 @@ apps::RunResult runOn(DaosTestbed& tb, const std::string& label,
 // The sweep "client_nodes" column carries the *server* count here.
 apps::RunResult runIor(std::string api, SweepPoint pt,
                        std::uint64_t seed) {
-  if (skipExtendedPoint(("ior-" + api).c_str(), pt.client_nodes)) return {};
   const bool needs_dfuse =
       api == "dfuse" || api == "dfuse-il" || api == "hdf5";
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, needs_dfuse);
@@ -115,7 +62,6 @@ apps::RunResult runIor(std::string api, SweepPoint pt,
 }
 
 apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed) {
-  if (skipExtendedPoint("fieldio", pt.client_nodes)) return {};
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, false);
   apps::FieldIoConfig cfg;
   cfg.fields = apps::scaledOps(kClients * kPpn, apps::envOps(1000), 20000);
@@ -124,7 +70,6 @@ apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed) {
 }
 
 apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed) {
-  if (skipExtendedPoint("fdb-hammer-daos", pt.client_nodes)) return {};
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, false);
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(kClients * kPpn, apps::envOps(1000), 20000);
@@ -137,9 +82,7 @@ apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed) {
 int main(int argc, char** argv) {
   // Server counts on the x axis (as SweepPoint.client_nodes). The paper
   // stops at 24 engines; the 32/48/64 points probe where the simulated
-  // systems stop scaling, and run by default now that sharded deployment
-  // (DESIGN.md §11c) makes them affordable — guarded by
-  // DAOSIM_FIG5_BUDGET_S above.
+  // systems stop scaling.
   std::vector<apps::SweepPoint> servers;
   for (int s : {1, 2, 4, 8, 16, 24, 32, 48, 64}) servers.push_back({s, kPpn});
 

@@ -42,19 +42,10 @@ FaultInjector::FaultInjector(DaosTestbed& testbed, sim::FaultPlan plan)
   }
 }
 
-sim::Simulation& FaultInjector::driverSim() {
-  // The pool leader's simulation: the one global simulation serially (all
-  // nodes share it, so this is byte-identical to spawning on
-  // testbed_->sim()), the leader node's shard when sharded.
-  return testbed_->cluster()
-      .node(testbed_->daos().poolService().leaderNode())
-      .sim();
-}
-
 void FaultInjector::install() {
   if (plan_.empty() || installed_) return;
   installed_ = true;
-  procs_.push_back(driverSim().spawn(drive(this)));
+  procs_.push_back(testbed_->sim().spawn(drive(this)));
 }
 
 void FaultInjector::registerTelemetry(obs::Telemetry& telemetry) {
@@ -117,9 +108,6 @@ void FaultInjector::writeSummary(std::ostream& os) const {
 }
 
 void FaultInjector::markTrace(const sim::FaultEvent& e) {
-  // Observers are serial-only; on a sharded testbed even reading shard 0's
-  // observer pointer/clock from the driver's shard would race.
-  if (testbed_->shardGroup() != nullptr) return;
   obs::Observer* o = testbed_->sim().observer();
   if (o == nullptr) return;
   // Zero-length op on a dedicated "faults" track: chaos events line up
@@ -173,61 +161,11 @@ void FaultInjector::applyEvent(const sim::FaultEvent& e) {
   markTrace(e);
 }
 
-void FaultInjector::applyEventSharded(const sim::FaultEvent& e) {
-  daos::DaosSystem& system = testbed_->daos();
-  sim::ShardGroup& group = *testbed_->shardGroup();
-  sim::Simulation& hsim = driverSim();
-  switch (e.kind) {
-    case sim::FaultKind::kTargetFail:
-    case sim::FaultKind::kTargetRecover:
-    case sim::FaultKind::kTargetSlow:
-      procs_.push_back(hsim.spawn(applyAtOwner(this, e)));
-      break;
-    case sim::FaultKind::kTargetExclude: {
-      // Device death on the owner's shard; pool-map exclusion broadcast to
-      // every shard's replica (all visible at T + latency); rebuild driven
-      // from the leader, delayed past the broadcast so it reads the
-      // post-exclusion map (see rebuildVictim).
-      procs_.push_back(hsim.spawn(applyAtOwner(this, e)));
-      for (int s = 0; s < group.shards(); ++s) {
-        procs_.push_back(hsim.spawn(excludeOnShard(this, s, e.subject)));
-      }
-      ++stats_.rebuilds_started;
-      procs_.push_back(hsim.spawn(rebuildVictim(this, e.subject)));
-      break;
-    }
-    case sim::FaultKind::kNicFlap:
-      // One applier per shard flips that shard's link replica down at
-      // T + latency and back up `duration` later — the same down-window on
-      // every shard, so retry/timeout races resolve shard-count-invariantly.
-      for (int s = 0; s < group.shards(); ++s) {
-        procs_.push_back(
-            hsim.spawn(linkFlapOnShard(this, s, e.subject, e.duration)));
-      }
-      break;
-    case sim::FaultKind::kEngineStall: {
-      daos::Engine& engine = system.engine(e.subject);
-      for (int t = 0; t < engine.targetCount(); ++t) {
-        procs_.push_back(
-            hsim.spawn(stallAtOwner(this, e.subject, t, e.duration)));
-      }
-      break;
-    }
-  }
-  ++stats_.events_applied;
-  markTrace(e);
-}
-
 sim::Task<void> FaultInjector::drive(FaultInjector* self) {
-  sim::Simulation& sim = self->driverSim();
-  const bool sharded = self->testbed_->shardGroup() != nullptr;
+  sim::Simulation& sim = self->testbed_->sim();
   for (const sim::FaultEvent& e : self->plan_.events()) {
     if (e.at > sim.now()) co_await sim.delay(e.at - sim.now());
-    if (sharded) {
-      self->applyEventSharded(e);
-    } else {
-      self->applyEvent(e);
-    }
+    self->applyEvent(e);
   }
 }
 
@@ -246,14 +184,6 @@ sim::Task<void> FaultInjector::stallFor(FaultInjector* self,
 
 sim::Task<void> FaultInjector::rebuildVictim(FaultInjector* self,
                                              int victim) {
-  if (self->testbed_->shardGroup() != nullptr) {
-    // Wait out the exclusion broadcast (T + latency) before reading the
-    // pool map: 2x latency keeps the leader's first census hop (which
-    // cannot arrive anywhere before T + 3x latency) strictly after every
-    // shard's replica update, for any shard count.
-    hw::Cluster& cluster = self->testbed_->cluster();
-    co_await self->driverSim().delay(2 * cluster.fabric().latency);
-  }
   daos::RebuildStats rs =
       co_await daos::rebuild(self->testbed_->daos(), victim);
   self->stats_.rebuild_records_restored += rs.records_restored;
@@ -261,79 +191,6 @@ sim::Task<void> FaultInjector::rebuildVictim(FaultInjector* self,
   self->stats_.objects_lost += rs.objects_lost;
   self->stats_.records_unrecoverable += rs.records_unrecoverable;
   ++self->stats_.rebuilds_completed;
-}
-
-sim::Task<void> FaultInjector::applyAtOwner(FaultInjector* self,
-                                            sim::FaultEvent e) {
-  daos::DaosSystem& system = self->testbed_->daos();
-  hw::Cluster& cluster = self->testbed_->cluster();
-  const hw::NodeId home = system.poolService().leaderNode();
-  auto [engine, local] = system.locateTarget(e.subject);
-  co_await cluster.hop(home, engine->node());
-  switch (e.kind) {
-    case sim::FaultKind::kTargetRecover:
-      system.recoverTarget(e.subject);
-      break;
-    case sim::FaultKind::kTargetSlow:
-      engine->target(local).device().setSlowdown(e.factor);
-      break;
-    default:  // kTargetFail, and kTargetExclude's device half
-      system.failTarget(e.subject);
-      break;
-  }
-  co_await cluster.hop(engine->node(), home);
-}
-
-sim::Task<void> FaultInjector::excludeOnShard(FaultInjector* self, int shard,
-                                              int global) {
-  hw::Cluster& cluster = self->testbed_->cluster();
-  sim::ShardGroup& group = *self->testbed_->shardGroup();
-  const int home = cluster.nodeShard(
-      self->testbed_->daos().poolService().leaderNode());
-  const sim::Time lat = cluster.fabric().latency;
-  sim::Simulation& hsim = self->driverSim();
-  if (shard == home) {
-    co_await hsim.delay(lat);
-  } else {
-    co_await group.migrate(home, shard, hsim.now() + lat);
-  }
-  self->testbed_->daos().excludeTargetOnShard(shard, global);
-  if (shard != home) {
-    co_await group.migrate(shard, home, group.shard(shard).now() + lat);
-  }
-}
-
-sim::Task<void> FaultInjector::linkFlapOnShard(FaultInjector* self, int shard,
-                                               int node, sim::Time up_after) {
-  hw::Cluster& cluster = self->testbed_->cluster();
-  sim::ShardGroup& group = *self->testbed_->shardGroup();
-  const int home = cluster.nodeShard(
-      self->testbed_->daos().poolService().leaderNode());
-  const sim::Time lat = cluster.fabric().latency;
-  sim::Simulation& hsim = self->driverSim();
-  if (shard == home) {
-    co_await hsim.delay(lat);
-  } else {
-    co_await group.migrate(home, shard, hsim.now() + lat);
-  }
-  cluster.setLinkDownOnShard(shard, node, true);
-  co_await group.shard(shard).delay(up_after);
-  cluster.setLinkDownOnShard(shard, node, false);
-  if (shard != home) {
-    co_await group.migrate(shard, home, group.shard(shard).now() + lat);
-  }
-}
-
-sim::Task<void> FaultInjector::stallAtOwner(FaultInjector* self,
-                                            int engine_idx, int target_idx,
-                                            sim::Time dur) {
-  daos::DaosSystem& system = self->testbed_->daos();
-  hw::Cluster& cluster = self->testbed_->cluster();
-  const hw::NodeId home = system.poolService().leaderNode();
-  daos::Engine& engine = system.engine(engine_idx);
-  co_await cluster.hop(home, engine.node());
-  co_await engine.target(target_idx).xstream().exec(dur);
-  co_await cluster.hop(engine.node(), home);
 }
 
 }  // namespace daosim::apps

@@ -79,17 +79,7 @@ class FaultInjector {
 
  private:
   void applyEvent(const sim::FaultEvent& e);
-  /// Sharded-testbed variant: state owned by one shard (devices, xstreams)
-  /// is mutated by an applier that hops to the owner's shard, replicated
-  /// views (link map, pool map) by one broadcast applier per shard — all
-  /// arriving at event-time + fabric latency, so every shard sees the
-  /// fault at the same simulated instant regardless of shard count.
-  void applyEventSharded(const sim::FaultEvent& e);
   void markTrace(const sim::FaultEvent& e);
-  /// Driver residency: the pool leader's simulation — the one global
-  /// simulation serially (identical to the pre-sharding spawn), the
-  /// leader node's shard on a sharded testbed.
-  sim::Simulation& driverSim();
 
   // Driver/helper processes. Static members taking `self` keep coroutine
   // parameters plain data (see net/rpc.h's GCC-12 note).
@@ -99,14 +89,6 @@ class FaultInjector {
   static sim::Task<void> stallFor(FaultInjector* self,
                                   sim::QueueStation* station, sim::Time dur);
   static sim::Task<void> rebuildVictim(FaultInjector* self, int victim);
-  // Sharded appliers (no-ops serially; only spawned on sharded testbeds).
-  static sim::Task<void> applyAtOwner(FaultInjector* self, sim::FaultEvent e);
-  static sim::Task<void> excludeOnShard(FaultInjector* self, int shard,
-                                        int global);
-  static sim::Task<void> linkFlapOnShard(FaultInjector* self, int shard,
-                                         int node, sim::Time up_after);
-  static sim::Task<void> stallAtOwner(FaultInjector* self, int engine_idx,
-                                      int target_idx, sim::Time dur);
 
   DaosTestbed* testbed_;
   sim::FaultPlan plan_;

@@ -45,11 +45,10 @@ sim::Task<void> Fdb::runNativeIndex(io::Backend* backend, ProcContext ctx) {
   index_spec.oclass = cfg_.kv_oclass;
   std::unique_ptr<io::Index> index = co_await backend->openIndex(index_spec);
 
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
 
   // --- archive ----------------------------------------------------------
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
-    co_await ctx.paceOp();
     const sim::Time t0 = ctx.sim->now();
     // FDB opens arrays with known attributes: no create/metadata RPC.
     io::OpenSpec spec;
@@ -78,11 +77,10 @@ sim::Task<void> Fdb::runNativeIndex(io::Backend* backend, ProcContext ctx) {
     ctx.record(kWrite, cfg_.field_size, t0);
   }
 
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
 
   // --- retrieve ---------------------------------------------------------
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
-    co_await ctx.paceOp();
     const sim::Time t0 = ctx.sim->now();
     for (int k = 0; k < cfg_.index_gets_per_field; ++k) {
       (void)co_await index->get(fdbKey(ctx.rank, f, k));
@@ -111,7 +109,7 @@ sim::Task<void> Fdb::runAppendLog(io::Backend* backend, ProcContext ctx) {
   create.name = index_name;
   std::unique_ptr<io::Object> index = co_await backend->open(create);
 
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
 
   // --- archive: buffer fields client-side, flush in large blocks --------
   std::uint64_t data_off = 0;
@@ -119,7 +117,6 @@ sim::Task<void> Fdb::runAppendLog(io::Backend* backend, ProcContext ctx) {
   std::uint64_t buffered = 0;
   std::uint64_t index_buffered = 0;
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
-    co_await ctx.paceOp();
     const sim::Time t0 = ctx.sim->now();
     buffered += cfg_.field_size;
     index_buffered += cfg_.index_entry_bytes;
@@ -142,11 +139,10 @@ sim::Task<void> Fdb::runAppendLog(io::Backend* backend, ProcContext ctx) {
   co_await data->close();
   co_await index->close();
 
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
 
   // --- retrieve: open/read/close the index and data files per field ------
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
-    co_await ctx.paceOp();
     const sim::Time t0 = ctx.sim->now();
     io::OpenSpec open_spec;
     open_spec.create = false;
@@ -175,11 +171,10 @@ sim::Task<void> Fdb::runObjectPerField(io::Backend* backend,
   index_spec.name = "fdb.r" + std::to_string(ctx.rank) + ".index";
   std::unique_ptr<io::Object> index = co_await backend->open(index_spec);
 
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
 
   // --- archive: one object per field + small index-object update ---------
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
-    co_await ctx.paceOp();
     const sim::Time t0 = ctx.sim->now();
     io::OpenSpec spec;
     spec.name = fieldName(ctx.rank, f);
@@ -194,11 +189,10 @@ sim::Task<void> Fdb::runObjectPerField(io::Backend* backend,
     ctx.record(kWrite, cfg_.field_size, t0);
   }
 
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
 
   // --- retrieve: index lookup + object read per field ---------------------
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
-    co_await ctx.paceOp();
     const sim::Time t0 = ctx.sim->now();
     const std::uint64_t index_off =
         index_span ? (f * cfg_.index_entry_bytes) % index_span

@@ -34,11 +34,10 @@ sim::Task<void> FieldIo::process(ProcContext ctx) {
   std::unique_ptr<io::Index> shared_index =
       co_await backend->openIndex(shared_spec);
 
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
 
   // --- write phase ------------------------------------------------------
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
-    co_await ctx.paceOp();
     const sim::Time t0 = ctx.sim->now();
     // Field I/O creates the object (registering attributes) per field.
     io::OpenSpec spec;
@@ -64,11 +63,10 @@ sim::Task<void> FieldIo::process(ProcContext ctx) {
     ctx.record(kWrite, cfg_.field_size, t0);
   }
 
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
 
   // --- read phase ---------------------------------------------------------
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
-    co_await ctx.paceOp();
     const sim::Time t0 = ctx.sim->now();
     const std::string key =
         "r" + std::to_string(ctx.rank) + ".f" + std::to_string(f);

@@ -50,7 +50,7 @@ sim::Task<void> Ior::process(ProcContext ctx) {
       spec.create = true;
       obj = co_await backend->open(spec);
     }
-    co_await ctx.phaseBarrier();  // create-before-open, as in IOR
+    co_await ctx.barrier->arriveAndWait();  // create-before-open, as in IOR
     if (ctx.rank != 0) {
       // The creating rank broadcast the attributes: open without a
       // metadata fetch.
@@ -65,11 +65,11 @@ sim::Task<void> Ior::process(ProcContext ctx) {
     obj = co_await backend->open(spec);
   }
 
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
   if (cfg_.write_phase) {
     co_await runPhase(obj.get(), ctx, kWrite, base);
   }
-  co_await ctx.phaseBarrier();
+  co_await ctx.barrier->arriveAndWait();
   if (cfg_.read_phase) {
     co_await runPhase(obj.get(), ctx, kRead, base);
   }
@@ -81,7 +81,6 @@ sim::Task<void> Ior::runPhase(io::Object* obj, ProcContext ctx, Phase phase,
   if (cfg_.queue_depth <= 1) {
     // Sequential issue: no spawning, identical to the pre-io:: benchmarks.
     for (std::uint64_t i = 0; i < cfg_.ops; ++i) {
-      co_await ctx.paceOp();
       const sim::Time t0 = ctx.sim->now();
       if (phase == kWrite) {
         co_await obj->write(base + i * cfg_.transfer,
@@ -95,9 +94,6 @@ sim::Task<void> Ior::runPhase(io::Object* obj, ProcContext ctx, Phase phase,
   }
   io::SubmitQueue q(*ctx.sim, static_cast<std::size_t>(cfg_.queue_depth));
   for (std::uint64_t i = 0; i < cfg_.ops; ++i) {
-    // Pace at submit time: the draw order on the per-proc stream stays
-    // sequential no matter how in-flight ops interleave.
-    co_await ctx.paceOp();
     co_await q.submit(
         timedOp(obj, ctx, phase, base + i * cfg_.transfer, cfg_.transfer, i));
   }

@@ -1,6 +1,5 @@
 #include "apps/runner.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
@@ -16,24 +15,6 @@ namespace {
 
 sim::Task<void> runProcess(SpmdBenchmark* bench, ProcContext ctx) {
   co_await bench->process(ctx);
-}
-
-/// Per-rank state for the sharded harness; lives in a stable vector for
-/// the whole run. Proc coroutines take a plain pointer (no lambda
-/// closures — see the GCC-12 note in net/rpc.h).
-struct ShardProcArgs {
-  SpmdBenchmark* bench = nullptr;
-  ProcContext ctx;
-  sim::Rng pace;
-  sim::Time stagger = 0;
-};
-
-sim::Task<void> runShardProcess(ShardProcArgs* a) {
-  // Deterministic de-tie, as in apps/pdes.cc: distinct per-rank start
-  // offsets keep lock-step SPMD ranks on different shards from hitting one
-  // station at the exact same nanosecond.
-  co_await a->ctx.sim->delay(a->stagger);
-  co_await a->bench->process(a->ctx);
 }
 
 bool endsWith(const std::string& s, const std::string& suffix) {
@@ -117,95 +98,6 @@ RunResult runSpmd(sim::Simulation& sim, const std::vector<hw::NodeId>& nodes,
   for (auto& h : handles) {
     if (h.failed()) std::rethrow_exception(h.error());
   }
-  return result;
-}
-
-sim::Task<void> ProcContext::phaseBarrier() const {
-  if (sbarrier != nullptr) {
-    co_await sbarrier->arriveAndWait(static_cast<std::size_t>(shard));
-  } else {
-    co_await barrier->arriveAndWait();
-  }
-}
-
-sim::Task<void> ProcContext::paceOp() const {
-  if (pace == nullptr) co_return;  // serial: schedule-identical no-op
-  co_await sim->delay(sim::kMicrosecond +
-                      pace->uniform(0, 16 * sim::kMicrosecond));
-}
-
-void mergeRunResults(RunResult& into, const RunResult& from) {
-  for (int ph = 0; ph < 2; ++ph) {
-    PhaseResult& a = into.phase[ph];
-    const PhaseResult& b = from.phase[ph];
-    a.bytes += b.bytes;
-    a.ops += b.ops;
-    if (b.first_start < a.first_start) a.first_start = b.first_start;
-    if (b.last_end > a.last_end) a.last_end = b.last_end;
-    a.latency.merge(b.latency);
-  }
-}
-
-RunResult runSpmdSharded(hw::Cluster& cluster, sim::ShardGroup& group,
-                         const std::vector<hw::NodeId>& nodes,
-                         int procs_per_node, std::uint64_t seed,
-                         SpmdBenchmark& bench) {
-  const int procs = static_cast<int>(nodes.size()) * procs_per_node;
-  std::vector<RunResult> lanes(static_cast<std::size_t>(group.shards()));
-  sim::ShardBarrier barrier(group, static_cast<std::size_t>(procs));
-
-  // Shard clocks are skewed when the harness starts: the preceding setup
-  // run advanced the admin's shard to the setup-completion time, while a
-  // shard whose nodes saw no traffic stopped at its last event. Each
-  // rank's start is therefore anchored at the group-wide maximum clock —
-  // a property of the event history, identical for every shard layout —
-  // not at its home shard's (layout-dependent) local clock.
-  sim::Time t0 = 0;
-  for (int i = 0; i < group.shards(); ++i) {
-    t0 = std::max(t0, group.shard(i).now());
-  }
-
-  std::vector<ShardProcArgs> args(static_cast<std::size_t>(procs));
-  std::vector<sim::ProcHandle> handles;
-  handles.reserve(static_cast<std::size_t>(procs));
-  for (int r = 0; r < procs; ++r) {
-    const hw::NodeId node = nodes[static_cast<std::size_t>(r / procs_per_node)];
-    const int shard = cluster.nodeShard(node);
-    ShardProcArgs& a = args[static_cast<std::size_t>(r)];
-    a.bench = &bench;
-    a.ctx.rank = r;
-    a.ctx.nprocs = procs;
-    a.ctx.node = node;
-    a.ctx.sim = &cluster.node(node).sim();
-    a.ctx.result = &lanes[static_cast<std::size_t>(shard)];
-    a.ctx.sbarrier = &barrier;
-    a.ctx.shard = shard;
-    // 'pace': the pacing stream is a function of (seed, rank) only, so op
-    // timing is identical for every shard count.
-    a.pace = sim::Rng(sim::hashCombine(
-        seed, 0x70616365ULL + static_cast<std::uint64_t>(r)));
-    a.ctx.pace = &a.pace;
-    a.stagger = t0 - a.ctx.sim->now() + static_cast<sim::Time>(r) * 97 + 13;
-    handles.push_back(a.ctx.sim->spawn(runShardProcess(&a)));
-  }
-  try {
-    group.run();
-  } catch (...) {
-    // A rank that died mid-phase leaves the ShardBarrier unfillable and
-    // the group reports quiescence-with-incomplete-barrier; the rank's
-    // own exception is the actionable one, so prefer it.
-    for (auto& h : handles) {
-      if (h.failed()) std::rethrow_exception(h.error());
-    }
-    throw;
-  }
-  for (auto& h : handles) {
-    if (h.failed()) std::rethrow_exception(h.error());
-  }
-
-  RunResult result;
-  result.procs = procs;
-  for (const RunResult& lane : lanes) mergeRunResults(result, lane);
   return result;
 }
 

@@ -14,7 +14,6 @@
 #include "hw/cluster.h"
 #include "obs/histogram.h"
 #include "sim/rng.h"
-#include "sim/shard.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -68,13 +67,6 @@ struct RunResult {
 };
 
 /// Per-process context handed to a benchmark's process().
-///
-/// Under runSpmd (the frozen serial harness) `barrier` is set and
-/// `sbarrier`/`pace` are null; under runSpmdSharded the reverse. Benchmark
-/// code stays mode-agnostic by synchronizing through phaseBarrier() and
-/// pacing through paceOp() — both compile down to the exact pre-sharding
-/// schedule serially (awaiting a Task that immediately co_returns, or that
-/// directly awaits the serial barrier, adds zero kernel events).
 struct ProcContext {
   int rank = 0;
   int nprocs = 0;
@@ -82,9 +74,6 @@ struct ProcContext {
   sim::Simulation* sim = nullptr;
   sim::Barrier* barrier = nullptr;
   RunResult* result = nullptr;
-  sim::ShardBarrier* sbarrier = nullptr;  ///< sharded mode only
-  int shard = 0;                          ///< home shard (0 serially)
-  sim::Rng* pace = nullptr;               ///< sharded mode only
 
   /// Records one completed operation ending now.
   void record(Phase phase, std::uint64_t bytes, sim::Time start) const {
@@ -95,15 +84,6 @@ struct ProcContext {
     if (sim->now() > p.last_end) p.last_end = sim->now();
     p.latency.add(sim->now() - start);
   }
-
-  /// Phase barrier, whichever harness is driving.
-  sim::Task<void> phaseBarrier() const;
-
-  /// Pre-op think pacing: a deterministic per-proc jitter delay in sharded
-  /// mode (de-ties same-nanosecond arrivals from different shards, the one
-  /// case where mailbox order could depend on shard count — see
-  /// apps/pdes.h), a free no-op serially.
-  sim::Task<void> paceOp() const;
 };
 
 class SpmdBenchmark {
@@ -118,22 +98,5 @@ class SpmdBenchmark {
 /// nodes[r / procs_per_node].
 RunResult runSpmd(sim::Simulation& sim, const std::vector<hw::NodeId>& nodes,
                   int procs_per_node, SpmdBenchmark& bench);
-
-/// Sharded-cluster variant: each rank is spawned on its client node's home
-/// shard with a start stagger and a pacing RNG lane (both functions of
-/// (seed, rank) only — shard-count-invariant), phases synchronize on a
-/// ShardBarrier, results accumulate into per-shard lanes merged in shard
-/// order after ShardGroup::run(). Observers attach one lane per shard
-/// (obs::ObserverGroup, merged deterministically after the run) and
-/// telemetry samples one raw lane per shard (apps::ShardedRunTelemetry);
-/// neither is wired here — the CLI sets both up around this call.
-RunResult runSpmdSharded(hw::Cluster& cluster, sim::ShardGroup& group,
-                         const std::vector<hw::NodeId>& nodes,
-                         int procs_per_node, std::uint64_t seed,
-                         SpmdBenchmark& bench);
-
-/// Commutative RunResult merge (bytes/ops sums, span hull, histogram
-/// merge); does not touch `into.procs`.
-void mergeRunResults(RunResult& into, const RunResult& from);
 
 }  // namespace daosim::apps

@@ -1,8 +1,6 @@
 #include "apps/stats_report.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <iomanip>
 
 namespace daosim::apps {
@@ -144,73 +142,6 @@ void reportUtilization(std::ostream& os, CephTestbed& tb,
   printRow(os, "OSD op threads", threads, h);
   printWaitRow(os, "OSD queue wait", osd_wait);
   printClientNics(os, tb.cluster(), tb.clients(), h);
-}
-
-void reportShardSync(std::ostream& os, const sim::ShardSyncStats& s) {
-  char line[160];
-  os << "\n-- shard sync --\n";
-  std::snprintf(line, sizeof(line), "%-22s %d\n", "shards", s.shards);
-  os << line;
-  std::snprintf(line, sizeof(line), "%-22s %" PRIu64 " ns\n", "lookahead",
-                static_cast<std::uint64_t>(s.lookahead));
-  os << line;
-  std::snprintf(line, sizeof(line), "%-22s %" PRIu64 "\n", "windows",
-                s.windows);
-  os << line;
-  std::snprintf(line, sizeof(line), "%-22s %" PRIu64 "\n",
-                "cross-shard posts", s.cross_posts);
-  os << line;
-  std::snprintf(line, sizeof(line), "%-22s %" PRIu64 "\n", "barrier releases",
-                s.barrier_releases);
-  os << line;
-  std::snprintf(line, sizeof(line), "%-22s %" PRIu64 "\n", "late releases",
-                s.late_releases);
-  os << line;
-  std::snprintf(line, sizeof(line), "%-22s %" PRIu64 "\n", "mailbox flushes",
-                s.mailbox_flushes);
-  os << line;
-  std::snprintf(line, sizeof(line), "%-22s %" PRIu64 "\n", "mailbox entries",
-                s.mailbox_entries);
-  os << line;
-  std::snprintf(line, sizeof(line), "%-22s %" PRIu64 " B\n", "mailbox bytes",
-                s.mailbox_bytes);
-  os << line;
-  std::snprintf(line, sizeof(line), "%-22s %zu\n", "events", s.events);
-  os << line;
-  // Per-shard event tallies are deterministic; the wall-clock rate/wait
-  // lines beneath them ("wall:") and the imbalance ratio are host-timing
-  // dependent — byte-compare harnesses filter lines containing "wall:" or
-  // "imbalance".
-  double busy_sum = 0, busy_max = 0;
-  for (std::size_t i = 0; i < s.shard_events.size(); ++i) {
-    std::snprintf(line, sizeof(line), "  shard%-18zu %zu\n", i,
-                  s.shard_events[i]);
-    os << line;
-    const double busy =
-        i < s.shard_busy_ns.size() ? static_cast<double>(s.shard_busy_ns[i])
-                                   : 0.0;
-    const double wait =
-        i < s.shard_wait_ns.size() ? static_cast<double>(s.shard_wait_ns[i])
-                                   : 0.0;
-    busy_sum += busy;
-    if (busy > busy_max) busy_max = busy;
-    const double wall = busy + wait;
-    const double evps =
-        busy > 0 ? static_cast<double>(s.shard_events[i]) / (busy * 1e-9)
-                 : 0.0;
-    std::snprintf(line, sizeof(line),
-                  "    wall: busy %.2f ms, wait %.2f ms (%.0f%% wait), "
-                  "%.2f Mev/s\n",
-                  busy / 1e6, wait / 1e6, wall > 0 ? 100 * wait / wall : 0.0,
-                  evps / 1e6);
-    os << line;
-  }
-  if (!s.shard_events.empty()) {
-    const double mean = busy_sum / static_cast<double>(s.shard_events.size());
-    std::snprintf(line, sizeof(line), "%-22s %.2f\n",
-                  "imbalance (max/mean)", mean > 0 ? busy_max / mean : 1.0);
-    os << line;
-  }
 }
 
 }  // namespace daosim::apps

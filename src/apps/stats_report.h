@@ -23,14 +23,4 @@ void reportUtilization(std::ostream& os, LustreTestbed& tb,
 /// Ceph: OSD devices and op threads, NICs.
 void reportUtilization(std::ostream& os, CephTestbed& tb, sim::Time horizon);
 
-/// Shard-synchronization protocol counters (`-- shard sync --` block):
-/// shards, lookahead, windows, mailbox posts/flush bytes, barrier
-/// resolutions and per-shard event tallies, each tally followed by a
-/// wall-clock "wall:" line (busy/wait split and events/s) and closed by the
-/// busy-time imbalance ratio (max/mean). Printed by every bench that ran on
-/// a ShardGroup; the per-shard tallies depend on the shard count even
-/// though the results do not, and the "wall:"/"imbalance" lines are
-/// host-timing dependent — byte-compare harnesses must filter them.
-void reportShardSync(std::ostream& os, const sim::ShardSyncStats& s);
-
 }  // namespace daosim::apps

@@ -1,9 +1,7 @@
 #include "apps/telemetry_probes.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "daos/engine.h"
@@ -106,43 +104,6 @@ void clientNicProbes(Telemetry& t, hw::Cluster& cluster,
   }
 }
 
-/// Per-lane twins of netProbes: same paths, reading the shard's own counter
-/// block, so each lane samples only state its thread mutates. mergeLanes()
-/// sums the raw readings per bin, recovering the cluster-wide serial value
-/// exactly (the raws are integer-valued). net/inflight_avg exposes the raw
-/// cumulative send *nanoseconds* (integer, hence exactly summable) with the
-/// seconds conversion deferred to the output scale.
-void laneNetProbes(Telemetry& t, hw::Cluster& cluster, int s) {
-  t.addProbe("net/inflight", Kind::kGauge, [&cluster, s] {
-    return static_cast<double>(cluster.laneInflight(s));
-  });
-  t.addProbe("net/msgs_per_s", Kind::kRate, [&cluster, s] {
-    return static_cast<double>(cluster.laneMessages(s));
-  });
-  t.addProbe("net/bytes_per_s", Kind::kRate, [&cluster, s] {
-    return static_cast<double>(cluster.laneBytesSent(s));
-  });
-  t.addProbe(
-      "net/inflight_avg", Kind::kRate,
-      [&cluster, s] { return static_cast<double>(cluster.laneSendTime(s)); },
-      1e-9);
-  t.addProbe("net/rpc_req_per_s", Kind::kRate, [&cluster, s] {
-    return static_cast<double>(cluster.laneRpcRequests(s));
-  });
-  t.addProbe("net/rpc_resp_per_s", Kind::kRate, [&cluster, s] {
-    return static_cast<double>(cluster.laneRpcResponses(s));
-  });
-  t.addProbe("net/rpc_retry_per_s", Kind::kRate, [&cluster, s] {
-    return static_cast<double>(cluster.laneRpcRetries(s));
-  });
-  t.addProbe("net/rpc_timeout_per_s", Kind::kRate, [&cluster, s] {
-    return static_cast<double>(cluster.laneRpcTimeouts(s));
-  });
-  t.addProbe("net/send_fail_per_s", Kind::kRate, [&cluster, s] {
-    return static_cast<double>(cluster.laneSendFailures(s));
-  });
-}
-
 }  // namespace
 
 void registerProbes(obs::Telemetry& t, DaosTestbed& tb) {
@@ -217,134 +178,6 @@ void registerProbes(obs::Telemetry& t, CephTestbed& tb) {
   }
   clientNicProbes(t, tb.cluster(), tb.clients());
   netProbes(t, tb.cluster());
-}
-
-void registerShardProbes(obs::Telemetry& t, DaosTestbed& tb, int shard) {
-  daos::DaosSystem& sys = tb.daos();
-  hw::Cluster& cluster = tb.cluster();
-  for (int e = 0; e < sys.engineCount(); ++e) {
-    daos::Engine& engine = sys.engine(e);
-    if (cluster.nodeShard(engine.node()) != shard) continue;
-    const std::string sp = "server/" + std::to_string(e);
-    nicProbes(t, sp, cluster.node(engine.node()));
-    for (int tg = 0; tg < engine.targetCount(); ++tg) {
-      daos::Target& target = engine.target(tg);
-      const std::string tp = sp + "/target/" + std::to_string(tg);
-      deviceProbes(t, tp + "/nvme", target.device());
-      stationProbes(t, tp + "/xs", target.xstream());
-      vosProbes(t, tp + "/vos", target.store());
-    }
-  }
-  if (cluster.nodeShard(sys.poolService().leaderNode()) == shard) {
-    const sim::QueueStation& ps = sys.poolService().station();
-    t.addProbe("server/ps/busy_frac", Kind::kRate,
-               [&ps] { return sim::toSeconds(ps.busyTime()); });
-  }
-  if (shard == 0) {
-    // Driven only by the serial-only fault machinery — flat zero here, kept
-    // so the sharded dump's path set matches the serial one.
-    t.addProbe("daos/degraded_read_per_s", Kind::kRate,
-               [&sys] { return static_cast<double>(sys.degradedReads()); });
-    t.addProbe("daos/targets_failed", Kind::kGauge,
-               [&sys] { return static_cast<double>(sys.failedTargets()); });
-    t.addProbe("daos/targets_excluded", Kind::kGauge,
-               [&sys] { return static_cast<double>(sys.excludedTargets()); });
-  }
-  for (std::size_t i = 0; i < tb.clients().size(); ++i) {
-    if (cluster.nodeShard(tb.clients()[i]) != shard) continue;
-    nicProbes(t, "client/" + std::to_string(i),
-              cluster.node(tb.clients()[i]));
-  }
-  // No dfuse probes: sharded setup requires with_dfuse = false.
-  laneNetProbes(t, cluster, shard);
-}
-
-void addPdesTelemetry(obs::Telemetry& t, const sim::ShardSyncStats& s) {
-  t.gauge("pdes/shards").set(static_cast<double>(s.shards));
-  t.gauge("pdes/lookahead_ns").set(static_cast<double>(s.lookahead));
-  t.counter("pdes/windows").set(static_cast<double>(s.windows));
-  t.counter("pdes/cross_posts").set(static_cast<double>(s.cross_posts));
-  t.counter("pdes/barrier_releases")
-      .set(static_cast<double>(s.barrier_releases));
-  t.counter("pdes/late_releases").set(static_cast<double>(s.late_releases));
-  t.counter("pdes/mailbox_flushes")
-      .set(static_cast<double>(s.mailbox_flushes));
-  t.counter("pdes/mailbox_entries")
-      .set(static_cast<double>(s.mailbox_entries));
-  t.counter("pdes/mailbox_bytes").set(static_cast<double>(s.mailbox_bytes));
-  double busy_sum = 0;
-  double busy_max = 0;
-  for (int i = 0; i < s.shards; ++i) {
-    const auto k = static_cast<std::size_t>(i);
-    const double busy =
-        k < s.shard_busy_ns.size() ? static_cast<double>(s.shard_busy_ns[k])
-                                   : 0.0;
-    const double wait =
-        k < s.shard_wait_ns.size() ? static_cast<double>(s.shard_wait_ns[k])
-                                   : 0.0;
-    const double events =
-        k < s.shard_events.size() ? static_cast<double>(s.shard_events[k])
-                                  : 0.0;
-    busy_sum += busy;
-    busy_max = std::max(busy_max, busy);
-    const std::string p = "pdes/shard/" + std::to_string(i) + "/";
-    t.counter(p + "events").set(events);
-    t.counter(p + "busy_ns").set(busy);
-    t.counter(p + "wait_ns").set(wait);
-    t.gauge(p + "busy_frac")
-        .set(busy + wait > 0 ? busy / (busy + wait) : 0.0);
-    t.gauge(p + "events_per_s").set(busy > 0 ? events / (busy * 1e-9) : 0.0);
-  }
-  const double mean = s.shards > 0 ? busy_sum / s.shards : 0.0;
-  t.gauge("pdes/imbalance").set(mean > 0 ? busy_max / mean : 1.0);
-}
-
-ShardedRunTelemetry::ShardedRunTelemetry(DaosTestbed& tb, std::string label,
-                                         bool enabled, sim::Time interval,
-                                         obs::TelemetryHub* hub)
-    : tb_(&tb),
-      label_(std::move(label)),
-      hub_(hub != nullptr ? hub : &obs::TelemetryHub::global()) {
-  if (!enabled) return;
-  sim::ShardGroup* g = tb.shardGroup();
-  if (g == nullptr) {
-    throw std::invalid_argument(
-        "ShardedRunTelemetry requires a sharded testbed "
-        "(use ScopedRunTelemetry on the serial kernel)");
-  }
-  if (interval <= 0) interval = telemetryEnvInterval();
-  // Common series origin: the group-wide maximum clock. The group is
-  // quiescent between setup and run, so lanes whose clock is behind miss
-  // nothing by starting at the front-runner's time.
-  sim::Time t0 = 0;
-  for (int k = 0; k < g->shards(); ++k) {
-    t0 = std::max(t0, g->shard(k).now());
-  }
-  for (int k = 0; k < g->shards(); ++k) {
-    auto lane = std::make_unique<obs::Telemetry>(interval);
-    registerShardProbes(*lane, tb, k);
-    lane->enableRawSamples();
-    lane->attachAt(g->shard(k), t0);
-    lanes_.push_back(std::move(lane));
-  }
-}
-
-ShardedRunTelemetry::~ShardedRunTelemetry() {
-  if (lanes_.empty()) return;
-  sim::ShardGroup* g = tb_->shardGroup();
-  sim::Time end = 0;
-  for (int k = 0; k < g->shards(); ++k) {
-    end = std::max(end, g->shard(k).now());
-  }
-  std::vector<const obs::Telemetry*> ptrs;
-  ptrs.reserve(lanes_.size());
-  for (auto& lane : lanes_) {
-    lane->finishAt(end);
-    ptrs.push_back(lane.get());
-  }
-  obs::Telemetry merged = obs::Telemetry::mergeLanes(ptrs);
-  if (has_stats_) addPdesTelemetry(merged, stats_);
-  hub_->add(label_, std::move(merged));
 }
 
 sim::Time parseDuration(const std::string& s) {

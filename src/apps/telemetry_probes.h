@@ -18,14 +18,11 @@
 // byte-identical).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "apps/testbed.h"
 #include "obs/telemetry.h"
-#include "sim/shard.h"
 #include "sim/time.h"
 
 namespace daosim::apps {
@@ -33,26 +30,6 @@ namespace daosim::apps {
 void registerProbes(obs::Telemetry& t, DaosTestbed& tb);
 void registerProbes(obs::Telemetry& t, LustreTestbed& tb);
 void registerProbes(obs::Telemetry& t, CephTestbed& tb);
-
-/// Sharded-run probe registration: the subset of registerProbes(DaosTestbed)
-/// owned by `shard`, under the *same paths*. Component probes (NICs, NVMe,
-/// xstreams, VOS, the pool-service station) go to the shard whose thread
-/// mutates them — nodeShard() of the owning node — so sampling never reads
-/// across threads; cluster-wide `net/*` probes read lane-local counters on
-/// every shard and rely on mergeLanes() summing the raw samples back to the
-/// serial value. The DaosSystem health gauges (`daos/*`) register on shard 0
-/// — they are driven only by the serial-only fault machinery, so they stay
-/// flat zero (daosim_run rejects --faults with sharded telemetry). Lanes
-/// must be in raw-sample mode (obs::Telemetry::enableRawSamples).
-void registerShardProbes(obs::Telemetry& t, DaosTestbed& tb, int shard);
-
-/// Adds the `pdes/*` engine-introspection subtree to a finished registry:
-/// protocol counters (windows, cross_posts, barrier/late releases, mailbox
-/// flush counts and bytes), per-shard wall-clock busy/wait splits with
-/// events/s, and the group load-imbalance ratio (max busy / mean busy).
-/// Wall-clock values are nondeterministic — byte-compare harnesses filter
-/// rows containing "pdes/".
-void addPdesTelemetry(obs::Telemetry& t, const sim::ShardSyncStats& s);
 
 /// Parses a duration: a plain number is nanoseconds; "us"/"ms"/"s"/"ns"
 /// suffixes are honoured ("10ms", "500us"). Throws std::invalid_argument on
@@ -97,45 +74,6 @@ class ScopedRunTelemetry {
  private:
   std::string label_;
   std::optional<obs::Telemetry> t_;
-};
-
-/// Sharded-run telemetry scope (daosim_run --telemetry --sim-jobs N): one
-/// raw-sample Telemetry lane per shard, attached at the group-wide maximum
-/// clock so every lane shares bin boundaries. The destructor finishes all
-/// lanes at the group-wide end clock, merges them deterministically
-/// (obs::Telemetry::mergeLanes — dump bytes independent of the shard
-/// count), appends the `pdes/*` subtree if noteShardStats() was called, and
-/// hands the merged registry to `hub` (TelemetryHub::global() by default;
-/// tests pass a local hub to keep cross-shard-count runs from colliding on
-/// one label) under `label`.
-class ShardedRunTelemetry {
- public:
-  /// Requires tb.shardGroup() != nullptr when `enabled`; a non-positive
-  /// `interval` falls back to telemetryEnvInterval().
-  ShardedRunTelemetry(DaosTestbed& tb, std::string label, bool enabled,
-                      sim::Time interval, obs::TelemetryHub* hub = nullptr);
-
-  ShardedRunTelemetry(const ShardedRunTelemetry&) = delete;
-  ShardedRunTelemetry& operator=(const ShardedRunTelemetry&) = delete;
-
-  ~ShardedRunTelemetry();
-
-  bool active() const noexcept { return !lanes_.empty(); }
-
-  /// Stores a copy of the group's sync stats (call after ShardGroup::run());
-  /// exported as the pdes/* subtree of the merged dump.
-  void noteShardStats(const sim::ShardSyncStats& s) {
-    stats_ = s;
-    has_stats_ = true;
-  }
-
- private:
-  DaosTestbed* tb_;
-  std::string label_;
-  obs::TelemetryHub* hub_;
-  std::vector<std::unique_ptr<obs::Telemetry>> lanes_;
-  sim::ShardSyncStats stats_;
-  bool has_stats_ = false;
 };
 
 }  // namespace daosim::apps

@@ -19,7 +19,6 @@
 #include "lustre/lustre.h"
 #include "posix/dfuse.h"
 #include "rados/rados.h"
-#include "sim/shard.h"
 #include "sim/simulation.h"
 
 namespace daosim::apps {
@@ -33,18 +32,6 @@ class DaosTestbed {
     std::uint64_t seed = 1;
     bool retain_data = false;  // benchmarks run size-only by default
     bool with_dfuse = true;    // start a DFUSE daemon on every client node
-    /// Intra-run event-queue shards, following apps::PdesOptions: 0
-    /// deploys on the plain serial kernel (the frozen pre-sharding path,
-    /// bit-identical to before this knob existed); >= 1 deploys on a
-    /// sim::ShardGroup — nodes placed round-robin across shards (node id
-    /// modulo shards), lookahead = the fabric latency, setup under
-    /// ShardGroup::run(). ShardGroup(1) runs the full windowed protocol
-    /// inline; its results are bit-identical to every other shard count
-    /// (the conformance anchor in tests/shard_stack_test.cc), while the
-    /// serial kernel is a different frozen total order. Requires
-    /// with_dfuse = false (DFUSE daemons are serial-only). The daosim_run
-    /// CLI maps --sim-jobs 0|1 to the serial kernel.
-    int sim_jobs = 0;
     daos::DaosConfig daos;
     dfs::DfsConfig dfs;
     posix::DfuseConfig dfuse;
@@ -52,21 +39,8 @@ class DaosTestbed {
 
   explicit DaosTestbed(Options opt);
 
-  /// Shard 0's simulation on a sharded testbed, the one global simulation
-  /// otherwise (identical to the pre-sharding accessor there).
-  sim::Simulation& sim() noexcept { return cluster_->sim(); }
-  /// Non-null when the testbed deploys on a shard group (sim_jobs >= 1).
-  sim::ShardGroup* shardGroup() noexcept { return group_.get(); }
-  /// Runs the deployed kernel to quiescence: ShardGroup::run() when
-  /// sharded, Simulation::run() serially.
-  void run() {
-    if (group_ != nullptr) {
-      group_->run();
-    } else {
-      serial_sim_->run();
-    }
-  }
-  hw::Cluster& cluster() noexcept { return *cluster_; }
+  sim::Simulation& sim() noexcept { return sim_; }
+  hw::Cluster& cluster() noexcept { return cluster_; }
   daos::DaosSystem& daos() noexcept { return *daos_; }
   const std::vector<hw::NodeId>& clients() const noexcept { return clients_; }
   const daos::Container& container() const noexcept { return cont_; }
@@ -83,7 +57,7 @@ class DaosTestbed {
   /// outlive any backend made from it).
   io::Env ioEnv() noexcept {
     io::Env env;
-    env.sim = &sim();
+    env.sim = &sim_;
     env.seed = seed_;
     env.daos = daos_.get();
     env.dfs_mount = dfs_ ? &*dfs_ : nullptr;
@@ -97,9 +71,8 @@ class DaosTestbed {
   }
 
  private:
-  std::unique_ptr<sim::Simulation> serial_sim_;  // null when sharded
-  std::unique_ptr<sim::ShardGroup> group_;       // null when serial
-  std::unique_ptr<hw::Cluster> cluster_;
+  sim::Simulation sim_;
+  hw::Cluster cluster_;
   std::uint64_t seed_;
   std::vector<hw::NodeId> servers_;
   std::vector<hw::NodeId> clients_;

@@ -59,14 +59,6 @@ vos::Payload assemble(std::vector<Piece> pieces, std::uint64_t total) {
 }
 
 // ---- per-shard RPC operations (inline request/work/response legs) --------
-//
-// SHARD RESIDENCY: after the request leg these coroutines run on the
-// server's shard; an exception escaping there (DeviceFailed from the
-// engine, RetryExhausted from the response leg) would complete the frame
-// on the wrong shard and leave the caller's degraded-read fallback running
-// off its home shard. Errors are therefore caught, the coroutine hops back
-// to the client, and the error is rethrown there — serially the hop is a
-// free no-op and the error path is unchanged (see daos/client.cc).
 
 /// One extent-write RPC to a pool-global target.
 sim::Task<void> extentWriteOp(Client* client, vos::ContId cont, ObjectId oid,
@@ -82,19 +74,9 @@ sim::Task<void> extentWriteOp(Client* client, vos::ContId cont, ObjectId oid,
   const obs::OpId rop = rpc.ctx();
   co_await net::request(cluster, client->node(), engine->node(),
                         data.size(), rp, rop);
-  std::exception_ptr err;
-  try {
-    co_await engine->extentWrite(local, cont, oid, dkey, akey, offset,
-                                 std::move(data), rop);
-    co_await net::respond(cluster, engine->node(), client->node(), 0, rp,
-                          rop);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client->node());
-    std::rethrow_exception(err);
-  }
+  co_await engine->extentWrite(local, cont, oid, dkey, akey, offset,
+                               std::move(data), rop);
+  co_await net::respond(cluster, engine->node(), client->node(), 0, rp, rop);
 }
 
 /// One extent-read RPC to a pool-global target.
@@ -109,20 +91,10 @@ sim::Task<vos::Payload> fetchOp(Client* client, vos::ContId cont,
   const obs::OpId rop = rpc.ctx();
   co_await net::request(cluster, client->node(), engine->node(),
                         0, rp, rop);
-  vos::Payload p;
-  std::exception_ptr err;
-  try {
-    p = co_await engine->extentRead(local, cont, oid, dkey, akey, offset,
-                                    length, rop);
-    co_await net::respond(cluster, engine->node(), client->node(), p.size(),
-                          rp, rop);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client->node());
-    std::rethrow_exception(err);
-  }
+  vos::Payload p = co_await engine->extentRead(local, cont, oid, dkey, akey,
+                                               offset, length, rop);
+  co_await net::respond(cluster, engine->node(), client->node(), p.size(), rp,
+                        rop);
   co_return p;
 }
 
@@ -138,19 +110,9 @@ sim::Task<void> truncateShardOp(Client* client, vos::ContId cont,
   const obs::OpId rop = rpc.ctx();
   co_await net::request(cluster, client->node(), engine->node(),
                         0, rp, rop);
-  std::exception_ptr err;
-  try {
-    co_await engine->arrayShardTruncate(local, cont, oid, chunk_size,
-                                        new_size, rop);
-    co_await net::respond(cluster, engine->node(), client->node(), 0, rp,
-                          rop);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client->node());
-    std::rethrow_exception(err);
-  }
+  co_await engine->arrayShardTruncate(local, cont, oid, chunk_size, new_size,
+                                      rop);
+  co_await net::respond(cluster, engine->node(), client->node(), 0, rp, rop);
 }
 
 sim::Task<void> fetchInto(Client* client, vos::ContId cont, ObjectId oid,
@@ -190,18 +152,8 @@ sim::Task<void> metaPutOp(Client* client, vos::ContId cont, ObjectId oid,
   const net::RetryPolicy& rp = client->system().config().rpc_retry;
   co_await net::request(cluster, client->node(), engine->node(),
                         meta.size(), rp);
-  std::exception_ptr err;
-  try {
-    co_await engine->valuePut(local, cont, oid, kMetaDkey, "0",
-                              std::move(meta));
-    co_await net::respond(cluster, engine->node(), client->node(), 0, rp);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client->node());
-    std::rethrow_exception(err);
-  }
+  co_await engine->valuePut(local, cont, oid, kMetaDkey, "0", std::move(meta));
+  co_await net::respond(cluster, engine->node(), client->node(), 0, rp);
 }
 
 }  // namespace
@@ -232,35 +184,18 @@ sim::Task<Array> Array::open(Client& client, Container cont, ObjectId oid) {
   hw::Cluster& cluster = client.system().cluster();
   const net::RetryPolicy& rp = client.system().config().rpc_retry;
   // Try the group-0 members in order (metadata is replicated across them).
-  // The replica walk restarts from the client, so a server-side failure
-  // must first bring the coroutine home (free no-op serially) before the
-  // next request leg departs.
   for (int m = 0; m < layout.group_size; ++m) {
     auto [engine, local] =
         client.system().locateTarget(layout.target(0, m));
     co_await net::request(cluster, client.node(), engine->node(),
                           0, rp);
     Engine::GetResult r;
-    std::exception_ptr err;
     try {
       r = co_await engine->valueGet(local, cont.id, oid, kMetaDkey, "0");
       co_await net::respond(cluster, engine->node(), client.node(),
                             r.value.size(), rp);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (err) {
-      co_await cluster.hop(engine->node(), client.node());
-      bool device_failed = false;
-      try {
-        std::rethrow_exception(err);
-      } catch (const hw::DeviceFailed&) {
-        device_failed = true;
-      } catch (...) {
-      }
-      if (!device_failed || m + 1 == layout.group_size) {
-        std::rethrow_exception(err);
-      }
+    } catch (const hw::DeviceFailed&) {
+      if (m + 1 == layout.group_size) throw;
       client.system().noteDegradedRead();
       continue;
     }
@@ -526,19 +461,9 @@ sim::Task<void> Array::probeShardEnd(int target, std::uint64_t* out,
   const obs::OpId rop = rpc.ctx();
   co_await net::request(cluster, client_->node(), engine->node(),
                         0, rp, rop);
-  std::exception_ptr err;
-  try {
-    *out = co_await engine->arrayShardEnd(local, cont_.id, oid_,
-                                          attrs_.chunk_size, rop);
-    co_await net::respond(cluster, engine->node(), client_->node(), 16, rp,
-                          rop);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client_->node());
-    std::rethrow_exception(err);
-  }
+  *out = co_await engine->arrayShardEnd(local, cont_.id, oid_,
+                                        attrs_.chunk_size, rop);
+  co_await net::respond(cluster, engine->node(), client_->node(), 16, rp, rop);
 }
 
 sim::Task<void> Array::probeShardEndReplicated(std::vector<int> replicas,
@@ -614,20 +539,11 @@ sim::Task<void> Array::setSize(std::uint64_t size) {
   const net::RetryPolicy& rp = client_->system().config().rpc_retry;
   co_await net::request(cluster, client_->node(), engine->node(),
                         0, rp);
-  std::exception_ptr err;
-  try {
-    Target& t = engine->target(local);
-    co_await t.xstream().exec(engine->config().engine.rpc_cpu);
-    co_await t.device().write(engine->config().engine.wal_bytes);
-    t.store().extentTruncate(cont, oid, dkey, "0", in_chunk_end);
-    co_await net::respond(cluster, engine->node(), client_->node(), 0, rp);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client_->node());
-    std::rethrow_exception(err);
-  }
+  Target& t = engine->target(local);
+  co_await t.xstream().exec(engine->config().engine.rpc_cpu);
+  co_await t.device().write(engine->config().engine.wal_bytes);
+  t.store().extentTruncate(cont, oid, dkey, "0", in_chunk_end);
+  co_await net::respond(cluster, engine->node(), client_->node(), 0, rp);
 }
 
 }  // namespace daosim::daos

@@ -9,30 +9,13 @@ namespace daosim::daos {
 namespace {
 
 /// Punch one shard of an object (request -> engine -> response).
-///
-/// SHARD RESIDENCY: after the request leg the coroutine runs on the
-/// server's shard; an exception escaping there would complete the frame on
-/// the wrong shard (JoinState schedules the joiner on the *spawn* sim). So
-/// errors are caught, the coroutine hops home, and the error is rethrown
-/// on the client's shard — a free no-op serially (hop returns immediately,
-/// and the error path is unchanged). Every RPC-shaped client op below uses
-/// the same wrap.
 sim::Task<void> punchShardOp(Client* client, vos::ContId cont, ObjectId oid,
                              int target) {
   auto [engine, local] = client->system().locateTarget(target);
   hw::Cluster& cluster = client->system().cluster();
   co_await net::request(cluster, client->node(), engine->node(), 0);
-  std::exception_ptr err;
-  try {
-    co_await engine->punchObject(local, cont, oid);
-    co_await net::respond(cluster, engine->node(), client->node(), 0);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client->node());
-    std::rethrow_exception(err);
-  }
+  co_await engine->punchObject(local, cont, oid);
+  co_await net::respond(cluster, engine->node(), client->node(), 0);
 }
 
 }  // namespace
@@ -41,55 +24,26 @@ sim::Task<void> Client::poolConnect() {
   PoolService& ps = system_->poolService();
   co_await net::request(system_->cluster(), node_, ps.leaderNode(),
                         0);
-  std::exception_ptr err;
-  try {
-    co_await ps.handleConnect();
-    co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 0);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await system_->cluster().hop(ps.leaderNode(), node_);
-    std::rethrow_exception(err);
-  }
+  co_await ps.handleConnect();
+  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 0);
 }
 
 sim::Task<Client::PoolInfo> Client::poolQuery() {
   PoolService& ps = system_->poolService();
   co_await net::request(system_->cluster(), node_, ps.leaderNode(),
                         0);
-  std::exception_ptr err;
-  try {
-    co_await ps.handleContQuery();  // same leader-side query cost
-    co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 256);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await system_->cluster().hop(ps.leaderNode(), node_);
-    std::rethrow_exception(err);
-  }
+  co_await ps.handleContQuery();  // same leader-side query cost
+  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 256);
   PoolInfo info;
   info.engines = system_->engineCount();
   info.targets = system_->totalTargets();
-  // Capacity and usage live in each engine's target stores — other shards'
-  // state on a sharded cluster, so the query walks the servers in person
-  // (one hop per engine, one home). Serially the hops are free no-ops and
-  // the loop reads shared memory exactly as before.
-  const bool sharded = system_->cluster().shardGroup() != nullptr;
-  hw::NodeId at = node_;
   for (int e = 0; e < info.engines; ++e) {
     Engine& engine = system_->engine(e);
-    if (sharded) {
-      co_await system_->cluster().hop(at, engine.node());
-      at = engine.node();
-    }
     for (int t = 0; t < engine.targetCount(); ++t) {
       info.total_bytes += engine.target(t).device().spec().capacity_bytes;
       info.used_bytes += engine.target(t).store().bytesStored();
     }
   }
-  if (sharded) co_await system_->cluster().hop(at, node_);
   co_return info;
 }
 
@@ -97,18 +51,8 @@ sim::Task<Container> Client::contCreate(std::string name) {
   PoolService& ps = system_->poolService();
   co_await net::request(system_->cluster(), node_, ps.leaderNode(),
                         name.size());
-  vos::ContId id = 0;
-  std::exception_ptr err;
-  try {
-    id = co_await ps.handleContCreate(name);
-    co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 64);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await system_->cluster().hop(ps.leaderNode(), node_);
-    std::rethrow_exception(err);
-  }
+  const vos::ContId id = co_await ps.handleContCreate(name);
+  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 64);
   if (id == 0) {
     throw std::runtime_error("contCreate: container exists: " + name);
   }
@@ -119,18 +63,8 @@ sim::Task<Container> Client::contOpen(std::string name) {
   PoolService& ps = system_->poolService();
   co_await net::request(system_->cluster(), node_, ps.leaderNode(),
                         name.size());
-  vos::ContId id = 0;
-  std::exception_ptr err;
-  try {
-    id = co_await ps.handleContOpen(name);
-    co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 64);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await system_->cluster().hop(ps.leaderNode(), node_);
-    std::rethrow_exception(err);
-  }
+  const vos::ContId id = co_await ps.handleContOpen(name);
+  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 64);
   if (id == 0) {
     throw std::runtime_error("contOpen: no such container: " + name);
   }
@@ -141,38 +75,19 @@ sim::Task<void> Client::contDestroy(std::string name) {
   PoolService& ps = system_->poolService();
   co_await net::request(system_->cluster(), node_, ps.leaderNode(),
                         name.size());
-  vos::ContId id = 0;
-  std::exception_ptr err;
-  try {
-    id = co_await ps.handleContDestroy(name);
-    co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 16);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await system_->cluster().hop(ps.leaderNode(), node_);
-    std::rethrow_exception(err);
-  }
+  const vos::ContId id = co_await ps.handleContDestroy(name);
+  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 16);
   if (id == 0) {
     throw std::runtime_error("contDestroy: no such container: " + name);
   }
   // Space reclamation on every target shard (aggregation runs in the
-  // background in DAOS; the metadata commit above carries the cost). The
-  // stores belong to their engines' shards, so the sharded walk hops from
-  // server to server — serially the hops are free no-ops.
-  const bool sharded = system_->cluster().shardGroup() != nullptr;
-  hw::NodeId at = node_;
+  // background in DAOS; the metadata commit above carries the cost).
   for (int e = 0; e < system_->engineCount(); ++e) {
     Engine& engine = system_->engine(e);
-    if (sharded) {
-      co_await system_->cluster().hop(at, engine.node());
-      at = engine.node();
-    }
     for (int t = 0; t < engine.targetCount(); ++t) {
       engine.target(t).store().destroyContainer(id);
     }
   }
-  if (sharded) co_await system_->cluster().hop(at, node_);
 }
 
 sim::Task<ObjectId> Client::allocOids(const Container& cont,
@@ -180,18 +95,8 @@ sim::Task<ObjectId> Client::allocOids(const Container& cont,
   PoolService& ps = system_->poolService();
   co_await net::request(system_->cluster(), node_, ps.leaderNode(),
                         0);
-  std::uint64_t first = 0;
-  std::exception_ptr err;
-  try {
-    first = co_await ps.handleAllocOids(cont.id, count);
-    co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 32);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await system_->cluster().hop(ps.leaderNode(), node_);
-    std::rethrow_exception(err);
-  }
+  const std::uint64_t first = co_await ps.handleAllocOids(cont.id, count);
+  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 32);
   if (first == 0) throw std::runtime_error("allocOids: bad container");
   // Server-allocated ranges live in a reserved user-hi namespace (so they
   // cannot collide with client-stamped OIDs) scoped by the container id:

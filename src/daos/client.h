@@ -39,12 +39,9 @@ class Client {
   DaosSystem& system() noexcept { return *system_; }
   hw::NodeId node() const noexcept { return node_; }
   std::uint32_t clientId() const noexcept { return client_id_; }
-  /// The client process's home simulation — its node's shard on a sharded
-  /// cluster, the global one serially. Client-side delays (library CPU,
-  /// reconstruction XOR) charge here.
-  sim::Simulation& sim() noexcept {
-    return system_->cluster().node(node_).sim();
-  }
+  /// The simulation client-side delays (library CPU, reconstruction XOR)
+  /// charge on.
+  sim::Simulation& sim() noexcept { return system_->cluster().sim(); }
 
   /// daos_pool_connect.
   sim::Task<void> poolConnect();

@@ -16,10 +16,8 @@ Engine::Engine(hw::Cluster& cluster, hw::NodeId node, const DaosConfig& cfg)
   }
   targets_.reserve(static_cast<std::size_t>(cfg.targets_per_engine));
   for (int i = 0; i < cfg.targets_per_engine; ++i) {
-    // Targets schedule on the *node's* simulation: the owning shard's on a
-    // sharded cluster, the one global simulation serially (identical there).
     targets_.push_back(std::make_unique<Target>(
-        n.sim(),
+        cluster.sim(),
         "engine" + std::to_string(node) + ".tgt" + std::to_string(i),
         n.drive(static_cast<std::size_t>(i)), cfg.retain_data));
     targets_.back()->xstream().setTracePid(node);

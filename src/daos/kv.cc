@@ -12,9 +12,6 @@ namespace {
 
 constexpr const char* kValueAkey = "v";
 
-// SHARD RESIDENCY: server-side errors hop home before rethrowing, exactly
-// as in daos/array.cc — free no-op serially.
-
 /// Store the value on one replica target.
 sim::Task<void> putReplicaOp(Client* client, vos::ContId cont, ObjectId oid,
                              int target, std::string key, vos::Payload value,
@@ -24,18 +21,9 @@ sim::Task<void> putReplicaOp(Client* client, vos::ContId cont, ObjectId oid,
   const net::RetryPolicy& rp = client->system().config().rpc_retry;
   co_await net::request(cluster, client->node(), engine->node(),
                         key.size() + value.size(), rp, op);
-  std::exception_ptr err;
-  try {
-    co_await engine->valuePut(local, cont, oid, std::move(key), kValueAkey,
-                              std::move(value), op);
-    co_await net::respond(cluster, engine->node(), client->node(), 0, rp, op);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client->node());
-    std::rethrow_exception(err);
-  }
+  co_await engine->valuePut(local, cont, oid, std::move(key), kValueAkey,
+                            std::move(value), op);
+  co_await net::respond(cluster, engine->node(), client->node(), 0, rp, op);
 }
 
 /// Remove the key from one replica target.
@@ -46,18 +34,8 @@ sim::Task<void> removeReplicaOp(Client* client, vos::ContId cont,
   const net::RetryPolicy& rp = client->system().config().rpc_retry;
   co_await net::request(cluster, client->node(), engine->node(),
                         key.size(), rp);
-  std::exception_ptr err;
-  try {
-    co_await engine->valueRemove(local, cont, oid, std::move(key),
-                                 kValueAkey);
-    co_await net::respond(cluster, engine->node(), client->node(), 0, rp);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client->node());
-    std::rethrow_exception(err);
-  }
+  co_await engine->valueRemove(local, cont, oid, std::move(key), kValueAkey);
+  co_await net::respond(cluster, engine->node(), client->node(), 0, rp);
 }
 
 /// Enumerate one group's keys into *out.
@@ -68,19 +46,10 @@ sim::Task<void> listGroupOp(Client* client, vos::ContId cont, ObjectId oid,
   const net::RetryPolicy& rp = client->system().config().rpc_retry;
   co_await net::request(cluster, client->node(), engine->node(),
                         0, rp);
-  std::exception_ptr err;
-  try {
-    *out = co_await engine->listDkeys(local, cont, oid);
-    std::uint64_t bytes = 0;
-    for (const auto& k : *out) bytes += k.size() + 16;
-    co_await net::respond(cluster, engine->node(), client->node(), bytes, rp);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    co_await cluster.hop(engine->node(), client->node());
-    std::rethrow_exception(err);
-  }
+  *out = co_await engine->listDkeys(local, cont, oid);
+  std::uint64_t bytes = 0;
+  for (const auto& k : *out) bytes += k.size() + 16;
+  co_await net::respond(cluster, engine->node(), client->node(), bytes, rp);
 }
 
 }  // namespace
@@ -108,35 +77,20 @@ sim::Task<std::optional<vos::Payload>> KeyValue::get(std::string key) {
   hw::Cluster& cluster = client_->system().cluster();
   const net::RetryPolicy& rp = client_->system().config().rpc_retry;
 
-  // Replica walk: a server-side failure hops home before the next replica's
-  // request leg departs (free no-op serially; see Array::open).
+  // Replica walk: a failed device moves on to the next replica.
   for (int r = 0; r < layout_.group_size; ++r) {
     auto [engine, local] =
         client_->system().locateTarget(layout_.target(group, r));
     co_await net::request(cluster, client_->node(), engine->node(),
                           key.size(), rp, span.id());
     Engine::GetResult g;
-    std::exception_ptr err;
     try {
       g = co_await engine->valueGet(local, cont_.id, oid_, key, kValueAkey,
                                     span.id());
       co_await net::respond(cluster, engine->node(), client_->node(),
                             g.value.size(), rp, span.id());
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (err) {
-      co_await cluster.hop(engine->node(), client_->node());
-      bool device_failed = false;
-      try {
-        std::rethrow_exception(err);
-      } catch (const hw::DeviceFailed&) {
-        device_failed = true;
-      } catch (...) {
-      }
-      if (!device_failed || r + 1 == layout_.group_size) {
-        std::rethrow_exception(err);
-      }
+    } catch (const hw::DeviceFailed&) {
+      if (r + 1 == layout_.group_size) throw;
       client_->system().noteDegradedRead();
       continue;
     }
@@ -149,19 +103,13 @@ sim::Task<std::optional<vos::Payload>> KeyValue::get(std::string key) {
 sim::Task<bool> KeyValue::remove(std::string key) {
   const int group = placement::dkeyGroup(layout_, key);
 
-  // Existence check is local state; the RPCs carry the timing. The store
-  // belongs to the primary's shard, so the sharded path visits it in
-  // person (round-trip hop, free no-op serially).
+  // Existence check is local state; the RPCs carry the timing.
   bool existed = false;
   {
     auto [engine, local] =
         client_->system().locateTarget(layout_.target(group, 0));
-    hw::Cluster& cluster = client_->system().cluster();
-    const bool sharded = cluster.shardGroup() != nullptr;
-    if (sharded) co_await cluster.hop(client_->node(), engine->node());
     existed = engine->target(local).store().valueGet(cont_.id, oid_, key,
                                                      kValueAkey) != nullptr;
-    if (sharded) co_await cluster.hop(engine->node(), client_->node());
   }
   std::vector<sim::Task<void>> ops;
   for (int r = 0; r < layout_.group_size; ++r) {

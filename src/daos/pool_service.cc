@@ -5,10 +5,8 @@ namespace daosim::daos {
 sim::Task<void> PoolService::commit() {
   co_await svc_.exec(cost_.raft_commit);
   if (replicas_ > 1) {
-    // Followers ack in parallel; the commit waits one fabric round trip,
-    // charged on the leader's own simulation (its shard, when sharded).
-    co_await cluster_->node(leader_).sim().delay(2 *
-                                                 cluster_->fabric().latency);
+    // Followers ack in parallel; the commit waits one fabric round trip.
+    co_await cluster_->sim().delay(2 * cluster_->fabric().latency);
   }
 }
 

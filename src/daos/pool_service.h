@@ -36,10 +36,7 @@ class PoolService {
         leader_(leader_node),
         replicas_(replicas),
         cost_(cost),
-        // The service station lives on the leader node's simulation — the
-        // leader's shard on a sharded cluster (all handlers run there,
-        // having arrived via RPC), the global one serially (identical).
-        svc_(cluster.node(leader_node).sim(), "poolsvc", 1) {
+        svc_(cluster.sim(), "poolsvc", 1) {
     svc_.setTracePid(leader_node);
   }
 

@@ -48,12 +48,6 @@ std::vector<RecordCopy> captureRecords(vos::TargetStore& store, ContId cont,
 
 /// Charges a read of `bytes` on the source target and the transfer to the
 /// destination node.
-///
-/// SHARD RESIDENCY: the caller must be running on the source node's shard
-/// at entry (rebuild hops there before reading the source's store); the
-/// coroutine resumes on the destination's shard — where the installRecord
-/// that follows needs to be anyway. Serially the hops threaded through
-/// rebuild are free no-ops, leaving the schedule bit-identical.
 sim::Task<void> chargeMove(DaosSystem& sys, int src, int dst,
                            std::uint64_t bytes) {
   auto [src_engine, src_local] = sys.locateTarget(src);
@@ -64,13 +58,6 @@ sim::Task<void> chargeMove(DaosSystem& sys, int src, int dst,
   co_await sys.cluster().send(src_engine->node(), dst_engine->node(),
                               bytes + net::kSmallRequest);
   co_await dst_engine->target(dst_local).xstream().exec(cost.rpc_cpu);
-}
-
-/// The node a pool-global target lives on.
-hw::NodeId targetNode(DaosSystem& sys, int global) {
-  auto [engine, local] = sys.locateTarget(global);
-  (void)local;
-  return engine->node();
 }
 
 /// Installs a captured record on the destination target (charging the
@@ -96,34 +83,23 @@ sim::Task<void> installRecord(DaosSystem& sys, int dst, ContId cont,
 }
 
 /// Replication repair: copy every record of the object's shard from a
-/// surviving replica to the spare. Enters and leaves on `home`'s shard.
-sim::Task<void> repairReplicatedSlot(DaosSystem& sys, hw::NodeId home,
-                                     ContId cont, ObjectId oid, int source,
-                                     int dst, RebuildStats* stats) {
+/// surviving replica to the spare.
+sim::Task<void> repairReplicatedSlot(DaosSystem& sys, ContId cont,
+                                     ObjectId oid, int source, int dst,
+                                     RebuildStats* stats) {
   auto [engine, local] = sys.locateTarget(source);
-  const hw::NodeId src_node = engine->node();
-  const hw::NodeId dst_node = targetNode(sys, dst);
-  if (home != src_node) co_await sys.cluster().hop(home, src_node);
   std::vector<RecordCopy> records =
       captureRecords(engine->target(local).store(), cont, oid);
   for (auto& rc : records) {
     const std::uint64_t bytes = rc.bytes();
-    co_await chargeMove(sys, source, dst, bytes);  // ends on dst's shard
+    co_await chargeMove(sys, source, dst, bytes);
     co_await installRecord(sys, dst, cont, oid, std::move(rc), stats);
-    if (dst_node != src_node) {
-      co_await sys.cluster().hop(dst_node, src_node);  // next source read
-    }
   }
-  if (src_node != home) co_await sys.cluster().hop(src_node, home);
 }
 
 /// Erasure-code repair: regenerate member `m`'s cells for every chunk from
-/// the surviving cells and the XOR parity. Enters and leaves on `home`'s
-/// shard; the walk hops to whichever node's store it reads next (node
-/// identity is layout-independent, so the hop schedule does not depend on
-/// the shard count — and serially every hop is a free no-op).
-sim::Task<void> repairEcSlot(DaosSystem& sys, hw::NodeId home, ContId cont,
-                             ObjectId oid,
+/// the surviving cells and the XOR parity.
+sim::Task<void> repairEcSlot(DaosSystem& sys, ContId cont, ObjectId oid,
                              const placement::Layout& old_layout, int group,
                              int m, int victim, int dst,
                              RebuildStats* stats) {
@@ -140,14 +116,9 @@ sim::Task<void> repairEcSlot(DaosSystem& sys, hw::NodeId home, ContId cont,
   }
   if (witness < 0) co_return;  // cannot happen with a single failure
   auto [wit_engine, wit_local] = sys.locateTarget(witness);
-  const hw::NodeId wit_node = wit_engine->node();
   auto [dst_engine, dst_local] = sys.locateTarget(dst);
   Target& dst_target = dst_engine->target(dst_local);
-  const hw::NodeId dst_node = dst_engine->node();
 
-  hw::NodeId at = home;
-  if (at != wit_node) co_await sys.cluster().hop(at, wit_node);
-  at = wit_node;
   const std::vector<std::string> dkeys =
       wit_engine->target(wit_local).store().listDkeys(cont, oid);
 
@@ -161,9 +132,6 @@ sim::Task<void> repairEcSlot(DaosSystem& sys, hw::NodeId home, ContId cont,
       const std::uint64_t bytes = rc.bytes();
       co_await chargeMove(sys, witness, dst, bytes);
       co_await installRecord(sys, dst, cont, oid, std::move(rc), stats);
-      at = dst_node;
-      if (at != wit_node) co_await sys.cluster().hop(at, wit_node);
-      at = wit_node;
     }
   }
 
@@ -177,9 +145,6 @@ sim::Task<void> repairEcSlot(DaosSystem& sys, hw::NodeId home, ContId cont,
       if (m2 == m) continue;
       const int src = old_layout.target(group, m2);
       auto [e, l] = sys.locateTarget(src);
-      const hw::NodeId src_node = e->node();
-      if (at != src_node) co_await sys.cluster().hop(at, src_node);
-      at = src_node;
       const auto* tree = [&]() -> const vos::ExtentTree* {
         const vos::ExtentTree* found = nullptr;
         e->target(l).store().forEachRecord(
@@ -200,32 +165,24 @@ sim::Task<void> repairEcSlot(DaosSystem& sys, hw::NodeId home, ContId cont,
       if (p.size() != cell_len) regular = false;
       parts.push_back(p);
       co_await chargeMove(sys, src, dst, p.size());
-      at = dst_node;
     }
     if (m != k) {  // data cell or secondary parity: need parity0 too
       const int psrc = old_layout.target(group, k);
       if (psrc != victim) {
         auto [e, l] = sys.locateTarget(psrc);
-        const hw::NodeId p_node = e->node();
-        if (at != p_node) co_await sys.cluster().hop(at, p_node);
-        at = p_node;
         auto r = e->target(l).store().extentRead(cont, oid, dkey, "p", 0,
                                                  cell_len);
         if (r.bytes_found != cell_len) regular = false;
         parts.push_back(r.data);
         co_await chargeMove(sys, psrc, dst, cell_len);
-        at = dst_node;
       }
     }
     if (!regular || cell_len == 0) {
       stats->records_unrecoverable += 1;
       continue;
     }
-    if (at != dst_node) co_await sys.cluster().hop(at, dst_node);
-    at = dst_node;
     // Reconstruction CPU on the destination, then the write.
-    co_await sys.cluster().node(dst_node).sim().delay(
-        sys.config().engine.ec_reconstruct_cpu);
+    co_await sys.cluster().sim().delay(sys.config().engine.ec_reconstruct_cpu);
     co_await dst_target.device().write(cell_len);
     stats->bytes_moved += cell_len;
     if (m < k) {
@@ -244,33 +201,23 @@ sim::Task<void> repairEcSlot(DaosSystem& sys, hw::NodeId home, ContId cont,
     }
     stats->records_restored += 1;
   }
-  if (at != home) co_await sys.cluster().hop(at, home);
 }
 
 }  // namespace
 
 sim::Task<RebuildStats> rebuild(DaosSystem& sys, int victim) {
   RebuildStats stats;
-  // The rebuild coordinator lives on the pool-service leader: it is spawned
-  // on the leader's simulation (the leader's shard, when sharded) and every
-  // repair sub-walk starts and ends there.
-  const hw::NodeId home = sys.poolService().leaderNode();
-  sim::Simulation& hsim = sys.cluster().node(home).sim();
-  const sim::Time t0 = hsim.now();
+  sim::Simulation& sim = sys.cluster().sim();
+  const sim::Time t0 = sim.now();
 
   // The pool map as it was before the exclusion.
   std::vector<std::uint8_t> old_alive = sys.aliveMap();
   old_alive[static_cast<std::size_t>(victim)] = 1;
 
   // Global object census (surviving shards only; the victim is not read).
-  // The stores belong to their engines' shards, so the walk visits each
-  // server in person — serially the hops are free no-ops.
   std::set<std::pair<ContId, ObjectId>> objects;
-  hw::NodeId at = home;
   for (int e = 0; e < sys.engineCount(); ++e) {
     Engine& engine = sys.engine(e);
-    if (at != engine.node()) co_await sys.cluster().hop(at, engine.node());
-    at = engine.node();
     for (int t = 0; t < engine.targetCount(); ++t) {
       const int global = e * sys.config().targets_per_engine + t;
       if (global == victim) continue;
@@ -279,7 +226,6 @@ sim::Task<RebuildStats> rebuild(DaosSystem& sys, int victim) {
       }
     }
   }
-  if (at != home) co_await sys.cluster().hop(at, home);
 
   for (const auto& [cont, oid] : objects) {
     stats.objects_scanned += 1;
@@ -295,8 +241,8 @@ sim::Task<RebuildStats> rebuild(DaosSystem& sys, int victim) {
       const int m = static_cast<int>(j) % old_layout.group_size;
 
       if (spec.erasureCoded()) {
-        co_await repairEcSlot(sys, home, cont, oid, old_layout, group, m,
-                              victim, dst, &stats);
+        co_await repairEcSlot(sys, cont, oid, old_layout, group, m, victim,
+                              dst, &stats);
         stats.slots_repaired += 1;
       } else if (spec.replicated()) {
         int source = -1;
@@ -308,8 +254,7 @@ sim::Task<RebuildStats> rebuild(DaosSystem& sys, int victim) {
           }
         }
         if (source >= 0) {
-          co_await repairReplicatedSlot(sys, home, cont, oid, source, dst,
-                                        &stats);
+          co_await repairReplicatedSlot(sys, cont, oid, source, dst, &stats);
           stats.slots_repaired += 1;
         }
       } else {
@@ -318,7 +263,7 @@ sim::Task<RebuildStats> rebuild(DaosSystem& sys, int victim) {
     }
   }
 
-  stats.duration = hsim.now() - t0;
+  stats.duration = sim.now() - t0;
   co_return stats;
 }
 

@@ -19,30 +19,6 @@ DaosSystem::DaosSystem(hw::Cluster& cluster,
   pool_service_ = std::make_unique<PoolService>(
       cluster, engines_.front()->node(), replicas, cfg_.pool_service);
   alive_.assign(static_cast<std::size_t>(totalTargets()), 1);
-  if (sim::ShardGroup* g = cluster.shardGroup()) {
-    shard_alive_.assign(static_cast<std::size_t>(g->shards()), alive_);
-    health_lanes_.resize(static_cast<std::size_t>(g->shards()));
-  }
-}
-
-void DaosSystem::excludeTargetOnShard(int shard, int global) {
-  auto& slot =
-      shard_alive_[static_cast<std::size_t>(shard)][static_cast<std::size_t>(
-          global)];
-  if (slot != 0) {
-    slot = 0;
-    if (shard == 0) ++health_lanes_.front().excluded;
-  }
-}
-
-void DaosSystem::reintegrateTargetOnShard(int shard, int global) {
-  auto& slot =
-      shard_alive_[static_cast<std::size_t>(shard)][static_cast<std::size_t>(
-          global)];
-  if (slot == 0) {
-    slot = 1;
-    if (shard == 0) --health_lanes_.front().excluded;
-  }
 }
 
 void DaosSystem::excludeTarget(int global) {
@@ -66,13 +42,7 @@ void DaosSystem::failTarget(int global) {
   auto& device = engine->target(local).device();
   if (!device.failed()) {
     device.fail();
-    // On a sharded cluster the caller must be running on the target's owner
-    // shard (the fault injector hops there); the delta lands in that lane.
-    if (HealthLane* l = lane()) {
-      ++l->failed;
-    } else {
-      ++failed_targets_;
-    }
+    ++failed_targets_;
   }
 }
 
@@ -81,11 +51,7 @@ void DaosSystem::recoverTarget(int global) {
   auto& device = engine->target(local).device();
   if (device.failed()) {
     device.recover();
-    if (HealthLane* l = lane()) {
-      --l->failed;
-    } else {
-      --failed_targets_;
-    }
+    --failed_targets_;
   }
 }
 

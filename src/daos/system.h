@@ -39,7 +39,7 @@ class DaosSystem {
   }
 
   placement::Layout layout(const placement::ObjectId& oid) const {
-    return placement::computeLayout(oid, totalTargets(), &aliveView());
+    return placement::computeLayout(oid, totalTargets(), &alive_);
   }
   /// The layout the object had under a previous pool map (all targets in
   /// `was_alive` considered alive) — used by rebuild to locate old shards.
@@ -58,19 +58,10 @@ class DaosSystem {
   /// *new* layouts avoid it. Existing data is restored by daos::rebuild().
   void excludeTarget(int global);
   void reintegrateTarget(int global);
-  /// Sharded pool-map mutation: updates one shard's replica of the alive
-  /// map. The fault injector broadcasts one applier per shard, all landing
-  /// at the same simulated instant, so every shard's layouts flip together
-  /// regardless of the shard count. Only shard 0's applier moves the
-  /// excluded-targets gauge (counted once per exclusion).
-  void excludeTargetOnShard(int shard, int global);
-  void reintegrateTargetOnShard(int shard, int global);
   bool isExcluded(int global) const {
-    return aliveView()[static_cast<std::size_t>(global)] == 0;
+    return alive_[static_cast<std::size_t>(global)] == 0;
   }
-  const std::vector<std::uint8_t>& aliveMap() const noexcept {
-    return aliveView();
-  }
+  const std::vector<std::uint8_t>& aliveMap() const noexcept { return alive_; }
 
   /// Total user bytes held across all targets (space accounting tests).
   std::uint64_t bytesStored() const;
@@ -78,66 +69,19 @@ class DaosSystem {
   // --- health accounting (fault injection / telemetry) ------------------
   /// Called by Array/KeyValue when a read falls back to a surviving
   /// replica or an EC reconstruction because the primary's device failed.
-  /// On a sharded cluster the count lands in the calling shard's lane.
-  void noteDegradedRead() noexcept {
-    if (HealthLane* l = lane()) {
-      ++l->degraded_reads;
-    } else {
-      ++degraded_reads_;
-    }
-  }
-  std::uint64_t degradedReads() const noexcept {
-    std::uint64_t n = degraded_reads_;
-    for (const auto& l : health_lanes_) n += l.degraded_reads;
-    return n;
-  }
+  void noteDegradedRead() noexcept { ++degraded_reads_; }
+  std::uint64_t degradedReads() const noexcept { return degraded_reads_; }
   /// Targets whose device is currently failed / currently excluded from
   /// the pool map (gauges daos/targets_failed, daos/targets_excluded).
-  int failedTargets() const noexcept {
-    int n = failed_targets_;
-    for (const auto& l : health_lanes_) n += l.failed;
-    return n;
-  }
-  int excludedTargets() const noexcept {
-    int n = excluded_targets_;
-    for (const auto& l : health_lanes_) n += l.excluded;
-    return n;
-  }
+  int failedTargets() const noexcept { return failed_targets_; }
+  int excludedTargets() const noexcept { return excluded_targets_; }
 
  private:
-  /// Health bookkeeping for one shard, cache-line separated (mirrors
-  /// hw::Cluster::ShardCounters). A target's fail/recover pair always runs
-  /// on its owner shard, so per-lane deltas cancel correctly.
-  struct alignas(64) HealthLane {
-    std::uint64_t degraded_reads = 0;
-    int failed = 0;
-    int excluded = 0;
-  };
-
-  /// The calling shard's lane, or nullptr on the serial path.
-  HealthLane* lane() noexcept {
-    if (health_lanes_.empty()) return nullptr;
-    const int s = sim::currentShard();
-    return s >= 0 ? &health_lanes_[static_cast<std::size_t>(s)] : nullptr;
-  }
-
-  /// The alive map visible to the calling shard: its own replica on a
-  /// sharded system, the master map serially (and from the main thread).
-  const std::vector<std::uint8_t>& aliveView() const noexcept {
-    if (shard_alive_.empty()) return alive_;
-    const int s = sim::currentShard();
-    return s >= 0 ? shard_alive_[static_cast<std::size_t>(s)] : alive_;
-  }
-
   hw::Cluster* cluster_;
   DaosConfig cfg_;
   std::vector<std::unique_ptr<Engine>> engines_;
   std::unique_ptr<PoolService> pool_service_;
   std::vector<std::uint8_t> alive_;
-  // Per-shard replicas of the pool map (see excludeTargetOnShard); sized
-  // at construction on a sharded cluster, empty serially.
-  std::vector<std::vector<std::uint8_t>> shard_alive_;
-  std::vector<HealthLane> health_lanes_;  // empty on a serial cluster
   std::uint64_t degraded_reads_ = 0;
   int failed_targets_ = 0;
   int excluded_targets_ = 0;

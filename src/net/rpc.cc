@@ -74,36 +74,6 @@ sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
     co_await cluster->send(src, dst, wire_bytes, op, cat);
     co_return;
   }
-  if (cluster->shardGroup() != nullptr) {
-    // Sharded retry loop. The spawn-and-join timeout race below cannot
-    // cross shards, so the attempt itself carries the deadline: a losing
-    // transfer still occupies both NICs (the reservation stands), but the
-    // caller migrates back to the source shard at the deadline and resends
-    // from there. Jitter comes from a private stream keyed on the call
-    // (src, dst, first-attempt time) — never the kernel PRNG, whose lanes
-    // are per-shard — so the backoff schedule is shard-count-invariant.
-    sim::Simulation& ssim = cluster->node(src).sim();
-    sim::Rng jitter(sim::hashCombine(
-        sim::hashCombine(static_cast<std::uint64_t>(ssim.now()),
-                         (static_cast<std::uint64_t>(src) << 32) |
-                             static_cast<std::uint32_t>(dst)),
-        0x72747279u));
-    for (int attempt = 0;; ++attempt) {
-      const sim::Time deadline =
-          policy.timeout > 0 ? ssim.now() + policy.timeout : 0;
-      const hw::Cluster::SendOutcome out = co_await cluster->shardedSendAttempt(
-          src, dst, wire_bytes, op, cat, deadline);
-      if (out == hw::Cluster::SendOutcome::kDelivered) co_return;
-      const bool timed = out == hw::Cluster::SendOutcome::kTimedOut;
-      if (timed) cluster->noteRpcTimeout();
-      if (attempt >= policy.max_retries) {
-        throw RetryExhausted(attempt + 1, timed);
-      }
-      cluster->noteRpcRetry();
-      const sim::Time pause = backoffDelay(policy, attempt, jitter);
-      if (pause > 0) co_await ssim.delay(pause);
-    }
-  }
   sim::Simulation& sim = cluster->sim();
   for (int attempt = 0;; ++attempt) {
     bool timed_out = false;

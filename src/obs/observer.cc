@@ -1,36 +1,13 @@
 #include "obs/observer.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <iomanip>
-#include <stdexcept>
 #include <string>
-#include <tuple>
-
-#include "sim/shard.h"
 
 namespace daosim::obs {
 
 namespace {
 std::atomic<std::uint64_t> g_epoch{0};
-
-// Provisional leg ids for legs recorded on a lane that does not own the op:
-// bit 23 set, lane in bits 16..22, per-(lane, op) counter below. Disjoint
-// from home-allocated ids (which count up from 1) for any realistic leg
-// count, and unique per op across lanes, so the merge can treat all wire
-// ids uniformly as per-op keys.
-constexpr LegId kRemoteLegBase = 0x800000;
-
-// Journal key for a leg-id allocation: the 40-bit op seq above the 24-bit
-// leg id, exactly filling 64 bits.
-constexpr std::uint64_t allocKey(OpId seq, LegId id) {
-  return (seq << 24) | id;
-}
-
-// Home lane of a group-mode op: the lane tag lives in bits 32..39 of the
-// 40-bit sequence space.
-constexpr int laneOf(OpId seq) { return static_cast<int>(seq >> 32); }
 }  // namespace
 
 Observer::Observer() : epoch_(++g_epoch) {}
@@ -46,14 +23,6 @@ void Observer::attach(sim::Simulation& sim) {
 void Observer::detach() {
   if (sim_ != nullptr && sim_->observer() == this) sim_->setObserver(nullptr);
   sim_ = nullptr;
-}
-
-void Observer::setGroupLane(int lane) {
-  group_mode_ = true;
-  lane_ = lane;
-  // The journal records tracks by (pid, name); the tracer hosts the
-  // lane-local registry instrumentation sites intern into.
-  if (tracer_ == nullptr) tracer_ = std::make_unique<Tracer>();
 }
 
 void Observer::enableTracing() {
@@ -90,19 +59,7 @@ TrackId Observer::reservoirTrack(TrackId t) {
   return reservoir_track_[t];
 }
 
-OpId Observer::beginOp(const char* type, TrackId track) {
-  if (group_mode_) {
-    // Lane-tagged sequence number: globally unique across lanes without
-    // coordination, and laneOf() identifies the home lane for leg-id
-    // allocation. Final (serial-equivalent) numbering happens at merge.
-    const OpId op =
-        (static_cast<OpId>(static_cast<unsigned>(lane_)) << 32) | ++group_ops_;
-    open_.emplace(op, OpenOp{});
-    group_open_.emplace(
-        op, GroupBegin{type, tracer_->trackPid(track),
-                       std::string(tracer_->trackName(track)), now()});
-    return op;
-  }
+OpId Observer::beginOp(const char* /*type*/, TrackId /*track*/) {
   const OpId op = next_op_++;
   open_.emplace(op, OpenOp{});
   return op;
@@ -113,17 +70,6 @@ void Observer::endOp(OpId op, const char* type, TrackId track,
   const sim::Time end = now();
   const sim::Time total = end - start;
   const OpId seq = opSeq(op);
-
-  if (group_mode_) {
-    auto it = group_open_.find(seq);
-    if (it == group_open_.end()) return;
-    group_closed_.push_back(
-        GroupClose{seq, type, it->second.pid, it->second.track, start, end});
-    group_open_.erase(it);
-    open_.erase(seq);
-    return;
-  }
-
   auto open_it = open_.find(seq);
   OpTypeAgg& agg = op_types_[type];
   ++agg.count;
@@ -155,42 +101,13 @@ void Observer::endOp(OpId op, const char* type, TrackId track,
   if (tracing_) tracer_->span(track, seq, type, start, end);
 }
 
-LegId Observer::remoteLeg(OpId seq) {
-  LegId& ctr = group_remote_[seq];
-  ++ctr;
-  return kRemoteLegBase | (static_cast<LegId>(lane_) << 16) | (ctr & 0xFFFF);
-}
-
 LegId Observer::recordLeg(OpId op, Cat cat, TrackId track, const char* name,
-                          sim::Time start, sim::Time end, sim::Time wait,
-                          Cat wait_cat, LegId id, bool charge) {
+                          sim::Time start, sim::Time wait, Cat wait_cat,
+                          LegId id, bool charge) {
   const OpId seq = opSeq(op);
   if (seq == 0) return 0;
-  const sim::Time dur = end - start;
+  const sim::Time dur = now() - start;
   if (wait > dur) wait = dur;
-  if (group_mode_) {
-    LegId lid = id;
-    sim::Time alloc = kAllocElsewhere;
-    if (lid == 0) {
-      if (laneOf(seq) == lane_) {
-        // Home lane: allocate like the serial path — fresh id while the op
-        // is open, 0 (untracked) once it has closed.
-        auto it = open_.find(seq);
-        if (it != open_.end()) {
-          lid = ++it->second.next_leg;
-          alloc = now();
-        }
-      } else {
-        lid = remoteLeg(seq);
-        alloc = now();
-      }
-    }
-    group_legs_.push_back(GroupLeg{seq, lid, opParent(op), tracer_->trackPid(track),
-                                   std::string(tracer_->trackName(track)), name,
-                                   cat, wait_cat, charge, start, dur, wait,
-                                   alloc, now()});
-    return lid;
-  }
   auto it = open_.find(seq);
   LegId lid = id;
   if (it != open_.end()) {
@@ -220,47 +137,19 @@ LegId Observer::recordLeg(OpId op, Cat cat, TrackId track, const char* name,
 
 LegId Observer::leg(OpId op, Cat cat, TrackId track, const char* name,
                     sim::Time start, sim::Time wait, Cat wait_cat, LegId id) {
-  return recordLeg(op, cat, track, name, start, now(), wait, wait_cat, id,
-                   /*charge=*/true);
-}
-
-LegId Observer::legAt(OpId op, Cat cat, TrackId track, const char* name,
-                      sim::Time start, sim::Time end, sim::Time wait,
-                      Cat wait_cat, LegId id) {
-  return recordLeg(op, cat, track, name, start, end, wait, wait_cat, id,
+  return recordLeg(op, cat, track, name, start, wait, wait_cat, id,
                    /*charge=*/true);
 }
 
 LegId Observer::structLeg(OpId op, Cat cat, TrackId track, const char* name,
                           sim::Time start, sim::Time wait, LegId id) {
-  return recordLeg(op, cat, track, name, start, now(), wait,
-                   Cat::kServerQueue, id,
-                   /*charge=*/false);
-}
-
-LegId Observer::structLegAt(OpId op, Cat cat, TrackId track, const char* name,
-                            sim::Time start, sim::Time end, sim::Time wait,
-                            LegId id) {
-  return recordLeg(op, cat, track, name, start, end, wait, Cat::kServerQueue,
-                   id,
+  return recordLeg(op, cat, track, name, start, wait, Cat::kServerQueue, id,
                    /*charge=*/false);
 }
 
 LegId Observer::openLeg(OpId op) {
   const OpId seq = opSeq(op);
   if (seq == 0) return 0;
-  if (group_mode_) {
-    LegId lid = 0;
-    if (laneOf(seq) == lane_) {
-      auto it = open_.find(seq);
-      if (it == open_.end()) return 0;
-      lid = ++it->second.next_leg;
-    } else {
-      lid = remoteLeg(seq);
-    }
-    group_alloc_[allocKey(seq, lid)] = now();
-    return lid;
-  }
   auto it = open_.find(seq);
   if (it == open_.end()) return 0;
   return ++it->second.next_leg;
@@ -293,253 +182,6 @@ void Observer::writeChromeTrace(std::ostream& os) const {
   } else {
     os << "{\"schema\": " << kTraceSchemaVersion << ", \"traceEvents\": []}\n";
   }
-}
-
-ObserverGroup::ObserverGroup(sim::ShardGroup& group) {
-  const int n = group.shards();
-  if (n > 128) {
-    throw std::invalid_argument(
-        "ObserverGroup: provisional leg ids encode at most 128 lanes");
-  }
-  lanes_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    auto lane = std::make_unique<Observer>();
-    lane->setGroupLane(i);
-    lane->attach(group.shard(i));
-    lanes_.push_back(std::move(lane));
-  }
-}
-
-ObserverGroup::~ObserverGroup() = default;
-
-void ObserverGroup::mergeInto(Observer& out) {
-  using GroupLeg = Observer::GroupLeg;
-
-  for (auto& l : lanes_) l->detach();
-
-  // ---- Canonical op numbering ------------------------------------------
-  // Serial observers number ops in begin order; the merged numbering sorts
-  // every begun op (closed or not) by simulation-level identity — begin
-  // time, then owning track, then type — with the lane-local issue counter
-  // breaking same-track ties (two back-to-back queue-depth>1 ops from one
-  // rank begin at the same instant; their home lane's counter preserves
-  // their issue order for every shard count).
-  struct MOp {
-    OpId wire = 0;
-    const char* type = nullptr;
-    int pid = 0;
-    const std::string* track = nullptr;
-    sim::Time start = 0;
-    sim::Time end = 0;
-    bool closed = false;
-    OpId final_seq = 0;
-    std::vector<const GroupLeg*> legs;
-  };
-  std::vector<MOp> ops;
-  for (auto& l : lanes_) {
-    for (const Observer::GroupClose& c : l->group_closed_) {
-      ops.push_back(
-          MOp{c.seq, c.type, c.pid, &c.track, c.start, c.end, true, 0, {}});
-    }
-    for (const auto& [seq, b] : l->group_open_) {
-      ops.push_back(MOp{seq, b.type, b.pid, &b.track, b.start, 0, false, 0, {}});
-    }
-  }
-  auto opKey = [](const MOp& o) {
-    return std::make_tuple(o.start, o.pid, std::string_view(*o.track),
-                           std::string_view(o.type), o.wire & 0xFFFFFFFFu,
-                           o.wire);
-  };
-  std::sort(ops.begin(), ops.end(),
-            [&](const MOp& a, const MOp& b) { return opKey(a) < opKey(b); });
-  std::map<OpId, MOp*> by_wire;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    ops[i].final_seq = static_cast<OpId>(i + 1);
-    by_wire.emplace(ops[i].wire, &ops[i]);
-  }
-
-  // ---- Global leg-allocation journal and leg assignment ----------------
-  std::map<std::uint64_t, sim::Time> alloc_at;
-  for (auto& l : lanes_) {
-    alloc_at.insert(l->group_alloc_.begin(), l->group_alloc_.end());
-  }
-  for (auto& l : lanes_) {
-    for (const GroupLeg& g : l->group_legs_) {
-      auto it = by_wire.find(g.seq);
-      if (it != by_wire.end()) it->second->legs.push_back(&g);
-    }
-  }
-
-  // ---- Deterministic track registration --------------------------------
-  // Serial track ids follow first-use order; the merged registry registers
-  // by (first reference time, pid, name), which is shard-count-invariant.
-  std::map<std::pair<int, std::string_view>, sim::Time> first_use;
-  auto note_track = [&](int pid, const std::string& name, sim::Time t) {
-    auto [it, inserted] =
-        first_use.try_emplace({pid, std::string_view(name)}, t);
-    if (!inserted && t < it->second) it->second = t;
-  };
-  for (const MOp& o : ops) note_track(o.pid, *o.track, o.start);
-  for (auto& l : lanes_) {
-    for (const GroupLeg& g : l->group_legs_) note_track(g.pid, g.track, g.ts);
-  }
-  {
-    std::vector<std::tuple<sim::Time, int, std::string_view>> order;
-    order.reserve(first_use.size());
-    for (const auto& [key, t] : first_use) {
-      order.emplace_back(t, key.first, key.second);
-    }
-    std::sort(order.begin(), order.end());
-    for (const auto& [t, pid, name] : order) out.track(pid, name);
-  }
-
-  // ---- Per-op leg renumbering, charges, events, exemplars --------------
-  struct MEvent {
-    sim::Time rec = 0;
-    bool is_span = false;
-    TraceEvent e;
-  };
-  std::vector<MEvent> events;
-  struct MLeg {
-    const GroupLeg* g = nullptr;
-    sim::Time alloc = 0;
-    LegId final_id = 0;
-  };
-  std::uint64_t total_ops = 0;
-  for (MOp& op : ops) {
-    ++total_ops;
-    std::vector<MLeg> legs;
-    legs.reserve(op.legs.size());
-    for (const GroupLeg* g : op.legs) {
-      sim::Time at = g->alloc;
-      if (at == Observer::kAllocElsewhere) {
-        auto it = alloc_at.find(allocKey(g->seq, g->id));
-        at = it != alloc_at.end() ? it->second : g->ts;
-      }
-      legs.push_back(MLeg{g, at, 0});
-    }
-    // Ids follow allocation order, exactly as the serial per-op counter
-    // does; legs allocated after the op closed (a timed-out transfer's
-    // late finish) keep id 0, like the serial closed-op path.
-    std::vector<MLeg*> numbered;
-    for (MLeg& m : legs) {
-      if (m.g->id != 0 && (!op.closed || m.alloc <= op.end)) {
-        numbered.push_back(&m);
-      }
-    }
-    std::sort(numbered.begin(), numbered.end(), [](const MLeg* a,
-                                                   const MLeg* b) {
-      return std::make_tuple(a->alloc, a->g->ts, a->g->pid,
-                             std::string_view(a->g->track),
-                             std::string_view(a->g->name), a->g->cat,
-                             a->g->dur, a->g->wait, a->g->rec, a->g->id) <
-             std::make_tuple(b->alloc, b->g->ts, b->g->pid,
-                             std::string_view(b->g->track),
-                             std::string_view(b->g->name), b->g->cat,
-                             b->g->dur, b->g->wait, b->g->rec, b->g->id);
-    });
-    std::map<LegId, LegId> leg_map;
-    for (std::size_t i = 0; i < numbered.size(); ++i) {
-      numbered[i]->final_id = static_cast<LegId>(i + 1);
-      leg_map.emplace(numbered[i]->g->id, numbered[i]->final_id);
-    }
-    auto mapped = [&](LegId wire) {
-      auto it = leg_map.find(wire);
-      return it != leg_map.end() ? it->second : LegId{0};
-    };
-
-    if (op.closed) {
-      // Fold charges exactly like the serial endOp: legs recorded while the
-      // op was open accumulate per-category time; kClient is the residual.
-      Observer::OpTypeAgg& agg = out.op_types_[op.type];
-      const sim::Time total = op.end - op.start;
-      ++agg.count;
-      agg.latency.add(total);
-      sim::Time cat_ns[kCatCount] = {};
-      for (const MLeg& m : legs) {
-        if (!m.g->charge || m.g->rec > op.end) continue;
-        cat_ns[static_cast<int>(m.g->wait_cat)] += m.g->wait;
-        cat_ns[static_cast<int>(m.g->cat)] += m.g->dur - m.g->wait;
-      }
-      sim::Time covered = 0;
-      for (int c = 1; c < kCatCount; ++c) {
-        agg.cat_ns[c] += static_cast<std::uint64_t>(cat_ns[c]);
-        covered += cat_ns[c];
-      }
-      agg.cat_ns[0] += static_cast<std::uint64_t>(
-          total > covered ? total - covered : 0);
-    }
-
-    const TrackId op_track = out.track(op.pid, *op.track);
-    if (out.tracing_ || out.reservoir_ != nullptr) {
-      // Emit one event per journaled leg (sorted below into the canonical
-      // record order) plus the op span for closed ops.
-      std::vector<MLeg*> recorded;
-      recorded.reserve(legs.size());
-      for (MLeg& m : legs) recorded.push_back(&m);
-      std::sort(recorded.begin(), recorded.end(),
-                [](const MLeg* a, const MLeg* b) {
-                  // Record order: by record time; nested legs recorded at
-                  // the same instant unwind inner-first (later ts first).
-                  return std::make_tuple(a->g->rec, -a->g->ts, a->final_id) <
-                         std::make_tuple(b->g->rec, -b->g->ts, b->final_id);
-                });
-      std::vector<TraceEvent> retained;  // exemplar legs, record order
-      for (const MLeg* m : recorded) {
-        const TraceEvent e{.ts = m->g->ts,
-                           .dur = m->g->dur,
-                           .op = op.final_seq,
-                           .track = out.track(m->g->pid, m->g->track),
-                           .name = m->g->name,
-                           .cat = m->g->cat,
-                           .is_span = false,
-                           .leg = m->final_id,
-                           .parent = mapped(m->g->parent),
-                           .wait = m->g->wait};
-        if (out.tracing_) events.push_back(MEvent{m->g->rec, false, e});
-        if (op.closed && m->g->rec <= op.end) retained.push_back(e);
-      }
-      if (op.closed) {
-        if (out.tracing_) {
-          events.push_back(MEvent{op.end, true,
-                                  TraceEvent{.ts = op.start,
-                                             .dur = op.end - op.start,
-                                             .op = op.final_seq,
-                                             .track = op_track,
-                                             .name = op.type,
-                                             .cat = Cat::kClient,
-                                             .is_span = true}});
-        }
-        if (out.reservoir_ != nullptr) {
-          OpRecord rec;
-          rec.type = op.type;
-          rec.seq = op.final_seq;
-          rec.rep = out.rep_;
-          rec.track = out.reservoirTrack(op_track);
-          rec.start = op.start;
-          rec.dur = op.end - op.start;
-          rec.legs = std::move(retained);
-          for (TraceEvent& e : rec.legs) e.track = out.reservoirTrack(e.track);
-          out.reservoir_->offer(std::move(rec));
-        }
-      }
-    }
-  }
-
-  if (out.tracing_) {
-    // Canonical push order: the writer stable-sorts by ts, so same-ts
-    // events keep this (shard-count-invariant) order.
-    std::stable_sort(events.begin(), events.end(),
-                     [](const MEvent& a, const MEvent& b) {
-                       return std::make_tuple(a.rec, a.is_span, -a.e.ts,
-                                              a.e.op, a.e.track) <
-                              std::make_tuple(b.rec, b.is_span, -b.e.ts,
-                                              b.e.op, b.e.track);
-                     });
-    for (const MEvent& m : events) out.tracer_->push(m.e);
-  }
-
-  out.next_op_ = total_ops + 1;
 }
 
 void Observer::writeBreakdown(std::ostream& os) const {

@@ -29,13 +29,7 @@
 #include "obs/trace.h"
 #include "sim/simulation.h"
 
-namespace daosim::sim {
-class ShardGroup;
-}
-
 namespace daosim::obs {
-
-class ObserverGroup;
 
 class Observer {
  public:
@@ -48,15 +42,6 @@ class Observer {
   /// detaches automatically on destruction.
   void attach(sim::Simulation& sim);
   void detach();
-
-  /// Switches this observer into group-lane mode for sharded runs: it is one
-  /// lane of an ObserverGroup, attached to a single shard. Op ids carry the
-  /// lane in bits 32..39 of the 40-bit sequence space, legs recorded for ops
-  /// homed on other lanes get provisional ids, and every record is journaled
-  /// verbatim (instead of folded into aggregates) so ObserverGroup::mergeInto
-  /// can rebuild the exact serial-equivalent state deterministically. Call
-  /// before attach().
-  void setGroupLane(int lane);
 
   /// Unique across all Observer instances in the process. Stations cache
   /// their TrackId keyed by this epoch so a fresh observer (new rep) never
@@ -108,25 +93,12 @@ class Observer {
             sim::Time start, sim::Time wait = 0,
             Cat wait_cat = Cat::kServerQueue, LegId id = 0);
 
-  /// leg() with an explicit end time instead of now(). For call sites that
-  /// know a leg's completion instant without being scheduled at it — e.g.
-  /// QueueStation::reserve() (analytic service, returns the future completion
-  /// time) and the sharded timeout path (the abandoned transfer's finish).
-  LegId legAt(OpId op, Cat cat, TrackId track, const char* name,
-              sim::Time start, sim::Time end, sim::Time wait = 0,
-              Cat wait_cat = Cat::kServerQueue, LegId id = 0);
-
   /// Trace/exemplar-only leg: shows up in the causal tree but charges
   /// nothing to the per-category aggregate. Used for structural parents
   /// (per-shard RPC scopes, NIC tx/rx under the charging "send" leg) whose
   /// time is already covered by other legs.
   LegId structLeg(OpId op, Cat cat, TrackId track, const char* name,
                   sim::Time start, sim::Time wait = 0, LegId id = 0);
-
-  /// structLeg() with an explicit end time (see legAt()).
-  LegId structLegAt(OpId op, Cat cat, TrackId track, const char* name,
-                    sim::Time start, sim::Time end, sim::Time wait = 0,
-                    LegId id = 0);
 
   /// Pre-allocates the id of a forthcoming leg of `op`, so children created
   /// while the leg is still running can name it as parent via
@@ -147,9 +119,7 @@ class Observer {
     return op_types_;
   }
 
-  std::uint64_t opsStarted() const noexcept {
-    return group_mode_ ? group_ops_ : next_op_ - 1;
-  }
+  std::uint64_t opsStarted() const noexcept { return next_op_ - 1; }
 
   /// Folds per-op-type aggregates into metrics() as `op.<type>.*` entries.
   void exportMetrics();
@@ -165,59 +135,15 @@ class Observer {
   void writeTailReport(std::ostream& os) const;
 
  private:
-  friend class ObserverGroup;
-
   struct OpenOp {
     sim::Time cat_ns[kCatCount] = {};
     LegId next_leg = 0;            // per-op leg id allocator
     std::vector<TraceEvent> legs;  // retained only while exemplars are on
   };
 
-  // Group-lane journal rows: records kept verbatim (tracks by (pid, name)
-  // since TrackIds are lane-local; names are string literals) so the merge
-  // can replay them against final op/leg numbering. `alloc` is the leg-id
-  // allocation time, kAllocElsewhere when the id was pre-allocated by
-  // openLeg() — possibly on a different lane — and must be resolved from the
-  // global allocation journal.
-  struct GroupBegin {
-    const char* type;
-    int pid;
-    std::string track;
-    sim::Time start;
-  };
-  struct GroupClose {
-    OpId seq;  // lane-tagged wire sequence number
-    const char* type;
-    int pid;
-    std::string track;
-    sim::Time start;
-    sim::Time end;
-  };
-  struct GroupLeg {
-    OpId seq;
-    LegId id;
-    LegId parent;
-    int pid;
-    std::string track;
-    const char* name;
-    Cat cat;
-    Cat wait_cat;
-    bool charge;
-    sim::Time ts;
-    sim::Time dur;
-    sim::Time wait;
-    sim::Time alloc;  // id allocation time; kAllocElsewhere if via openLeg()
-    sim::Time rec;    // record time (serial parity: charges need rec <= end)
-  };
-  static constexpr sim::Time kAllocElsewhere = sim::Time(-1);
-
   LegId recordLeg(OpId op, Cat cat, TrackId track, const char* name,
-                  sim::Time start, sim::Time end, sim::Time wait, Cat wait_cat,
-                  LegId id, bool charge);
-  /// Provisional leg id for a foreign op (homed on another lane):
-  /// 0x800000 | lane<<16 | per-(lane,op) counter. Unique per op across lanes
-  /// and disjoint from home-allocated ids; replaced at merge time.
-  LegId remoteLeg(OpId seq);
+                  sim::Time start, sim::Time wait, Cat wait_cat, LegId id,
+                  bool charge);
   /// Interns a tracer track into the reservoir's own table (cached).
   TrackId reservoirTrack(TrackId t);
 
@@ -232,49 +158,6 @@ class Observer {
   OpId next_op_ = 1;
   std::map<OpId, OpenOp> open_;  // keyed by op sequence number
   std::map<std::string, OpTypeAgg> op_types_;
-
-  // Group-lane mode state (see setGroupLane()).
-  bool group_mode_ = false;
-  int lane_ = 0;
-  std::uint64_t group_ops_ = 0;  // lane-local op counter (< 2^32)
-  std::map<OpId, GroupBegin> group_open_;
-  std::vector<GroupClose> group_closed_;
-  std::vector<GroupLeg> group_legs_;
-  std::map<std::uint64_t, sim::Time> group_alloc_;  // (seq<<24|id) -> time
-  std::map<OpId, LegId> group_remote_;  // foreign seq -> provisional counter
-};
-
-/// Shard-aware observer fan-out: one group-lane Observer per shard of a
-/// sim::ShardGroup, each attached to its own shard (no cross-shard locks on
-/// the hot path), merged deterministically into a plain Observer after the
-/// run. The merged result is byte-identical across shard counts: final op
-/// sequence numbers are assigned by (start, pid, track, type) order, leg ids
-/// per op by allocation order, and tracer/reservoir contents are rebuilt in
-/// that canonical order. Usage:
-///
-///   obs::Observer out;                 // the exporter-facing observer
-///   out.enableTracing();               // flags read at merge time
-///   obs::ObserverGroup og(*tb.shardGroup());
-///   ... run ...
-///   og.mergeInto(out);                 // out now looks like a serial run
-class ObserverGroup {
- public:
-  /// Creates one lane per shard and attaches each to its shard's simulation.
-  explicit ObserverGroup(sim::ShardGroup& group);
-  ~ObserverGroup();
-  ObserverGroup(const ObserverGroup&) = delete;
-  ObserverGroup& operator=(const ObserverGroup&) = delete;
-
-  int lanes() const noexcept { return static_cast<int>(lanes_.size()); }
-  Observer& lane(int i) noexcept { return *lanes_[i]; }
-
-  /// Detaches every lane and folds the journals into `out` (a fresh, never-
-  /// attached Observer). Honours out's tracing/exemplar flags: call
-  /// out.enableTracing() / out.enableExemplars() before merging.
-  void mergeInto(Observer& out);
-
- private:
-  std::vector<std::unique_ptr<Observer>> lanes_;
 };
 
 /// RAII op span. Default-constructed (or moved-from) scopes are inert, so

@@ -68,18 +68,14 @@ Telemetry::Node* Telemetry::instrument(const std::string& path, Kind kind) {
 }
 
 void Telemetry::addProbe(const std::string& path, Kind kind,
-                         std::function<double()> fn, double scale) {
-  Node* n = instrument(path, kind);
-  n->probe = std::move(fn);
-  n->scale = scale;
+                         std::function<double()> fn) {
+  instrument(path, kind)->probe = std::move(fn);
 }
 
-void Telemetry::attach(sim::Simulation& sim) { attachAt(sim, sim.now()); }
-
-void Telemetry::attachAt(sim::Simulation& sim, sim::Time t0) {
+void Telemetry::attach(sim::Simulation& sim) {
   if (sim_ != nullptr) detach();
   sim_ = &sim;
-  t0_ = t0;
+  t0_ = sim.now();
   last_sample_ = t0_;
   next_due_ = t0_ + interval_;
   finished_ = false;
@@ -98,15 +94,11 @@ void Telemetry::sampleAt(sim::Time t) {
   for (auto& up : nodes_) {
     Node& n = *up;
     const double cur = n.probe ? n.probe() : n.value;
-    double v;
-    if (raw_samples_) {
-      v = cur;  // lane mode: raw reading; mergeLanes runs the arithmetic
-    } else if (n.kind == Kind::kRate) {
+    double v = cur;
+    if (n.kind == Kind::kRate) {
       const sim::Time dt = t - last_sample_;
-      v = dt > 0 ? n.scale * (cur - n.prev) / sim::toSeconds(dt) : 0.0;
+      v = dt > 0 ? (cur - n.prev) / sim::toSeconds(dt) : 0.0;
       n.prev = cur;
-    } else {
-      v = n.scale * cur;
     }
     n.value = cur;  // summary rows show the final cumulative/instant value
     n.samples.emplace_back(t - t0_, v);
@@ -114,11 +106,10 @@ void Telemetry::sampleAt(sim::Time t) {
   last_sample_ = t;
 }
 
-void Telemetry::finish() { finishAt(sim_ != nullptr ? sim_->now() : 0); }
-
-void Telemetry::finishAt(sim::Time end) {
+void Telemetry::finish() {
   if (finished_) return;
   if (sim_ != nullptr) {
+    const sim::Time end = sim_->now();
     while (next_due_ <= end) {
       sampleAt(next_due_);
       next_due_ += interval_;
@@ -135,59 +126,6 @@ void Telemetry::finishAt(sim::Time end) {
 
 void Telemetry::detach() { finish(); }
 
-Telemetry Telemetry::mergeLanes(const std::vector<const Telemetry*>& lanes) {
-  Telemetry out(lanes.empty() ? 1 : lanes.front()->interval_);
-  if (lanes.empty()) {
-    out.finished_ = true;
-    return out;
-  }
-  // Union of paths in sorted order (per-lane by_path_ maps are sorted), so
-  // node registration — and with it writeJson's node order — is independent
-  // of the lane layout.
-  struct Merged {
-    Kind kind = Kind::kGauge;
-    double scale = 1.0;
-    // Summed raw reading per bin offset. Lane bin boundaries are identical
-    // (attachAt/finishAt at group-wide times), so offsets line up exactly;
-    // a path absent from some lanes contributes nothing there, matching a
-    // serial probe that sums only the registered components.
-    std::map<sim::Time, double> raw;
-  };
-  std::map<std::string, Merged> merged;
-  for (const Telemetry* lane : lanes) {
-    for (const auto& [path, n] : lane->by_path_) {
-      Merged& m = merged[path];
-      m.kind = n->kind;
-      m.scale = n->scale;
-      for (const auto& [t, v] : n->samples) m.raw[t] += v;
-    }
-  }
-  for (auto& [path, m] : merged) {
-    Node* n = out.instrument(path, m.kind);
-    n->scale = m.scale;
-    // Serial-identical bin arithmetic over the summed raws: rates diff
-    // against the previous boundary's cumulative (starting from 0 at the
-    // attach origin), gauges/counters emit the scaled reading.
-    double prev = 0;
-    sim::Time last = 0;  // offsets are relative to t0
-    for (const auto& [t, raw] : m.raw) {
-      double v;
-      if (m.kind == Kind::kRate) {
-        const sim::Time dt = t - last;
-        v = dt > 0 ? m.scale * (raw - prev) / sim::toSeconds(dt) : 0.0;
-        prev = raw;
-      } else {
-        v = m.scale * raw;
-      }
-      n->value = raw;
-      n->samples.emplace_back(t, v);
-      last = t;
-    }
-  }
-  out.finished_ = true;
-  return out;
-}
-
 const Telemetry::Node* Telemetry::find(const std::string& path) const {
   auto it = by_path_.find(path);
   return it == by_path_.end() ? nullptr : it->second;
@@ -203,7 +141,7 @@ void Telemetry::writeCsvRows(std::ostream& os,
                              const std::string& prefix) const {
   for (const auto& [path, n] : by_path_) {
     os << kindName(n->kind) << "," << csvField(prefix + path) << ",total,"
-       << fmtNum(n->value * n->scale) << "\n";
+       << fmtNum(n->value) << "\n";
   }
   for (const auto& [path, n] : by_path_) {
     const std::string name = csvField(prefix + path);
@@ -232,7 +170,7 @@ void jsonBody(std::ostream& os, const Telemetry& t, const char* indent) {
     os << (first ? "" : ",") << "\n"
        << ind << "  \"" << jsonEscape(n->path) << "\": {\"kind\": \""
        << Telemetry::kindName(n->kind)
-       << "\", \"total\": " << fmtNum(n->value * n->scale) << "}";
+       << "\", \"total\": " << fmtNum(n->value) << "}";
     first = false;
   }
   if (!first) os << "\n" << ind;

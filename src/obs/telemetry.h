@@ -68,12 +68,6 @@ class Telemetry {
     double value = 0;                 // latest cumulative / instantaneous
     std::function<double()> probe;    // overrides `value` while sampling
     double prev = 0;                  // previous cumulative (rate bins)
-    /// Output scale applied after the bin arithmetic (and to the summary
-    /// value). Lets a probe expose an integer-valued raw (e.g. cumulative
-    /// send nanoseconds) whose per-lane samples sum exactly across shards,
-    /// with the unit conversion deferred to emission: scale 1.0 multiplies
-    /// out to the bit-identical serial value.
-    double scale = 1.0;
     std::vector<std::pair<sim::Time, double>> samples;
   };
 
@@ -114,45 +108,19 @@ class Telemetry {
     return Handle(instrument(path, Kind::kRate));
   }
   /// Pull-style metric: `fn` is invoked at every sample point (and never
-  /// after finish(), so it may reference run-scoped objects). `scale` is
-  /// the output scale (see Node::scale; 1.0 emits the raw value).
-  void addProbe(const std::string& path, Kind kind, std::function<double()> fn,
-                double scale = 1.0);
+  /// after finish(), so it may reference run-scoped objects).
+  void addProbe(const std::string& path, Kind kind, std::function<double()> fn);
 
   // --- lifecycle --------------------------------------------------------
   /// Starts sampling on `sim` (installs this as sim.telemetry()); the first
   /// boundary is attach-time + interval.
   void attach(sim::Simulation& sim);
-  /// attach() with an explicit series origin `t0` >= sim.now(). Per-shard
-  /// lanes of one sharded run attach at the group-wide maximum clock so
-  /// every lane has identical bin boundaries (the group is quiescent at
-  /// setup end, so nothing is missed on the shards whose clock is behind).
-  void attachAt(sim::Simulation& sim, sim::Time t0);
   /// finish() + uninstall from the simulation.
   void detach();
   /// Emits every whole-bin sample up to the current simulated time plus a
   /// final partial bin, then drops all probe functions (safe to outlive the
   /// probed objects). Idempotent; implied by detach().
   void finish();
-  /// finish() against an explicit end time >= this shard's clock (the
-  /// group-wide maximum clock at quiescence), so every lane of a sharded
-  /// run emits the same final bins regardless of where its clock stopped.
-  void finishAt(sim::Time end);
-
-  /// Group-lane mode: samples store the RAW probe reading at each boundary
-  /// — no rate differencing, no scale — so mergeLanes() can sum the lane
-  /// readings per (path, bin) exactly (integer-valued raws) and apply the
-  /// serial arithmetic once on the sums. Set before attach.
-  void enableRawSamples() noexcept { raw_samples_ = true; }
-
-  /// Merges raw-mode lanes with identical t0/interval/end (attachAt /
-  /// finishAt contract ⇒ identical bin boundaries) into one finished
-  /// registry: per (path, bin) the lane raws are summed in lane order, then
-  /// rate differencing and scaling run with serial-identical arithmetic.
-  /// Nodes are created in sorted-path order, making the merged dump — CSV
-  /// and JSON — independent of lane count for single-writer paths and
-  /// integer-raw multi-writer paths.
-  static Telemetry mergeLanes(const std::vector<const Telemetry*>& lanes);
 
   bool attached() const noexcept { return sim_ != nullptr; }
   sim::Time interval() const noexcept { return interval_; }
@@ -196,7 +164,6 @@ class Telemetry {
   sim::Time next_due_ = 0;     // absolute next boundary
   sim::Time last_sample_ = 0;  // absolute time of the previous sample
   bool finished_ = false;
-  bool raw_samples_ = false;   // group-lane mode (see enableRawSamples)
   sim::Simulation* sim_ = nullptr;
   std::uint64_t epoch_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -6,7 +6,6 @@
 #include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -278,126 +277,6 @@ void writeReport(std::ostream& os, const Analysis& a, int top_n) {
          << c.imbalance << ", hottest unit " << c.hottest_unit << "\n";
     }
   }
-  os.unsetf(std::ios::fixed);
-}
-
-PdesAnalysis analyzePdes(const TelemetryDump& dump) {
-  PdesAnalysis a;
-  std::map<int, PdesShard> shards;
-  for (const auto& [path, kv] : dump.summary) {
-    // Accept any run-label prefix: "<label>/pdes/..." or bare "pdes/...".
-    auto pos = path.find("pdes/");
-    if (pos != 0 && (pos == std::string::npos || path[pos - 1] != '/')) {
-      continue;
-    }
-    const std::string sub = path.substr(pos + 5);  // past "pdes/"
-    const double v = kv.second;
-    a.present = true;
-    if (sub.rfind("shard/", 0) == 0) {
-      const auto seg = splitPath(sub);
-      if (seg.size() != 3 || !allDigits(seg[1])) continue;
-      PdesShard& s = shards[std::atoi(seg[1].c_str())];
-      if (seg[2] == "events") s.events += v;
-      else if (seg[2] == "busy_ns") s.busy_ns += v;
-      else if (seg[2] == "wait_ns") s.wait_ns += v;
-      // busy_frac / events_per_s are recomputed from the summed times, so
-      // multi-rep dumps aggregate correctly.
-      continue;
-    }
-    if (sub == "shards") a.shards = std::max(a.shards, static_cast<int>(v));
-    else if (sub == "lookahead_ns") a.lookahead_ns = std::max(a.lookahead_ns, v);
-    else if (sub == "windows") a.windows += v;
-    else if (sub == "cross_posts") a.cross_posts += v;
-    else if (sub == "barrier_releases") a.barrier_releases += v;
-    else if (sub == "late_releases") a.late_releases += v;
-    else if (sub == "mailbox_flushes") a.mailbox_flushes += v;
-    else if (sub == "mailbox_entries") a.mailbox_entries += v;
-    else if (sub == "mailbox_bytes") a.mailbox_bytes += v;
-    // "imbalance" is recomputed below from the (possibly summed) times.
-  }
-  if (!a.present) return a;
-
-  double busy_sum = 0, busy_max = 0, rate_sum = 0;
-  int rated = 0;
-  for (auto& [id, s] : shards) {
-    s.shard = id;
-    const double wall = s.busy_ns + s.wait_ns;
-    s.busy_frac = wall > 0 ? s.busy_ns / wall : 0;
-    s.wait_share = wall > 0 ? s.wait_ns / wall : 0;
-    s.events_per_s = s.busy_ns > 0 ? s.events / (s.busy_ns * 1e-9) : 0;
-    busy_sum += s.busy_ns;
-    busy_max = std::max(busy_max, s.busy_ns);
-    if (s.events_per_s > 0) {
-      rate_sum += s.events_per_s;
-      ++rated;
-    }
-    a.per_shard.push_back(s);
-  }
-  const double busy_mean =
-      a.per_shard.empty() ? 0 : busy_sum / static_cast<double>(a.per_shard.size());
-  a.imbalance = busy_mean > 0 ? busy_max / busy_mean : 1.0;
-  const double rate_mean = rated > 0 ? rate_sum / rated : 0;
-  for (PdesShard& s : a.per_shard) {
-    s.rel_rate = rate_mean > 0 ? s.events_per_s / rate_mean : 0;
-    // A single-shard group has no peers to straggle behind; its wait is
-    // zero by construction (inline window loop).
-    s.straggler = a.per_shard.size() > 1 &&
-                  (s.wait_share > kPdesWaitShare ||
-                   (rate_mean > 0 && s.rel_rate < kPdesSlowRate));
-  }
-
-  std::ostringstream verdict;
-  verdict << std::fixed;
-  bool any = false;
-  for (const PdesShard& s : a.per_shard) {
-    if (!s.straggler) continue;
-    verdict << (any ? "; " : "") << "shard " << s.shard << ": "
-            << std::setprecision(0) << 100 * s.wait_share
-            << "% barrier wait, events/s " << std::setprecision(1)
-            << s.rel_rate << "x mean";
-    any = true;
-  }
-  if (!any) {
-    verdict << "balanced (imbalance " << std::setprecision(2) << a.imbalance
-            << ")";
-  }
-  a.verdict = verdict.str();
-  return a;
-}
-
-void writePdesReport(std::ostream& os, const PdesAnalysis& a) {
-  if (!a.present) {
-    os << "no pdes/* subtree in dump (serial run, or telemetry collected "
-          "without shard stats)\n";
-    return;
-  }
-  os << "pdes engine: " << a.shards << " shard" << (a.shards == 1 ? "" : "s")
-     << ", lookahead " << std::fixed << std::setprecision(1)
-     << a.lookahead_ns / 1000.0 << " us\n";
-  os << "  windows " << std::setprecision(0) << a.windows << "  cross-posts "
-     << a.cross_posts << "  barrier releases " << a.barrier_releases
-     << " (late " << a.late_releases << ")\n";
-  os << "  mailbox flushes " << a.mailbox_flushes << "  entries "
-     << a.mailbox_entries << "  bytes " << a.mailbox_bytes << "\n";
-  if (!a.per_shard.empty()) {
-    os << "  " << std::left << std::setw(7) << "shard" << std::right
-       << std::setw(12) << "events" << std::setw(10) << "busy_ms"
-       << std::setw(10) << "wait_ms" << std::setw(7) << "busy%"
-       << std::setw(10) << "ev/s" << std::setw(8) << "x-mean" << "\n";
-    for (const PdesShard& s : a.per_shard) {
-      os << "  " << std::left << std::setw(7) << s.shard << std::right
-         << std::setw(12) << std::setprecision(0) << s.events
-         << std::setw(10) << std::setprecision(2) << s.busy_ns / 1e6
-         << std::setw(10) << s.wait_ns / 1e6 << std::setw(7)
-         << std::setprecision(1) << 100 * s.busy_frac << std::setw(10)
-         << std::setprecision(0) << s.events_per_s << std::setw(8)
-         << std::setprecision(2) << s.rel_rate
-         << (s.straggler ? "  <-- straggler" : "") << "\n";
-    }
-  }
-  os << "  imbalance (max/mean busy): " << std::setprecision(2)
-     << a.imbalance << "\n";
-  os << "  verdict: " << a.verdict << "\n";
   os.unsetf(std::ios::fixed);
 }
 

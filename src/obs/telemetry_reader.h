@@ -89,53 +89,4 @@ Analysis analyze(const TelemetryDump& dump);
 /// top-N hottest units, per-layer wall-clock shares, straggler flags.
 void writeReport(std::ostream& os, const Analysis& a, int top_n = 10);
 
-// --- PDES engine introspection (the pdes/* telemetry subtree) -------------
-
-struct PdesShard {
-  int shard = 0;
-  double events = 0;
-  double busy_ns = 0;
-  double wait_ns = 0;
-  double busy_frac = 0;     // busy / (busy + wait)
-  double wait_share = 0;    // 1 - busy_frac: share of wall time at barriers
-  double events_per_s = 0;  // events / wall busy seconds
-  double rel_rate = 0;      // events_per_s / mean over shards
-  bool straggler = false;
-};
-
-/// A shard waiting more than this share of its wall time at window barriers
-/// is flagged a straggler...
-inline constexpr double kPdesWaitShare = 0.30;
-/// ...as is one processing events slower than this fraction of the mean.
-inline constexpr double kPdesSlowRate = 0.70;
-
-struct PdesAnalysis {
-  bool present = false;  // dump carried a pdes/* subtree
-  int shards = 0;
-  double lookahead_ns = 0;
-  double windows = 0;
-  double cross_posts = 0;
-  double barrier_releases = 0;
-  double late_releases = 0;
-  double mailbox_flushes = 0;
-  double mailbox_entries = 0;
-  double mailbox_bytes = 0;
-  double imbalance = 0;  // max/mean of per-shard wall busy time
-  std::vector<PdesShard> per_shard;
-  /// One-line load verdict, e.g. "balanced (imbalance 1.08)" or
-  /// "shard 3: 41% barrier wait, events/s 0.6x mean".
-  std::string verdict;
-};
-
-/// Extracts the pdes/* subtree from a dump's summary rows (any run-label
-/// prefix; multi-rep dumps sum the counters and per-shard times across
-/// runs) and derives per-shard busy/wait shares, relative event rates and
-/// the straggler verdict. `present` is false when the dump has no pdes
-/// rows (serial run).
-PdesAnalysis analyzePdes(const TelemetryDump& dump);
-
-/// Human-readable PDES engine section: protocol counters, per-shard
-/// busy/wait/events table, imbalance ratio and the straggler verdict.
-void writePdesReport(std::ostream& os, const PdesAnalysis& a);
-
 }  // namespace daosim::obs

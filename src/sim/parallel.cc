@@ -4,21 +4,13 @@
 
 namespace daosim::sim {
 
-int envSweepJobs() {
+int envJobs() {
   int jobs = 0;
   if (const char* v = std::getenv("DAOSIM_JOBS")) {
     jobs = std::atoi(v);
   }
   if (jobs <= 0) {
     jobs = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  return jobs > 0 ? jobs : 1;
-}
-
-int envSimJobs() {
-  int jobs = 0;
-  if (const char* v = std::getenv("DAOSIM_SIM_JOBS")) {
-    jobs = std::atoi(v);
   }
   return jobs > 0 ? jobs : 1;
 }

@@ -16,10 +16,8 @@
 // error in submission-index order; callers holding raw futures can fall
 // back to firstError().
 //
-// Two distinct parallelism knobs exist in the simulator; this one is
-// *sweep-level* (whole independent simulations). Intra-run parallelism —
-// sharding one simulation's event queue across threads — is sim::ShardGroup
-// (sim/shard.h), selected by --sim-jobs / DAOSIM_SIM_JOBS.
+// This is the simulator's only parallelism: whole independent simulations
+// run side by side, and each one runs on a single thread.
 //
 // DAOSIM_JOBS selects the sweep worker count (default: hardware
 // concurrency; 1 restores fully serial, inline execution with no threads).
@@ -43,11 +41,7 @@ namespace daosim::sim {
 
 /// DAOSIM_JOBS (sweep cells), clamped to >= 1; unset or 0 means hardware
 /// concurrency.
-int envSweepJobs();
-
-/// DAOSIM_SIM_JOBS (event-queue shards within one run), clamped to >= 1;
-/// unset or 0 means 1 — the serial kernel, which stays the default.
-int envSimJobs();
+int envJobs();
 
 /// Carried by the futures of jobs skipped after an earlier job failed; the
 /// originating error is ParallelRunner::firstError().
@@ -59,7 +53,7 @@ class JobCancelled : public std::runtime_error {
 
 class ParallelRunner {
  public:
-  explicit ParallelRunner(int jobs = envSweepJobs());
+  explicit ParallelRunner(int jobs = envJobs());
 
   /// Drains the queue and joins the workers.
   ~ParallelRunner();

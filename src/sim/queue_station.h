@@ -56,54 +56,6 @@ class QueueStation {
     }
   }
 
-  /// Reserves the single server for `service` time starting now, without
-  /// suspending, and returns the completion time. For a single-server FIFO
-  /// station exec()'s completion instant is fully determined at enqueue —
-  /// completion = max(now, previous completion) + service — so a caller
-  /// that needs the timestamp *before* the work completes can take it
-  /// analytically. The sharded Cluster send path depends on this: the
-  /// transmit-side completion must travel with the message to the receiving
-  /// shard, and suspending on the sender's semaphore would create a
-  /// zero-lookahead return edge. Bookkeeping (ops, wait, busy, wait
-  /// histogram) matches exec() exactly. A station must be driven through
-  /// either exec() or reserve() for a whole run, never a mix: exec() queues
-  /// on the semaphore, which does not see reservations.
-  Time reserve(Time service) {
-    const Time now = sim_->now();
-    const Time start = free_at_ > now ? free_at_ : now;
-    const Time wait = start - now;
-    wait_ns_ += wait;
-    if (sim_->observer() != nullptr) wait_hist_.add(wait);
-    free_at_ = start + service;
-    busy_ns_ += service;
-    ++ops_;
-    return free_at_;
-  }
-
-  /// reserve() recording a station leg for `op`, mirroring exec()'s
-  /// instrumentation: the leg spans [now, completion] with the queue-wait
-  /// prefix explicit. The completion lies in the future, so the leg is
-  /// recorded with an explicit end time (Observer::structLegAt/legAt); the
-  /// sharded Cluster send path uses this to keep NIC legs on the sharded
-  /// path identical to exec()'s on the serial one.
-  Time reserve(Time service, obs::OpId op, obs::Cat cat = obs::Cat::kService,
-               bool nested = true) {
-    const Time queued_at = sim_->now();
-    const Time done = reserve(service);
-    if (op != 0) {
-      if (obs::Observer* o = sim_->observer()) {
-        const Time wait = done - service - queued_at;
-        if (nested) {
-          o->structLegAt(op, cat, obsTrack(o), "service", queued_at, done,
-                         wait);
-        } else {
-          o->legAt(op, cat, obsTrack(o), "service", queued_at, done, wait);
-        }
-      }
-    }
-    return done;
-  }
-
   /// Manually occupies a server for work whose duration is not known up
   /// front (e.g. a FUSE thread held across a backend operation). Returns the
   /// acquisition time; pass it to leave() so the hold is accumulated into
@@ -170,7 +122,6 @@ class QueueStation {
   }
 
   void resetStats() noexcept {
-    free_at_ = 0;
     ops_ = 0;
     busy_ns_ = 0;
     wait_ns_ = 0;
@@ -192,7 +143,6 @@ class QueueStation {
   Simulation* sim_;
   std::string name_;
   Semaphore sem_;
-  Time free_at_ = 0;  ///< reservation clock (reserve() path only)
   std::uint64_t ops_ = 0;
   Time busy_ns_ = 0;
   Time wait_ns_ = 0;

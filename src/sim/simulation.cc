@@ -71,25 +71,6 @@ std::size_t Simulation::runUntil(Time t) {
   return n;
 }
 
-std::size_t Simulation::runWindow(Time end, std::size_t max_events) {
-  std::size_t n = 0;
-  while (!queue_.empty() && queue_.nextTime() < end) {
-    if (n >= max_events) {
-      throw std::runtime_error(
-          "Simulation::runWindow: event budget exhausted inside one "
-          "synchronization window (possible livelock)");
-    }
-    const EventQueue::Item e = queue_.pop();
-    assert(e.t >= now_);
-    if (e.t > telemetry_due_) [[unlikely]] telemetrySample(e.t);
-    now_ = e.t;
-    ++n;
-    ++processed_;
-    e.h.resume();
-  }
-  return n;
-}
-
 void Simulation::telemetrySample(Time t) {
   telemetry_due_ = telemetry_->sampleUpTo(t);
 }

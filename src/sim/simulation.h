@@ -142,7 +142,7 @@ class ProcHandle {
 
 class Simulation {
  public:
-  /// nextEventTime() sentinel for an empty queue; larger than any real time.
+  /// "No telemetry sample due" sentinel; larger than any real time.
   static constexpr Time kNever = ~Time{0};
 
   explicit Simulation(std::uint64_t seed = 1) : rng_(seed) {}
@@ -205,21 +205,6 @@ class Simulation {
 
   /// Runs events with timestamps <= t, then sets now to t.
   std::size_t runUntil(Time t);
-
-  /// Runs events with timestamps strictly below `end` and stops; unlike
-  /// runUntil the clock is left at the last processed event, never advanced
-  /// to `end`. This is the conservative-PDES execution primitive (see
-  /// sim/shard.h): `end` is the shard's safe horizon for the current
-  /// synchronization window, and an idle shard must not let its clock creep
-  /// past its next real event. `max_events` guards against an intra-window
-  /// livelock (an event chain that never advances time).
-  std::size_t runWindow(Time end, std::size_t max_events = ~std::size_t{0});
-
-  /// Timestamp of the earliest pending event, kNever when the queue is
-  /// empty. Used by the shard scheduler to compute the global window floor.
-  Time nextEventTime() const noexcept {
-    return queue_.empty() ? kNever : queue_.nextTime();
-  }
 
   bool empty() const noexcept { return queue_.empty(); }
   std::size_t pendingEvents() const noexcept { return queue_.size(); }

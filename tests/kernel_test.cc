@@ -13,15 +13,11 @@
 #include <vector>
 
 #include "apps/ior.h"
-#include "apps/pdes.h"
 #include "apps/runner.h"
 #include "apps/testbed.h"
-#include "hw/cluster.h"
-#include "hw/spec.h"
 #include "sim/event_queue.h"
 #include "sim/parallel.h"
 #include "sim/pool.h"
-#include "sim/shard.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
 #include "sim/time.h"
@@ -325,197 +321,6 @@ TEST(ParallelRunner, MapRethrowsFirstRealErrorNotCancellation) {
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "job3");
   }
-}
-
-// --- Conservative PDES: ShardGroup protocol ------------------------------
-
-struct DelayRec {
-  Simulation* sim = nullptr;
-  std::vector<Time>* out = nullptr;
-  Time d1 = 0, d2 = 0;
-};
-
-// Plain-pointer arg, not a lambda closure (GCC-12 coroutine bug; see
-// net/rpc.h).
-Task<void> delayTwice(DelayRec* r) {
-  co_await r->sim->delay(r->d1);
-  r->out->push_back(r->sim->now());
-  co_await r->sim->delay(r->d2);
-  r->out->push_back(r->sim->now());
-}
-
-TEST(ShardGroup, EventExactlyAtWindowHorizonRunsInLaterWindow) {
-  // Lookahead 100ns. Shard 0's second event lands exactly at gmin +
-  // lookahead of the first window (t = 100): the conservative rule is
-  // strict (t < window_end), because an event AT the horizon could still
-  // tie with an incoming migration, so it must run in a later window —
-  // at its exact timestamp either way.
-  sim::ShardGroup::Options opt;
-  opt.shards = 2;
-  opt.lookahead = 100;
-  sim::ShardGroup group(opt);
-  std::vector<Time> t0, t1;
-  DelayRec r0{&group.shard(0), &t0, 10, 90};   // events at 10 and 100
-  DelayRec r1{&group.shard(1), &t1, 50, 500};  // events at 50 and 550
-  auto h0 = group.shard(0).spawn(delayTwice(&r0));
-  auto h1 = group.shard(1).spawn(delayTwice(&r1));
-  group.run();
-  EXPECT_FALSE(h0.failed());
-  EXPECT_FALSE(h1.failed());
-  EXPECT_EQ(t0, (std::vector<Time>{10, 100}));
-  EXPECT_EQ(t1, (std::vector<Time>{50, 550}));
-  // The t = 100 and t = 550 events cannot share the first [0, 100) window.
-  EXPECT_GE(group.stats().windows, 2u);
-  EXPECT_EQ(group.stats().cross_posts, 0u);
-}
-
-struct SendRec {
-  hw::Cluster* cluster = nullptr;
-  Simulation* home = nullptr;
-  hw::NodeId src = 0, dst = 0;
-  std::uint64_t bytes = 0;
-  Time done = 0;
-};
-
-Task<void> oneSend(SendRec* r) {
-  co_await r->cluster->send(r->src, r->dst, r->bytes);
-  r->done = r->home->now();
-}
-
-TEST(ShardGroup, SameNodeSelfSendStaysOnShard) {
-  // A node sending to itself never crosses shards: the sharded loopback
-  // must match the serial loopback cost and post nothing to any mailbox.
-  const hw::FabricSpec fabric;
-  sim::ShardGroup::Options opt;
-  opt.shards = 2;
-  opt.lookahead = fabric.latency;
-  sim::ShardGroup group(opt);
-  hw::Cluster cluster(group, fabric);
-  const hw::NodeId n0 = cluster.addNode(hw::NodeSpec::client(), 0);
-  cluster.addNode(hw::NodeSpec::client(), 1);
-  SendRec r{&cluster, &cluster.node(n0).sim(), n0, n0, 1 << 20};
-  auto h = cluster.node(n0).sim().spawn(oneSend(&r));
-  group.run();
-  ASSERT_FALSE(h.failed());
-
-  sim::Simulation serial_sim(1);
-  hw::Cluster serial(serial_sim, fabric);
-  const hw::NodeId s0 = serial.addNode(hw::NodeSpec::client());
-  SendRec sr{&serial, &serial_sim, s0, s0, 1 << 20};
-  auto sh = serial_sim.spawn(oneSend(&sr));
-  serial_sim.run();
-  ASSERT_FALSE(sh.failed());
-
-  EXPECT_EQ(r.done, sr.done);
-  EXPECT_GT(r.done, 0u);
-  EXPECT_EQ(group.stats().cross_posts, 0u);
-}
-
-TEST(ShardGroup, CrossShardSendMatchesSerialTiming) {
-  // One transfer between nodes on different shards, with lookahead equal
-  // to the fabric latency (the minimum legal value): the reservation-based
-  // sharded send must complete at the serial send's exact instant, via
-  // exactly one migration (the sender's coroutine moving to the
-  // destination shard).
-  const hw::FabricSpec fabric;
-  sim::ShardGroup::Options opt;
-  opt.shards = 2;
-  opt.lookahead = fabric.latency;
-  sim::ShardGroup group(opt);
-  hw::Cluster cluster(group, fabric);
-  const hw::NodeId a = cluster.addNode(hw::NodeSpec::client(), 0);
-  const hw::NodeId b = cluster.addNode(hw::NodeSpec::client(), 1);
-  SendRec r{&cluster, &cluster.node(b).sim(), a, b, 1 << 20};
-  auto h = cluster.node(a).sim().spawn(oneSend(&r));
-  group.run();
-  ASSERT_FALSE(h.failed());
-
-  sim::Simulation serial_sim(1);
-  hw::Cluster serial(serial_sim, fabric);
-  const hw::NodeId sa = serial.addNode(hw::NodeSpec::client());
-  const hw::NodeId sb = serial.addNode(hw::NodeSpec::client());
-  SendRec sr{&serial, &serial_sim, sa, sb, 1 << 20};
-  auto sh = serial_sim.spawn(oneSend(&sr));
-  serial_sim.run();
-  ASSERT_FALSE(sh.failed());
-
-  EXPECT_EQ(r.done, sr.done);
-  EXPECT_GT(r.done, fabric.latency);
-  EXPECT_EQ(group.stats().cross_posts, 1u);
-  EXPECT_EQ(cluster.messages(), serial.messages());
-  EXPECT_EQ(cluster.bytesSent(), serial.bytesSent());
-}
-
-// --- Conservative PDES: sharded == serial on the pdes workload -----------
-
-apps::PdesOptions pdesCfg(int servers, int clients, int ppn,
-                          std::uint64_t ops, std::uint64_t seed,
-                          int sim_jobs) {
-  apps::PdesOptions o;
-  o.server_nodes = servers;
-  o.client_nodes = clients;
-  o.procs_per_node = ppn;
-  o.ops = ops;
-  o.transfer = 256 << 10;
-  o.drives_per_server = 2;
-  o.seed = seed;
-  o.sim_jobs = sim_jobs;
-  return o;
-}
-
-TEST(ShardGroup, PdesShardedMatchesSerial) {
-  // The tentpole invariant: for a spread of topologies, seeds and shard
-  // counts, the sharded runs must reproduce the serial kernel's RunResult
-  // exactly — every byte count, every timestamp, every histogram bucket.
-  struct Cfg {
-    int servers, clients, ppn, shards;
-    std::uint64_t ops, seed;
-  };
-  const Cfg cfgs[] = {
-      {2, 1, 1, 2, 8, 1},  {3, 2, 2, 2, 12, 7}, {4, 4, 2, 3, 10, 11},
-      {5, 3, 4, 4, 16, 3}, {2, 4, 3, 4, 24, 5}, {4, 2, 1, 2, 9, 13},
-  };
-  for (const Cfg& c : cfgs) {
-    SCOPED_TRACE(::testing::Message()
-                 << "servers=" << c.servers << " clients=" << c.clients
-                 << " ppn=" << c.ppn << " shards=" << c.shards
-                 << " ops=" << c.ops << " seed=" << c.seed);
-    const apps::PdesResult serial =
-        apps::runPdes(pdesCfg(c.servers, c.clients, c.ppn, c.ops, c.seed, 0));
-    const apps::PdesResult sharded = apps::runPdes(
-        pdesCfg(c.servers, c.clients, c.ppn, c.ops, c.seed, c.shards));
-    expectIdentical(serial.run, sharded.run);
-    EXPECT_EQ(serial.digest, sharded.digest);
-    EXPECT_GT(sharded.sync.cross_posts, 0u);
-  }
-}
-
-TEST(ShardGroup, SingleShardWindowedMatchesSerial) {
-  // shards == 1 runs the full windowed protocol inline (no workers); it
-  // must still agree with the plain serial kernel exactly.
-  const apps::PdesResult serial = apps::runPdes(pdesCfg(3, 2, 2, 10, 9, 0));
-  const apps::PdesResult windowed = apps::runPdes(pdesCfg(3, 2, 2, 10, 9, 1));
-  expectIdentical(serial.run, windowed.run);
-  EXPECT_EQ(serial.digest, windowed.digest);
-  // Same-shard NIC deliveries route through the mailbox too (migrate with
-  // src == dst) so that same-time deliveries order shard-count-invariantly;
-  // even a one-shard group therefore posts.
-  EXPECT_GT(windowed.sync.cross_posts, 0u);
-  EXPECT_GT(windowed.sync.windows, 0u);
-}
-
-TEST(ShardGroup, ShardedRunsAreDeterministic) {
-  // Two identical sharded runs must agree on results AND protocol
-  // counters — windows, posts, per-shard event counts.
-  const auto cfg = pdesCfg(4, 3, 2, 12, 21, 4);
-  const apps::PdesResult a = apps::runPdes(cfg);
-  const apps::PdesResult b = apps::runPdes(cfg);
-  expectIdentical(a.run, b.run);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.sync.windows, b.sync.windows);
-  EXPECT_EQ(a.sync.cross_posts, b.sync.cross_posts);
-  EXPECT_EQ(a.sync.shard_events, b.sync.shard_events);
 }
 
 }  // namespace

@@ -31,7 +31,6 @@
 #include "obs/trace_reader.h"
 #include "sim/queue_station.h"
 #include "sim/rng.h"
-#include "sim/shard.h"
 #include "sim/simulation.h"
 #include "vos/payload.h"
 
@@ -130,132 +129,6 @@ TEST(TraceRoundTrip, ReaderRebuildsCausalTreesAndExactSums) {
   }
   EXPECT_TRUE(full_path)
       << "no array.write decomposes across net+engine+nvme stations";
-}
-
-// --- depth-1 sharded-vs-serial identity ------------------------------------
-
-struct DepthOneArtifacts {
-  std::string trace;
-  std::string metrics;
-};
-
-/// One client, strictly sequential awaits — a depth-1 workload: op starts
-/// are totally ordered, so the serial kernel's spawn-order tie-break and
-/// the shard group's key-order tie-break coincide and the two kernels
-/// produce the same simulated timeline.
-DepthOneArtifacts depthOneSerial() {
-  sim::Simulation sim;
-  hw::Cluster cluster(sim);
-  auto servers = cluster.addNodes(hw::NodeSpec::server(), 2);
-  const hw::NodeId client_node = cluster.addNode(hw::NodeSpec::client());
-  daos::DaosSystem system(cluster, servers);
-  daos::Client client(system, client_node, /*id=*/1);
-  obs::Observer obs;
-  obs.attach(sim);
-  obs.enableTracing();
-  auto h = sim.spawn(arrayWorkload(&client, 4));
-  sim.run();
-  EXPECT_FALSE(h.failed());
-  DepthOneArtifacts out;
-  std::ostringstream tr;
-  obs.writeChromeTrace(tr);
-  out.trace = tr.str();
-  obs.exportMetrics();
-  std::ostringstream ms;
-  obs.metrics().writeCsv(ms);
-  out.metrics = ms.str();
-  obs.detach();
-  return out;
-}
-
-DepthOneArtifacts depthOneSharded() {
-  sim::ShardGroup::Options go;
-  go.shards = 1;
-  go.lookahead = hw::FabricSpec{}.latency;
-  go.seed = 1;
-  sim::ShardGroup group(go);
-  hw::Cluster cluster(group);
-  auto servers = cluster.addNodes(hw::NodeSpec::server(), 2);
-  const hw::NodeId client_node = cluster.addNode(hw::NodeSpec::client());
-  daos::DaosSystem system(cluster, servers);
-  daos::Client client(system, client_node, /*id=*/1);
-  obs::Observer out;
-  out.enableTracing();
-  DepthOneArtifacts r;
-  {
-    obs::ObserverGroup og(group);
-    auto h = group.shard(cluster.nodeShard(client_node))
-                 .spawn(arrayWorkload(&client, 4));
-    group.run();
-    EXPECT_FALSE(h.failed());
-    og.mergeInto(out);
-  }
-  std::ostringstream tr;
-  out.writeChromeTrace(tr);
-  r.trace = tr.str();
-  out.exportMetrics();
-  std::ostringstream ms;
-  out.metrics().writeCsv(ms);
-  r.metrics = ms.str();
-  return r;
-}
-
-// Leg identity minus the leg/parent ids: ids are allocation-ordered and may
-// legitimately differ between the serial kernel and the merged group lanes
-// (e.g. a tx leg recorded before the peer's rx leg, or after); everything
-// observable — where, what, when, how long, how much queue wait — must not.
-using LegSig = std::tuple<int, std::string, std::string, int, sim::Time,
-                          sim::Time, sim::Time>;
-using OpSig =
-    std::tuple<std::string, sim::Time, sim::Time, int, std::vector<LegSig>>;
-
-std::vector<OpSig> opSignatures(const obs::TraceDump& d) {
-  std::vector<OpSig> out;
-  for (const obs::OpRecord& op : d.ops) {
-    std::vector<LegSig> legs;
-    for (const obs::TraceEvent& l : op.legs) {
-      const int pid = l.track < d.tracks.size() ? d.tracks[l.track].pid : -1;
-      const std::string track =
-          l.track < d.tracks.size() ? d.tracks[l.track].name : "";
-      legs.emplace_back(pid, track, l.name != nullptr ? l.name : "",
-                        static_cast<int>(l.cat), l.ts, l.dur, l.wait);
-    }
-    std::sort(legs.begin(), legs.end());
-    const int pid = op.track < d.tracks.size() ? d.tracks[op.track].pid : -1;
-    out.emplace_back(op.type, op.start, op.dur, pid, std::move(legs));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-TEST(TraceShardedVsSerial, DepthOneRunsAreObservablyIdentical) {
-  // The acceptance bar from DESIGN.md §11c: a depth-1 run traced on
-  // ShardGroup(1) is identical to the serial kernel — same per-op spans,
-  // same leg decomposition (as a multiset; leg ids are allocation-ordered
-  // and excluded), and byte-identical metrics export.
-  const DepthOneArtifacts serial = depthOneSerial();
-  const DepthOneArtifacts sharded = depthOneSharded();
-  EXPECT_EQ(serial.metrics, sharded.metrics);
-
-  std::istringstream sis(serial.trace);
-  const obs::TraceDump sd = obs::parseChromeTrace(sis);
-  std::istringstream gis(sharded.trace);
-  const obs::TraceDump gd = obs::parseChromeTrace(gis);
-  EXPECT_EQ(sd.dropped_opens, 0u);
-  EXPECT_EQ(gd.dropped_opens, 0u);
-  ASSERT_FALSE(sd.ops.empty());
-  ASSERT_EQ(sd.ops.size(), gd.ops.size());
-  const std::vector<OpSig> a = opSignatures(sd);
-  const std::vector<OpSig> b = opSignatures(gd);
-  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    EXPECT_EQ(std::get<0>(a[i]), std::get<0>(b[i])) << "op " << i;
-    EXPECT_EQ(std::get<1>(a[i]), std::get<1>(b[i]))
-        << std::get<0>(a[i]) << " start";
-    EXPECT_EQ(std::get<2>(a[i]), std::get<2>(b[i]))
-        << std::get<0>(a[i]) << " dur";
-    EXPECT_TRUE(a[i] == b[i]) << std::get<0>(a[i]) << " legs differ";
-  }
-  EXPECT_TRUE(a == b);
 }
 
 // --- exemplar reservoir ----------------------------------------------------

@@ -25,10 +25,7 @@ namespace {
                "Prints a bottleneck/utilization report from a telemetry CSV\n"
                "dump (daosim_run --telemetry, or DAOSIM_TELEMETRY with the\n"
                "bench binaries). --top N controls the hottest-component\n"
-               "table length (default 10). Dumps from sharded runs\n"
-               "(--sim-jobs > 1) carry a pdes/* engine subtree; a PDES\n"
-               "section with per-shard busy/wait shares and a straggler/\n"
-               "imbalance verdict is appended for those.\n",
+               "table length (default 10).\n",
                argv0);
   std::exit(2);
 }
@@ -77,11 +74,6 @@ int main(int argc, char** argv) {
     const daosim::obs::TelemetryDump dump =
         daosim::obs::parseTelemetryCsv(is);
     daosim::obs::writeReport(std::cout, daosim::obs::analyze(dump), top_n);
-    const daosim::obs::PdesAnalysis pdes = daosim::obs::analyzePdes(dump);
-    if (pdes.present) {
-      std::cout << "\n-- pdes engine --\n";
-      daosim::obs::writePdesReport(std::cout, pdes);
-    }
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "daosim_metrics: %s\n", e.what());

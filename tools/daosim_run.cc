@@ -19,25 +19,22 @@
 //
 // The --api names come from the io::Backend registry (see io/backend.h);
 // --system is inferred from --api when omitted, and vice versa.
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <type_traits>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/fault_injector.h"
 #include "apps/fdb.h"
 #include "apps/fieldio.h"
 #include "apps/ior.h"
-#include "apps/pdes.h"
 #include "apps/runner.h"
 #include "apps/stats_report.h"
 #include "apps/sweep.h"
@@ -64,8 +61,7 @@ struct Options {
   std::uint64_t ops = 0;  // 0 = auto-scale
   std::uint64_t transfer = 1 << 20;
   int reps = 3;
-  int jobs = 0;      // 0 = DAOSIM_JOBS / hardware concurrency (sweep cells)
-  int sim_jobs = -1;  // -1 = DAOSIM_SIM_JOBS / 1; 0 and 1 = serial kernel
+  int jobs = 0;  // 0 = DAOSIM_JOBS / hardware concurrency (repetitions)
   std::uint64_t seed = 1;
   int pgs = 1024;
   int replicas = 1;
@@ -93,11 +89,11 @@ struct Options {
   }
   std::fprintf(
       stderr,
-      "usage: %s [--system daos|lustre|ceph] [--bench ior|fieldio|fdb|pdes]\n"
+      "usage: %s [--system daos|lustre|ceph] [--bench ior|fieldio|fdb]\n"
       "          [--api %s]\n"
       "          [--servers N] [--clients N] [--ppn N] [--ops N]\n"
       "          [--transfer BYTES] [--oclass S1|...|SX|RP_2GX|EC_2P1GX]\n"
-      "          [--reps N] [--jobs N] [--sim-jobs N] [--seed N]\n"
+      "          [--reps N] [--jobs N] [--seed N]\n"
       "          [--pgs N] [--replicas N]\n"
       "          [--queue-depth N] [--shared] [--async-index] [--stats]\n"
       "          [--write-only | --read-only]\n"
@@ -110,38 +106,11 @@ struct Options {
       "flight per process (1 = sequential issue, the paper's setup).\n"
       "--write-only / --read-only run just that IOR phase (reads hit the\n"
       "timing model whether or not data was written first).\n"
-      "Parallelism: two independent knobs. --jobs (or DAOSIM_JOBS) runs\n"
-      "repetitions (sweep cells) concurrently on a worker pool; results are\n"
-      "identical to --jobs 1 for a fixed --seed because every repetition is\n"
-      "a self-contained simulation. --sim-jobs N (or DAOSIM_SIM_JOBS)\n"
-      "shards ONE simulation's event queue across N worker threads with\n"
-      "conservative lookahead; 0 and 1 (the default) both mean the serial\n"
-      "kernel, bit-identical to builds before sharding existed, and any\n"
-      "fixed N >= 2 is deterministic — N=2 and N=4 print identical\n"
-      "results. --jobs x --sim-jobs threads must fit the machine.\n"
-      "--sim-jobs compatibility matrix (N > 1):\n"
-      "  supported:   --system daos with --api daos-array|dfs|hdf5-daos\n"
-      "               (aliases included) and --bench ior|fieldio|fdb; also\n"
-      "               --bench pdes; --faults, --shared, --queue-depth and\n"
-      "               --stats (which adds a 'result digest' line);\n"
-      "               --trace, --metrics, --telemetry and --exemplars\n"
-      "               (per-shard collection, merged deterministically —\n"
-      "               exporter bytes are identical for every N, and\n"
-      "               --telemetry adds a pdes/* engine-introspection\n"
-      "               subtree); --rpc-timeout must be 0 or >= 2x the\n"
-      "               fabric latency (16us) so a deadline cannot expire\n"
-      "               inside one shard synchronization window.\n"
-      "  serial-only: --system lustre|ceph; --api dfuse|dfuse-il|hdf5|\n"
-      "               lustre-posix|rados (FUSE daemons and foreign stacks\n"
-      "               share one simulation); --faults combined with\n"
-      "               --telemetry (the faults/* probes sample cross-shard\n"
-      "               fault state). Each conflict is reported naming the\n"
-      "               offending flag.\n"
-      "--bench pdes is a hardware-level object-store workload (clients ->\n"
-      "NIC -> per-server service queue -> NVMe -> response) built for\n"
-      "intra-run sharding; it takes --servers/--clients/--ppn/--ops/\n"
-      "--transfer/--write-only/--read-only but no --api/--system, and with\n"
-      "--stats prints shard-sync counters plus a result digest.\n"
+      "Numeric flags take a whole decimal integer; --transfer must be > 0.\n"
+      "Parallelism: --jobs (or DAOSIM_JOBS) runs repetitions concurrently\n"
+      "on a worker pool. Each repetition is one self-contained simulation\n"
+      "on one thread, so results are identical to --jobs 1 for a fixed\n"
+      "--seed.\n"
       "Observability: --trace writes a Chrome-trace JSON (open in\n"
       "chrome://tracing or Perfetto) and --metrics a CSV (or JSON when the\n"
       "file ends in .json) of op latency histograms, both for the last\n"
@@ -205,6 +174,26 @@ void resolveApiAndSystem(Options& o) {
   }
 }
 
+/// Parses all of `text` as a decimal integer in [lo, hi]. Anything else —
+/// a sign, trailing junk ("12abc"), an empty token or an out-of-range value
+/// — prints usage and exits 2.
+template <typename T>
+T parseNumber(const char* argv0, const std::string& flag, const char* text,
+              T lo, T hi = std::numeric_limits<T>::max()) {
+  const char* end = text + std::char_traits<char>::length(text);
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v < static_cast<std::uint64_t>(lo) ||
+      v > static_cast<std::uint64_t>(hi)) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (want an integer in "
+                 "[%llu, %llu])\n",
+                 flag.c_str(), text, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    usage(argv0);
+  }
+  return static_cast<T>(v);
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -225,6 +214,12 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto count = [&](int lo) {
+      return parseNumber<int>(argv[0], arg, value(), lo);
+    };
+    auto u64 = [&](std::uint64_t lo) {
+      return parseNumber<std::uint64_t>(argv[0], arg, value(), lo);
+    };
     if (arg == "--system") {
       o.system = value();
     } else if (arg == "--bench") {
@@ -234,30 +229,27 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--oclass") {
       o.oclass = value();
     } else if (arg == "--servers") {
-      o.servers = std::atoi(value());
+      o.servers = count(1);
     } else if (arg == "--clients") {
-      o.clients = std::atoi(value());
+      o.clients = count(1);
     } else if (arg == "--ppn") {
-      o.ppn = std::atoi(value());
+      o.ppn = count(1);
     } else if (arg == "--ops") {
-      o.ops = std::strtoull(value(), nullptr, 10);
+      o.ops = u64(0);
     } else if (arg == "--transfer") {
-      o.transfer = std::strtoull(value(), nullptr, 10);
+      o.transfer = u64(1);
     } else if (arg == "--reps") {
-      o.reps = std::atoi(value());
+      o.reps = count(1);
     } else if (arg == "--jobs") {
-      o.jobs = std::atoi(value());
-    } else if (arg == "--sim-jobs") {
-      o.sim_jobs = std::atoi(value());
-      if (o.sim_jobs < 0) usage(argv[0]);
+      o.jobs = count(0);
     } else if (arg == "--seed") {
-      o.seed = std::strtoull(value(), nullptr, 10);
+      o.seed = u64(0);
     } else if (arg == "--pgs") {
-      o.pgs = std::atoi(value());
+      o.pgs = count(1);
     } else if (arg == "--replicas") {
-      o.replicas = std::atoi(value());
+      o.replicas = count(1);
     } else if (arg == "--queue-depth") {
-      o.queue_depth = std::atoi(value());
+      o.queue_depth = count(1);
     } else if (arg == "--shared") {
       o.shared = true;
     } else if (arg == "--async-index") {
@@ -271,8 +263,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--trace") {
       o.trace_file = value();
     } else if (arg == "--exemplars") {
-      o.exemplars = std::atoi(value());
-      if (o.exemplars <= 0) usage(argv[0]);
+      o.exemplars = count(1);
     } else if (arg == "--metrics") {
       o.metrics_file = value();
     } else if (arg == "--telemetry") {
@@ -284,48 +275,13 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--rpc-timeout") {
       o.rpc_timeout = apps::parseDuration(value());
     } else if (arg == "--rpc-retries") {
-      o.rpc_retries = std::atoi(value());
+      o.rpc_retries = count(0);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       usage(argv[0]);
     }
   }
-  if (o.servers <= 0 || o.clients <= 0 || o.ppn <= 0 || o.reps <= 0 ||
-      o.queue_depth <= 0 || (o.read_only && o.write_only)) {
-    usage(argv[0]);
-  }
-  if (o.sim_jobs < 0) o.sim_jobs = sim::envSimJobs();  // explicit 0 = serial
-  if (o.jobs > 1 && o.sim_jobs > 1) {
-    // Both knobs explicit: refuse silent oversubscription. (When --jobs is
-    // omitted the pool below defaults to one worker instead.)
-    const unsigned hc = std::thread::hardware_concurrency();
-    const auto want = static_cast<unsigned long long>(o.jobs) *
-                      static_cast<unsigned long long>(o.sim_jobs);
-    if (hc != 0 && want > hc) {
-      throw std::invalid_argument(
-          "--jobs " + std::to_string(o.jobs) + " (concurrent repetitions) x "
-          "--sim-jobs " + std::to_string(o.sim_jobs) +
-          " (event-queue shards per run) = " + std::to_string(want) +
-          " worker threads, but this machine has " + std::to_string(hc) +
-          " cores; lower one of the two");
-    }
-  }
-  if (o.bench == "pdes") {
-    if (!o.api.empty() || !o.system.empty()) {
-      throw std::invalid_argument(
-          "--bench pdes runs directly on the hardware model; "
-          "--api/--system do not apply");
-    }
-    o.system = "hw";
-    if (!o.faults.empty() || !o.trace_file.empty() || o.exemplars > 0 ||
-        !o.metrics_file.empty() || !o.telemetry_file.empty()) {
-      throw std::invalid_argument(
-          "--bench pdes does not support --faults/--trace/--exemplars/"
-          "--metrics/--telemetry (those observers attach to a single "
-          "serial simulation)");
-    }
-    return o;  // no backend to resolve, and observer env fallbacks are moot
-  }
+  if (o.read_only && o.write_only) usage(argv[0]);
   resolveApiAndSystem(o);
   if (!o.faults.empty() && o.system != "daos") {
     throw std::invalid_argument("--faults requires --system daos");
@@ -344,38 +300,6 @@ Options parse(int argc, char** argv) {
   if (o.telemetry_file.empty()) o.telemetry_file = apps::telemetryEnvFile();
   if (o.telemetry_interval == 0) {
     o.telemetry_interval = apps::telemetryEnvInterval();
-  }
-  // --sim-jobs N > 1 compatibility gate. Every rejection names the
-  // specific conflicting flag; the full matrix is in --help. (Checked
-  // after the env fallbacks above so DAOSIM_TRACE & co. are caught too.)
-  if (o.sim_jobs > 1) {
-    auto reject = [](const std::string& flag, const std::string& why) {
-      throw std::invalid_argument(
-          "--sim-jobs > 1 is incompatible with " + flag + ": " + why +
-          ". Drop " + flag +
-          " or run on the serial kernel (--sim-jobs 1); see --help for "
-          "the compatibility matrix.");
-    };
-    if (o.system != "daos") {
-      reject("--system " + o.system,
-             "intra-run sharding deploys the DAOS testbed only; the "
-             "Lustre/Ceph stacks run on the serial kernel");
-    }
-    if (o.api != "daos-array" && o.api != "dfs" && o.api != "hdf5-daos") {
-      reject("--api " + o.api,
-             "sharded runs support the RPC-shaped DAOS backends "
-             "(daos-array, dfs, hdf5-daos); FUSE-daemon-backed APIs need "
-             "the serial kernel");
-    }
-    // --trace/--metrics/--telemetry/--exemplars are shard-aware: per-shard
-    // collection with a deterministic merge (obs::ObserverGroup,
-    // obs::Telemetry::mergeLanes) keeps every exporter's bytes identical
-    // across shard counts. One remaining conflict:
-    if (!o.faults.empty() && !o.telemetry_file.empty()) {
-      reject("--faults with --telemetry (or DAOSIM_TELEMETRY)",
-             "the fault injector's faults/* telemetry probes sample "
-             "cross-shard fault state and are serial-only");
-    }
   }
   return o;
 }
@@ -422,48 +346,19 @@ apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
                          obs::Observer* observer, const std::string& run_label,
                          apps::FaultInjector* injector = nullptr) {
   const sim::Time t0 = tb.sim().now();
-  // Sharded DAOS testbeds dispatch through the ShardGroup harness; all
-  // other testbeds (and serial DAOS ones) use the frozen serial harness.
-  sim::ShardGroup* sg = nullptr;
-  if constexpr (std::is_same_v<Testbed, apps::DaosTestbed>) {
-    sg = tb.shardGroup();
-  }
   // Scoped: the registry detaches and lands in TelemetryHub::global()
-  // (keyed by the deterministic rep label) before the testbed dies. A
-  // sharded run collects one raw-sample lane per shard instead and merges
-  // them under the same label (apps::ShardedRunTelemetry).
+  // (keyed by the deterministic rep label) before the testbed dies.
   apps::ScopedRunTelemetry telem(tb.sim(), run_label,
-                                 sg == nullptr && !o.telemetry_file.empty(),
+                                 !o.telemetry_file.empty(),
                                  o.telemetry_interval);
   if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
   if (telem.active() && injector != nullptr) {
     injector->registerTelemetry(telem.telemetry());
   }
-  std::optional<apps::ShardedRunTelemetry> stelem;
-  if constexpr (std::is_same_v<Testbed, apps::DaosTestbed>) {
-    if (sg != nullptr && !o.telemetry_file.empty()) {
-      stelem.emplace(tb, run_label, true, o.telemetry_interval);
-    }
-  }
-  // Sharded runs observe through one lane per shard; the lanes journal and
-  // ObserverGroup::mergeInto rebuilds the serial-equivalent state in
-  // `observer` after the run (same exporter bytes for every shard count).
-  std::optional<obs::ObserverGroup> og;
-  if (observer != nullptr) {
-    if (sg != nullptr) {
-      og.emplace(*sg);
-    } else {
-      observer->attach(tb.sim());
-    }
-  }
+  if (observer != nullptr) observer->attach(tb.sim());
   if (injector != nullptr) injector->install();
   const auto run = [&](apps::SpmdBenchmark& bench) {
-    return sg != nullptr
-               ? apps::runSpmdSharded(tb.cluster(), *sg,
-                                      tb.clientSubset(o.clients), o.ppn,
-                                      tb.seed(), bench)
-               : apps::runSpmd(tb.sim(), tb.clientSubset(o.clients), o.ppn,
-                               bench);
+    return apps::runSpmd(tb.sim(), tb.clientSubset(o.clients), o.ppn, bench);
   };
   apps::RunResult r;
   if (o.bench == "ior") {
@@ -481,21 +376,6 @@ apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
   } else {
     throw std::invalid_argument("unknown --bench: " + o.bench);
   }
-  if (og.has_value()) {
-    // Deterministic merge: lanes detach, the journals are reconciled, and
-    // `observer` ends up in the exact state a serial observer of the same
-    // run would hold (enableTracing/enableExemplars on it apply).
-    og->mergeInto(*observer);
-    og.reset();
-  }
-  if (sg != nullptr && stelem.has_value()) stelem->noteShardStats(sg->stats());
-  if (stats && sg != nullptr) {
-    apps::reportShardSync(std::cout, sg->stats());
-    // Shard-count-invariant fingerprint (see apps::runDigest): CI compares
-    // this line across --sim-jobs values. The sync counters above are not
-    // invariant (per-shard tallies depend on the layout); the digest is.
-    std::printf("result digest %016" PRIx64 "\n", apps::runDigest(r));
-  }
   if (injector != nullptr) {
     injector->rethrowIfFailed();
     if (stats) injector->writeSummary(std::cout);
@@ -503,7 +383,7 @@ apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
   if (stats) apps::reportUtilization(std::cout, tb, tb.sim().now() - t0);
   if (observer != nullptr) {
     if (stats) observer->writeBreakdown(std::cout);
-    if (sg == nullptr) observer->detach();  // tb's sim dies with this scope
+    observer->detach();  // tb's sim dies with this scope
   }
   return r;
 }
@@ -531,20 +411,6 @@ apps::RunResult runDaos(const Options& o, std::uint64_t seed, bool stats,
     opt.daos.rpc_retry = net::RetryPolicy::chaosDefault();
     if (o.rpc_timeout > 0) opt.daos.rpc_retry.timeout = o.rpc_timeout;
     if (o.rpc_retries >= 0) opt.daos.rpc_retry.max_retries = o.rpc_retries;
-  }
-  if (o.sim_jobs > 1) {
-    opt.sim_jobs = o.sim_jobs;
-    opt.with_dfuse = false;  // FUSE daemons are serial-only (APIs gated)
-    const sim::Time min_timeout = 2 * hw::FabricSpec{}.latency;
-    if (opt.daos.rpc_retry.enabled() && opt.daos.rpc_retry.timeout > 0 &&
-        opt.daos.rpc_retry.timeout < min_timeout) {
-      throw std::invalid_argument(
-          "--rpc-timeout must be 0 (disabled) or >= " +
-          std::to_string(min_timeout) +
-          "ns (2x the fabric latency) when --sim-jobs > 1: a shorter "
-          "per-attempt deadline could expire inside one shard "
-          "synchronization window");
-    }
   }
   apps::DaosTestbed tb(opt);
   std::optional<apps::FaultInjector> injector;
@@ -592,54 +458,11 @@ void printSummary(const Options& o, const apps::Measurement& m) {
       static_cast<double>(m.read_lat.percentile(99)) / 1e3);
 }
 
-/// Sweep-pool width: --jobs when given; otherwise one worker while shards
-/// are engaged (so the thread count stays --sim-jobs), else DAOSIM_JOBS /
-/// hardware concurrency.
-int sweepJobs(const Options& o) {
-  if (o.jobs > 0) return o.jobs;
-  if (o.sim_jobs > 1) return 1;
-  return sim::envSweepJobs();
-}
-
-int runPdesBench(const Options& o) {
-  apps::PdesOptions p;
-  p.server_nodes = o.servers;
-  p.client_nodes = o.clients;
-  p.procs_per_node = o.ppn;
-  p.ops = o.ops > 0 ? o.ops : 64;
-  p.transfer = o.transfer;
-  // CLI --sim-jobs 1 is the plain serial kernel (no ShardGroup at all);
-  // N > 1 engages a windowed group with N shards.
-  p.sim_jobs = o.sim_jobs <= 1 ? 0 : o.sim_jobs;
-  p.write_phase = !o.read_only;
-  p.read_phase = !o.write_only;
-  apps::Measurement m;
-  m.point = apps::SweepPoint{o.clients, o.ppn};
-  sim::ParallelRunner pool(sweepJobs(o));
-  auto results = pool.map(
-      static_cast<std::size_t>(o.reps),
-      [&](std::size_t rep) -> apps::RunResult {
-        apps::PdesOptions pr = p;
-        pr.seed = o.seed + static_cast<std::uint64_t>(rep);
-        apps::PdesResult r = apps::runPdes(pr);
-        // Shard-sync stats describe the last repetition, mirroring the
-        // testbed benches' --stats behavior.
-        if (o.stats && rep == static_cast<std::size_t>(o.reps) - 1) {
-          apps::writePdesStats(std::cout, r);
-        }
-        return r.run;
-      });
-  for (const auto& r : results) m.add(r);
-  printSummary(o, m);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const Options o = parse(argc, argv);
-    if (o.bench == "pdes") return runPdesBench(o);
     // Observe the last repetition only (mirrors --stats), so traces and
     // metrics describe one run rather than a mix of seeds.
     obs::Observer observer;
@@ -660,16 +483,13 @@ int main(int argc, char** argv) {
     // Repetitions are independent simulations; run them across a worker
     // pool (--jobs / DAOSIM_JOBS). Aggregation stays in rep order, so the
     // printed numbers are identical to a serial run for a fixed --seed.
-    sim::ParallelRunner pool(sweepJobs(o));
+    sim::ParallelRunner pool(o.jobs > 0 ? o.jobs : sim::envJobs());
     auto results = pool.map(
         static_cast<std::size_t>(o.reps),
         [&](std::size_t rep) -> apps::RunResult {
           const std::uint64_t seed = o.seed + static_cast<std::uint64_t>(rep);
           const bool last = rep == static_cast<std::size_t>(o.reps) - 1;
           const bool stats = o.stats && last;
-          // Sharded runs route the observer through an ObserverGroup (one
-          // lane per shard) inside runBench and merge into it afterwards,
-          // so the exporters below read the same state either way.
           obs::Observer* obsp = want_obs && last ? &observer : nullptr;
           // Non-last reps get a local observer when exemplars are on, so
           // the reservoir sees the tail of every repetition.
@@ -740,11 +560,6 @@ int main(int argc, char** argv) {
         const obs::TelemetryDump dump = obs::parseTelemetryCsv(ss);
         std::cout << "\n-- telemetry bottleneck report --\n";
         obs::writeReport(std::cout, obs::analyze(dump));
-        const obs::PdesAnalysis pdes = obs::analyzePdes(dump);
-        if (pdes.present) {
-          std::cout << "\n-- pdes engine --\n";
-          obs::writePdesReport(std::cout, pdes);
-        }
       }
     }
     printSummary(o, m);

@@ -41,9 +41,7 @@ namespace {
       "  folded FILE           folded-stack flamegraph lines to stdout\n"
       "  diff FILE_A FILE_B    per-station comparison of two runs\n"
       "  hops FILE             cross-node ops: node (pid) chains in visit\n"
-      "                        order with per-hop send-leg latencies —\n"
-      "                        the view of op spans stitched across shard\n"
-      "                        mailbox migrations in a --sim-jobs trace\n"
+      "                        order with per-hop send-leg latencies\n"
       "options:\n"
       "  --top N               exemplar count per op type, or detailed op\n"
       "                        count for hops (default 5)\n",
@@ -53,9 +51,7 @@ namespace {
 
 /// Cross-node op report: ops whose legs touch more than one trace pid
 /// (node), the node chain in first-visit order, and every "send" leg's
-/// latency. In a sharded trace these are exactly the spans that migrated
-/// between shards through the cluster mailbox; the chains surviving the
-/// deterministic merge intact is what "stitched" means.
+/// latency.
 void writeHops(std::ostream& os, const daosim::obs::TraceDump& d,
                std::size_t top) {
   using daosim::obs::OpRecord;
