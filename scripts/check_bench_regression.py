@@ -10,9 +10,9 @@ than ``--tolerance`` below its baseline.
 Multiple suites are checked in one invocation by repeating --baseline and
 giving one results file per baseline, in the same order:
 
-  check_bench_regression.py --baseline BENCH_kernel.json \
-                            --baseline BENCH_pdes.json \
-                            BENCH_kernel_ci.json BENCH_pdes_ci.json
+  check_bench_regression.py --baseline BENCH_a.json \
+                            --baseline BENCH_b.json \
+                            BENCH_a_ci.json BENCH_b_ci.json
 
 With a single (or default) baseline the original one-positional form is
 unchanged.

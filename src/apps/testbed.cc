@@ -1,6 +1,5 @@
 #include "apps/testbed.h"
 
-#include <stdexcept>
 #include <string>
 
 namespace daosim::apps {

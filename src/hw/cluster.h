@@ -16,7 +16,6 @@
 #include "hw/spec.h"
 #include "obs/observer.h"
 #include "sim/queue_station.h"
-#include "sim/rng.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
 
