@@ -372,8 +372,7 @@ TEST(IoFrozenNumbers, EmptyFaultPlanIsBitIdenticalToPlanFreeRun) {
 // drift unnoticed. The fault-free cases above never reach this code.
 
 struct FaultExpect {
-  std::uint64_t retries, timeouts, degraded_reads, rebuild_bytes,
-      objects_lost;
+  std::uint64_t retries, timeouts, degraded_reads, rebuild_bytes, objects_lost;
 };
 
 /// Runs `bench` under `spec` with the chaos retry policy and checks the
