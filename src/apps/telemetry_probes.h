@@ -9,7 +9,7 @@
 // Busy-fraction probes return cumulative busy *seconds* under Kind::kRate,
 // so each sampled bin is the dimensionless utilization over that bin.
 // Multi-server stations (DFUSE, MDS, OSD op threads) divide by the thread
-// count to report per-thread utilization, matching apps::reportUtilization.
+// count to report per-thread utilization.
 //
 // ScopedRunTelemetry is the per-run RAII wrapper the bench binaries and
 // daosim_run use: it attaches a Telemetry to the run's simulation and, on

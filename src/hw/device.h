@@ -91,11 +91,12 @@ class NvmeDevice {
   /// I/Os admitted but not yet acknowledged (the device queue depth a
   /// telemetry gauge samples).
   std::uint32_t queueDepth() const noexcept { return inflight_; }
-  /// Total device-time consumed on the sustained-rate clock.
-  sim::Time busyTime() const noexcept { return busy_; }
-  double utilization(sim::Time horizon) const noexcept {
-    return horizon ? static_cast<double>(busy_) / static_cast<double>(horizon)
-                   : 0.0;
+  /// Device time consumed on the sustained-rate clock up to now: the
+  /// service booked at admission minus the backlog not yet drained, so it
+  /// never runs ahead of the clock.
+  sim::Time busyTime() const noexcept {
+    const sim::Time now = sim_->now();
+    return virtual_end_ > now ? busy_ - (virtual_end_ - now) : busy_;
   }
 
   /// Node id used as the chrome-trace pid for this device's track.

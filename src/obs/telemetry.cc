@@ -82,11 +82,9 @@ void Telemetry::attach(sim::Simulation& sim) {
   sim.setTelemetry(this, next_due_);
 }
 
-sim::Time Telemetry::sampleUpTo(sim::Time t) {
-  while (next_due_ < t) {
-    sampleAt(next_due_);
-    next_due_ += interval_;
-  }
+sim::Time Telemetry::sampleDue() {
+  sampleAt(next_due_);
+  next_due_ += interval_;
   return next_due_;
 }
 

@@ -24,8 +24,9 @@
 // Sampling is driven by the simulation kernel, not a self-rescheduling
 // process (which would keep the event queue from draining): when the kernel
 // pops an event with timestamp strictly greater than the next sample
-// boundary, it snapshots every node at that boundary first (see
-// sim::Simulation). finish() emits any remaining whole bins plus one final
+// boundary, it moves its clock to that boundary and snapshots every node
+// there first (see sim::Simulation), so a probe that reads now() sees the
+// sample time. finish() emits any remaining whole bins plus one final
 // partial bin at the current time. With no telemetry attached the kernel
 // pays a single integer compare per event and zero allocations.
 //
@@ -129,10 +130,10 @@ class Telemetry {
   std::uint64_t epoch() const noexcept { return epoch_; }
 
   // --- kernel interface -------------------------------------------------
-  /// Samples every boundary strictly below `t`; called by the simulation
-  /// kernel when an event passes the next boundary. Returns the new next
-  /// boundary (absolute).
-  sim::Time sampleUpTo(sim::Time t);
+  /// Samples the due boundary (nextDue()) and returns the next one
+  /// (absolute); called by the simulation kernel once its clock stands at
+  /// the due boundary.
+  sim::Time sampleDue();
   sim::Time nextDue() const noexcept { return next_due_; }
 
   // --- inspection / export ---------------------------------------------

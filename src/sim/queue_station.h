@@ -37,9 +37,6 @@ class QueueStation {
     co_await sem_.acquire();
     const Time acquired_at = sim_->now();
     wait_ns_ += acquired_at - queued_at;
-    if (sim_->observer() != nullptr) {
-      wait_hist_.add(acquired_at - queued_at);
-    }
     co_await sim_->delay(service);
     sem_.release();
     busy_ns_ += service;
@@ -66,9 +63,8 @@ class QueueStation {
     const Time acquired_at = sim_->now();
     wait_ns_ += acquired_at - queued_at;
     ++ops_;
-    if (obs::Observer* o = sim_->observer()) {
-      wait_hist_.add(acquired_at - queued_at);
-      if (op != 0) {
+    if (op != 0) {
+      if (obs::Observer* o = sim_->observer()) {
         // Pure-wait leg: the whole duration is queueing.
         o->leg(op, obs::Cat::kServerQueue, obsTrack(o), "queue", queued_at,
                acquired_at - queued_at);
@@ -100,10 +96,6 @@ class QueueStation {
   Time totalWait() const noexcept { return wait_ns_; }
   std::size_t queueLength() const noexcept { return sem_.waiting(); }
 
-  /// Queue-wait distribution in ns; populated only while an observer is
-  /// attached to the simulation.
-  const obs::Histogram& waitHistogram() const noexcept { return wait_hist_; }
-
   /// Node id used as the chrome-trace pid for this station's track.
   void setTracePid(int pid) noexcept { trace_pid_ = pid; }
   int tracePid() const noexcept { return trace_pid_; }
@@ -126,7 +118,6 @@ class QueueStation {
     busy_ns_ = 0;
     wait_ns_ = 0;
     bytes_ = 0;
-    wait_hist_.reset();
   }
 
  private:
@@ -147,7 +138,6 @@ class QueueStation {
   Time busy_ns_ = 0;
   Time wait_ns_ = 0;
   std::uint64_t bytes_ = 0;
-  obs::Histogram wait_hist_;
   int trace_pid_ = 0;
   obs::TrackId track_ = 0;
   std::uint64_t track_epoch_ = 0;

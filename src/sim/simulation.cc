@@ -67,12 +67,21 @@ std::size_t Simulation::runUntil(Time t) {
     ++processed_;
     e.h.resume();
   }
-  if (now_ < t) now_ = t;
+  if (now_ < t) {
+    if (t > telemetry_due_) [[unlikely]] telemetrySample(t);
+    now_ = t;
+  }
   return n;
 }
 
 void Simulation::telemetrySample(Time t) {
-  telemetry_due_ = telemetry_->sampleUpTo(t);
+  // The clock stands at each boundary while its probes are read, so a
+  // probe that depends on now() (the NVMe backlog) sees the sample time.
+  // No event runs in between, so no simulated outcome moves.
+  while (telemetry_due_ < t) {
+    now_ = telemetry_due_;
+    telemetry_due_ = telemetry_->sampleDue();
+  }
 }
 
 }  // namespace daosim::sim

@@ -228,8 +228,9 @@ class Simulation {
   }
 
  private:
-  /// Cold path: snapshots the telemetry tree at every sample boundary the
-  /// event at `t` is about to pass (out of line; see simulation.cc).
+  /// Cold path: snapshots the telemetry tree at every sample boundary
+  /// strictly below `t`, with the clock set to each boundary in turn (out
+  /// of line; see simulation.cc).
   void telemetrySample(Time t);
   static detail::Root runRoot(detail::JoinRef state, Task<void> task);
 

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "apps/runner.h"
-#include "apps/stats_report.h"
 #include "apps/sweep.h"
 #include "apps/testbed.h"
 #include "daos/array.h"
@@ -368,19 +367,6 @@ TEST(AppsCorners, PrintSeriesFormatsRows) {
   EXPECT_NE(out.find("demo"), std::string::npos);
   EXPECT_NE(out.find("1.00"), std::string::npos);  // 1 GiB in 1 s
   EXPECT_NE(out.find("32"), std::string::npos);    // 4 x 8 procs
-}
-
-TEST(AppsCorners, UtilizationReportMentionsEveryResource) {
-  apps::DaosTestbed::Options opt;
-  opt.server_nodes = 2;
-  opt.client_nodes = 1;
-  apps::DaosTestbed tb(opt);
-  std::ostringstream os;
-  apps::reportUtilization(os, tb, sim::kSecond);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("NVMe device"), std::string::npos);
-  EXPECT_NE(out.find("pool-service leader"), std::string::npos);
-  EXPECT_NE(out.find("client NIC tx"), std::string::npos);
 }
 
 

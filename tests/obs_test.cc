@@ -183,19 +183,6 @@ TEST(QueueStation, EnterLeaveAccountsHeldTimeAsBusy) {
   EXPECT_DOUBLE_EQ(st.utilization(sim.now()), 1.0);
 }
 
-TEST(QueueStation, WaitHistogramRecordsQueueingWhenObserved) {
-  sim::Simulation sim;
-  obs::Observer obs;
-  obs.attach(sim);
-  sim::QueueStation st(sim, "s", 1);
-  sim.spawn(holdStation(&sim, &st, 10_us));
-  sim.spawn(holdStation(&sim, &st, 10_us));  // queues behind the first
-  sim.run();
-  ASSERT_EQ(st.waitHistogram().count(), 2u);
-  EXPECT_EQ(st.waitHistogram().min(), 0u);
-  EXPECT_EQ(st.waitHistogram().max(), static_cast<std::uint64_t>(10_us));
-}
-
 // --- tracer ----------------------------------------------------------------
 
 TEST(Tracer, EmitsMatchedSpansAndMonotoneTimestamps) {

@@ -1,18 +1,23 @@
 // obs::Telemetry contract tests: kernel-driven bin boundaries (including
-// intervals that do not divide the run, zero-length runs, and intervals
-// longer than the run), rate-meter windowing with a partial final bin,
-// probe sampling, CSV name escaping + reader round-trip, schema-version
-// rejection, the bottleneck analyzer on a synthetic two-station pipeline,
-// and byte-identical hub dumps for serial vs parallel sweeps.
+// intervals that do not divide the run, zero-length runs, intervals longer
+// than the run, and the clock standing at each boundary while probes are
+// read), rate-meter windowing with a partial final bin, probe sampling, CSV
+// name escaping + reader round-trip, schema-version rejection, the
+// bottleneck analyzer on a synthetic two-station pipeline and on every
+// testbed's probes, NVMe utilization bins under saturation, and
+// byte-identical hub dumps for serial vs parallel sweeps.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/fault_injector.h"
+#include "apps/ior.h"
+#include "apps/runner.h"
 #include "apps/telemetry_probes.h"
 #include "apps/testbed.h"
 #include "daos/array.h"
@@ -90,6 +95,23 @@ TEST(TelemetrySampler, FinishIsIdempotent) {
   t.finish();
   t.detach();
   EXPECT_EQ(t.sampleCount(), n);
+}
+
+TEST(TelemetrySampler, ProbesReadTheClockAtEachBoundary) {
+  Simulation sim;
+  Telemetry t(10_ms);
+  t.addProbe("now_ms", Telemetry::Kind::kGauge,
+             [&sim] { return sim::toSeconds(sim.now()) * 1e3; });
+  t.attach(sim);
+  sim.spawn(idleUntil(&sim, 35_ms));  // one event passes three boundaries
+  sim.runUntil(50_ms);                // the final clock jump passes one more
+  t.finish();
+  const Telemetry::Node* n = t.find("now_ms");
+  ASSERT_EQ(n->samples.size(), 5u);
+  for (std::size_t i = 0; i < n->samples.size(); ++i) {
+    EXPECT_NEAR(n->samples[i].second, 10.0 * static_cast<double>(i + 1),
+                1e-9);
+  }
 }
 
 TEST(TelemetrySampler, AttachTimeIsTheSeriesOrigin) {
@@ -372,6 +394,109 @@ TEST(TelemetryHub, DuplicateLabelKeepsFirstRegistry) {
   hub.writeCsv(os);
   EXPECT_NE(os.str().find("rep/0/first"), std::string::npos);
   EXPECT_EQ(os.str().find("rep/0/second"), std::string::npos);
+}
+
+// --- testbed probes ----------------------------------------------------------
+
+/// Runs a small IOR through `api` with every standard probe registered and
+/// returns the station classes the analyzer reports.
+template <typename Testbed>
+std::set<std::string> analyzedClasses(Testbed& tb, const std::string& api) {
+  Telemetry t(1_ms);
+  apps::registerProbes(t, tb);
+  t.attach(tb.sim());
+  apps::IorConfig cfg;
+  cfg.ops = 4;
+  apps::Ior bench(tb.ioEnv(), api, cfg);
+  apps::runSpmd(tb.sim(), tb.clients(), 2, bench);
+  t.finish();
+  std::stringstream ss;
+  t.writeCsv(ss);
+  std::set<std::string> classes;
+  for (const obs::ClassUtil& c :
+       obs::analyze(obs::parseTelemetryCsv(ss)).classes) {
+    classes.insert(c.cls);
+  }
+  return classes;
+}
+
+TEST(TelemetryAnalyzer, EveryTestbedReportsEveryResourceClass) {
+  const auto expectClasses = [](const std::set<std::string>& got,
+                                std::initializer_list<const char*> want) {
+    for (const char* cls : want) EXPECT_EQ(got.count(cls), 1u) << cls;
+  };
+  {
+    apps::DaosTestbed::Options opt;
+    opt.server_nodes = 2;
+    opt.client_nodes = 1;
+    apps::DaosTestbed tb(opt);
+    expectClasses(analyzedClasses(tb, "dfuse"),
+                  {"nvme", "xs", "nic/tx", "nic/rx", "server/ps", "dfuse"});
+  }
+  {
+    apps::LustreTestbed::Options opt;
+    opt.oss_nodes = 2;
+    opt.client_nodes = 1;
+    apps::LustreTestbed tb(opt);
+    expectClasses(analyzedClasses(tb, "lustre-posix"), {"nvme", "cpu", "mds"});
+  }
+  {
+    apps::CephTestbed::Options opt;
+    opt.osd_nodes = 2;
+    opt.client_nodes = 1;
+    opt.ceph.pg_count = 16;
+    apps::CephTestbed tb(opt);
+    expectClasses(analyzedClasses(tb, "rados"), {"nvme", "threads"});
+  }
+}
+
+/// Eight writers keep one NVMe target backlogged. Every busy_frac bin is a
+/// utilization, so none may exceed 1: booking an op's service at admission,
+/// or reading probes at the previous event's clock, pushes bins far above.
+TEST(TelemetryProbes, SaturatedNvmeBusyFracNeverExceedsOne) {
+  apps::DaosTestbed::Options opt;
+  opt.server_nodes = 1;
+  opt.client_nodes = 1;
+  opt.with_dfuse = false;
+  apps::DaosTestbed tb(opt);
+  Telemetry t(1_ms);
+  apps::registerProbes(t, tb);
+  t.attach(tb.sim());
+  daos::Client client(tb.daos(), tb.clients()[0], 42);
+  struct Work {
+    static Task<void> writer(daos::Array* a, std::uint64_t first_mib) {
+      for (std::uint64_t i = first_mib; i < first_mib + 4; ++i) {
+        co_await a->write(i * hw::kMiB, vos::Payload::synthetic(hw::kMiB));
+      }
+    }
+    static Task<void> run(Simulation* sim, daos::Client* c,
+                          daos::Container cont) {
+      daos::Array a = co_await daos::Array::create(
+          *c, cont, c->nextOid(placement::ObjClass::S1),
+          {.cell_size = 1, .chunk_size = 1 << 20});
+      std::vector<sim::ProcHandle> writers;
+      for (std::uint64_t w = 0; w < 8; ++w) {
+        writers.push_back(sim->spawn(writer(&a, 4 * w)));
+      }
+      for (const sim::ProcHandle& h : writers) co_await h.join();
+    }
+  };
+  tb.sim().spawn(Work::run(&tb.sim(), &client, tb.container()));
+  tb.sim().run();
+  t.finish();
+  double peak = 0;
+  std::string hottest;
+  for (const auto& n : t.nodes()) {
+    if (!n->path.ends_with("/nvme/busy_frac")) continue;
+    for (const auto& [at, v] : n->samples) {
+      if (v > peak) {
+        peak = v;
+        hottest = n->path + " at " + std::to_string(at) + " ns";
+      }
+    }
+  }
+  EXPECT_LE(peak, 1.0 + 1e-9) << hottest;
+  EXPECT_GT(peak, 0.99) << "the target never saturated";
 }
 
 }  // namespace

@@ -36,7 +36,6 @@
 #include "apps/fieldio.h"
 #include "apps/ior.h"
 #include "apps/runner.h"
-#include "apps/stats_report.h"
 #include "apps/sweep.h"
 #include "apps/telemetry_probes.h"
 #include "apps/testbed.h"
@@ -123,9 +122,12 @@ struct Options {
       "--telemetry-interval of simulated time (default 10ms; \"500us\",\n"
       "\"5ms\", ... — see obs/telemetry.h) across every repetition and\n"
       "writes one schema-versioned dump (CSV, or JSON for .json files)\n"
-      "that daosim_metrics turns into a bottleneck report. With --stats\n"
-      "the report is also printed here. DAOSIM_TELEMETRY /\n"
-      "DAOSIM_TELEMETRY_INTERVAL env vars are fallbacks.\n"
+      "that daosim_metrics turns into a bottleneck report. DAOSIM_TELEMETRY\n"
+      "/ DAOSIM_TELEMETRY_INTERVAL env vars are fallbacks.\n"
+      "--stats prints that report (utilization per resource class, the\n"
+      "hottest units, per-layer time shares) and a per-op latency\n"
+      "breakdown; without --telemetry it samples the last repetition in\n"
+      "memory. Per-station queue-wait percentiles come from --exemplars.\n"
       "Fault injection (--system daos): --faults takes a plan like\n"
       "\"slow@40ms:t7,x8;flap@120ms:n5,15ms;exclude@200ms:t3\" or\n"
       "\"random:seed=7,events=6,horizon=300ms\" (grammar in\n"
@@ -345,11 +347,12 @@ template <typename Testbed>
 apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
                          obs::Observer* observer, const std::string& run_label,
                          apps::FaultInjector* injector = nullptr) {
-  const sim::Time t0 = tb.sim().now();
   // Scoped: the registry detaches and lands in TelemetryHub::global()
-  // (keyed by the deterministic rep label) before the testbed dies.
+  // (keyed by the deterministic rep label) before the testbed dies. The
+  // --stats report is read from it, so a --stats repetition samples even
+  // without a --telemetry file.
   apps::ScopedRunTelemetry telem(tb.sim(), run_label,
-                                 !o.telemetry_file.empty(),
+                                 stats || !o.telemetry_file.empty(),
                                  o.telemetry_interval);
   if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
   if (telem.active() && injector != nullptr) {
@@ -380,7 +383,6 @@ apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
     injector->rethrowIfFailed();
     if (stats) injector->writeSummary(std::cout);
   }
-  if (stats) apps::reportUtilization(std::cout, tb, tb.sim().now() - t0);
   if (observer != nullptr) {
     if (stats) observer->writeBreakdown(std::cout);
     observer->detach();  // tb's sim dies with this scope
@@ -463,6 +465,13 @@ void printSummary(const Options& o, const apps::Measurement& m) {
 int main(int argc, char** argv) {
   try {
     const Options o = parse(argc, argv);
+    // parse() has folded these into `o`. Drop them so runSpmd's env hook
+    // cannot also export the repetitions this tool leaves unobserved; no
+    // other thread is running yet.
+    for (const char* v :
+         {"DAOSIM_TRACE", "DAOSIM_METRICS", "DAOSIM_EXEMPLARS"}) {
+      ::unsetenv(v);
+    }
     // Observe the last repetition only (mirrors --stats), so traces and
     // metrics describe one run rather than a mix of seeds.
     obs::Observer observer;
@@ -541,18 +550,20 @@ int main(int argc, char** argv) {
         observer.metrics().writeCsv(f);
       }
     }
-    if (!o.telemetry_file.empty()) {
+    if (!o.telemetry_file.empty() || o.stats) {
       // Splice the last rep's op.* layer aggregates into the dump so the
       // analyzer can attribute wall-clock share per layer.
       if (!metrics_exported) observer.exportMetrics();
       const obs::MetricsRegistry* extra = &observer.metrics();
       obs::TelemetryHub& hub = obs::TelemetryHub::global();
-      std::ofstream f(o.telemetry_file);
-      const std::string& tf = o.telemetry_file;
-      if (tf.size() >= 5 && tf.compare(tf.size() - 5, 5, ".json") == 0) {
-        hub.writeJson(f, extra);
-      } else {
-        hub.writeCsv(f, extra);
+      if (!o.telemetry_file.empty()) {
+        std::ofstream f(o.telemetry_file);
+        const std::string& tf = o.telemetry_file;
+        if (tf.size() >= 5 && tf.compare(tf.size() - 5, 5, ".json") == 0) {
+          hub.writeJson(f, extra);
+        } else {
+          hub.writeCsv(f, extra);
+        }
       }
       if (o.stats) {
         std::stringstream ss;
