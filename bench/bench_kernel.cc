@@ -1,12 +1,12 @@
 // Kernel microbenchmarks: raw event-loop throughput, independent of any
 // storage model. These are the numbers the pooled frame allocator and the
-// two-level event queue are meant to move (see DESIGN.md "Kernel
+// event queue (a now-FIFO plus one heap) move (see DESIGN.md "Kernel
 // performance"); before/after results live in BENCH_kernel.json.
 //
-//   events_per_sec  — delay-driven ping-pong through the event queue
+//   events_per_sec  — delay-driven ping-pong through the event heap
 //   spawn_per_sec   — spawn/join churn (frame + join-state allocation path)
-//   timer_churn     — wide-range random timers (stresses queue ordering)
-//   handoff_per_sec — semaphore hand-offs at equal timestamps (now-path)
+//   timer_churn     — wide-range random timers (stresses heap ordering)
+//   handoff_per_sec — semaphore hand-offs at equal timestamps (now-FIFO)
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -29,6 +29,7 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -170,6 +171,15 @@ inline int benchMain(int argc, char** argv, const char* figure_title,
                      bool show_iops = false) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // A bad DAOSIM_OPS / DAOSIM_REPS fails here, before any case runs,
+  // rather than printing an all-zero table.
+  try {
+    apps::envOps();
+    apps::envReps();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 2;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   // DAOSIM_TELEMETRY: every run registered a labelled registry with

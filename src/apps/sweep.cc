@@ -1,8 +1,13 @@
 #include "apps/sweep.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <iomanip>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace daosim::apps {
 
@@ -31,25 +36,45 @@ std::uint64_t scaledOps(int total_procs, std::uint64_t base_ops,
   if (total_procs <= 0) return base_ops;
   const std::uint64_t per_proc =
       total_target / static_cast<std::uint64_t>(total_procs);
-  return std::clamp<std::uint64_t>(per_proc, 50, base_ops);
+  // Not std::clamp, whose lo <= hi precondition a base below the floor
+  // (DAOSIM_OPS=20) breaks; the base wins.
+  return std::min(base_ops, std::max<std::uint64_t>(per_proc, 50));
 }
 
 namespace {
-std::uint64_t envU64(const char* name, std::uint64_t def) {
+/// A positive count from the environment, `def` when unset or empty. Any
+/// other value that is not a whole decimal number in [1, max] throws.
+std::uint64_t envCount(const char* name, std::uint64_t def,
+                       std::uint64_t max) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
-  return std::strtoull(v, nullptr, 10);
+  const char* end = v + std::strlen(v);
+  std::uint64_t n = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc{} || ptr != end || n < 1 || n > max) {
+    throw std::invalid_argument(std::string(name) +
+                                " must be a whole number >= 1, got '" + v +
+                                "'");
+  }
+  return n;
 }
 }  // namespace
 
-std::uint64_t envOps(std::uint64_t def) { return envU64("DAOSIM_OPS", def); }
-
-int envReps(int def) {
-  return static_cast<int>(envU64("DAOSIM_REPS",
-                                 static_cast<std::uint64_t>(def)));
+std::uint64_t envOps(std::uint64_t def) {
+  return envCount("DAOSIM_OPS", def,
+                  std::numeric_limits<std::uint64_t>::max());
 }
 
-bool envFullGrid() { return envU64("DAOSIM_FULL_GRID", 0) != 0; }
+int envReps(int def) {
+  return static_cast<int>(envCount("DAOSIM_REPS",
+                                   static_cast<std::uint64_t>(def),
+                                   std::numeric_limits<int>::max()));
+}
+
+bool envFullGrid() {
+  const char* v = std::getenv("DAOSIM_FULL_GRID");
+  return v != nullptr && std::strtoull(v, nullptr, 10) != 0;
+}
 
 namespace {
 /// Per-op latency columns (p50/p95/p99/p99.9/max), in microseconds.

@@ -62,7 +62,9 @@ std::uint64_t scaledOps(int total_procs, std::uint64_t base_ops,
                         std::uint64_t total_target = 40000);
 
 /// Environment overrides: DAOSIM_OPS (per-process op base),
-/// DAOSIM_REPS (repetitions), DAOSIM_FULL_GRID (1 = larger grids).
+/// DAOSIM_REPS (repetitions), DAOSIM_FULL_GRID (1 = larger grids). A set
+/// DAOSIM_OPS or DAOSIM_REPS that is not a whole number >= 1 throws
+/// std::invalid_argument naming the variable.
 std::uint64_t envOps(std::uint64_t def = 1000);
 int envReps(int def = 3);
 bool envFullGrid();

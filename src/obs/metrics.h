@@ -33,6 +33,7 @@ std::string jsonEscape(const std::string& s);
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept { value_ += n; }
+  void set(std::uint64_t v) noexcept { value_ = v; }
   std::uint64_t value() const noexcept { return value_; }
 
  private:

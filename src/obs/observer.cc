@@ -157,13 +157,13 @@ LegId Observer::openLeg(OpId op) {
 
 void Observer::exportMetrics() {
   for (const auto& [type, agg] : op_types_) {
-    metrics_.counter("op." + type + ".count").inc(agg.count);
-    metrics_.histogram("op." + type + ".latency_ns").merge(agg.latency);
+    metrics_.counter("op." + type + ".count").set(agg.count);
+    metrics_.histogram("op." + type + ".latency_ns") = agg.latency;
     for (int c = 0; c < kCatCount; ++c) {
       if (agg.cat_ns[c] == 0) continue;
       metrics_.counter("op." + type + "." + catName(static_cast<Cat>(c)) +
                        "_ns")
-          .inc(agg.cat_ns[c]);
+          .set(agg.cat_ns[c]);
     }
   }
 }

@@ -121,7 +121,8 @@ class Observer {
 
   std::uint64_t opsStarted() const noexcept { return next_op_ - 1; }
 
-  /// Folds per-op-type aggregates into metrics() as `op.<type>.*` entries.
+  /// Writes per-op-type aggregates into metrics() as `op.<type>.*`
+  /// entries; calling it again gives the same registry.
   void exportMetrics();
 
   void writeChromeTrace(std::ostream& os) const;

@@ -1,51 +1,28 @@
-// Two-level event queue for the discrete-event kernel.
+// Event queue for the discrete-event kernel.
 //
 // The kernel's ordering contract is exact: events pop in (time, seq) order,
 // seq being the global push counter, so FIFO-within-timestamp determinism is
-// preserved bit for bit. The old implementation was a single binary heap;
-// this one splits events by temporal distance so the common cases are O(1):
+// preserved bit for bit. Two structures hold the events:
 //
-//   * now-FIFO   — events scheduled at exactly the current time (semaphore
-//                  hand-offs, barrier releases, join wake-ups, yields). Seq
-//                  order equals insertion order, so a flat FIFO suffices.
-//   * current window heap — events inside the bucket window that contains
-//                  the present; a small binary heap over (time, seq).
-//   * near ring  — kBuckets FIFO buckets of kWidth ns each covering the near
-//                  future; push is an unordered O(1) append, and a bucket is
-//                  heapified only when the kernel reaches its window.
-//   * far heap   — everything beyond the ring horizon. Sparse or very long
-//                  timers fall back here, giving graceful priority-queue
-//                  behavior when timestamps are too spread for the ring.
+//   * now-FIFO — events scheduled at exactly the current time (semaphore
+//                hand-offs, barrier releases, join wake-ups, yields). Seq
+//                order equals insertion order, so a flat FIFO suffices and
+//                these events never touch the heap.
+//   * heap     — every later event, in one binary min-heap over (time, seq).
 //
-// Ordering proof sketch: all stored events satisfy t >= now (the kernel
-// never schedules into the past). Events with t == now live either in the
-// now-FIFO or — when they were pushed before time advanced to t — in the
-// current window heap; pop takes the (t, seq) minimum of those two fronts.
-// Ring buckets cover windows strictly after the current one and the far heap
-// holds only times at or beyond the ring horizon (advance() re-distributes
-// far events whenever the horizon moves), so inter-level order is total.
+// Every stored event satisfies t >= now (the kernel never schedules into the
+// past) and the FIFO holds only t == now, so pop takes the (t, seq) minimum
+// of the two fronts. A heap event can share the FIFO's timestamp when it was
+// pushed before the clock reached it; the seq compare orders the two.
 //
-// Adaptive single-window bypass: when every stored event lives in the
-// current window heap (now-FIFO drained, ring and far heap empty), the
-// queue behaves exactly like a bare binary heap, and the level checks on
-// push/pop are pure overhead — the dense-timer regression in
-// BENCH_kernel.json (events_per_sec/64). `bypass_` caches that state:
-// while set, push appends straight to the window heap and pop takes its
-// front with no FIFO or advance() checks, re-anchoring the window at each
-// popped timestamp so the fast path tracks the clock indefinitely. The
-// flag drops on the first event that leaves the single-window world (a
-// t == now push, an out-of-window push) and is re-armed on the slow pop
-// path whenever the other levels are observed empty again, so mixed
-// workloads pay one predictable branch and dense-timer workloads get the
-// bare heap back.
+// Both structures are measured choices: DESIGN.md §11 gives the end-to-end
+// A/B runs against a bare heap and against more levels.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/time.h"
@@ -61,96 +38,50 @@ class EventQueue {
     std::coroutine_handle<> h;
   };
 
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return fifoEmpty() && heap_.empty(); }
+  std::size_t size() const noexcept {
+    return fifo_.size() - fifo_head_ + heap_.size();
+  }
 
   /// Pushes an event; `now` is the kernel's current time and `t >= now`,
   /// `seq` strictly increasing across pushes.
   void push(Time now, Time t, std::uint64_t seq, std::coroutine_handle<> h) {
     assert(t >= now);
-    ++size_;
-    if (bypass_) {
-      if (t != now && t - win_lo_ < kWidth) [[likely]] {
-        cur_.push_back(Item{t, seq, h});
-        std::push_heap(cur_.begin(), cur_.end(), After{});
-        return;
-      }
-      bypass_ = false;
-    }
-    if (t == now) {
-      assert(fifoEmpty() || fifo_time_ == now);
-      if (fifoEmpty()) {
-        now_fifo_.clear();
-        fifo_head_ = 0;
-      }
-      fifo_time_ = now;
-      now_fifo_.push_back(Item{t, seq, h});
+    if (t != now) {
+      heap_.push_back(Item{t, seq, h});
+      std::push_heap(heap_.begin(), heap_.end(), After{});
       return;
     }
-    place(Item{t, seq, h});
+    assert(fifoEmpty() || fifo_[fifo_head_].t == now);
+    if (fifoEmpty()) {  // reuse the drained storage from index zero
+      fifo_.clear();
+      fifo_head_ = 0;
+    }
+    fifo_.push_back(Item{t, seq, h});
   }
 
   /// Pops the (time, seq)-minimum event. Queue must be non-empty.
   Item pop() {
-    assert(size_ > 0);
-    if (bypass_) [[likely]] {
-      assert(!cur_.empty());
-      std::pop_heap(cur_.begin(), cur_.end(), After{});
-      const Item e = cur_.back();
-      cur_.pop_back();
-      --size_;
-      // Slide the window with the clock so in-window pushes keep taking the
-      // fast path. Remaining heap events all satisfy t >= e.t and
-      // t < old win_lo_ + kWidth <= new win_lo_ + kWidth, so re-anchoring
-      // the (bucket-aligned) window at e.t preserves containment and the
-      // slow path can take over at any moment without redistribution.
-      win_lo_ = e.t / kWidth * kWidth;
-      return e;
+    assert(!empty());
+    if (!fifoEmpty() &&
+        (heap_.empty() || After{}(heap_.front(), fifo_[fifo_head_]))) {
+      return fifo_[fifo_head_++];
     }
-    if (fifoEmpty() && cur_.empty()) advance();
-    Item e;
-    const bool take_fifo =
-        !fifoEmpty() &&
-        (cur_.empty() || After{}(cur_.front(), now_fifo_[fifo_head_]));
-    if (take_fifo) {
-      e = now_fifo_[fifo_head_];
-      ++fifo_head_;
-    } else {
-      std::pop_heap(cur_.begin(), cur_.end(), After{});
-      e = cur_.back();
-      cur_.pop_back();
-    }
-    --size_;
-    if (fifoEmpty() && ring_count_ == 0 && far_.empty()) bypass_ = true;
+    std::pop_heap(heap_.begin(), heap_.end(), After{});
+    const Item e = heap_.back();
+    heap_.pop_back();
     return e;
   }
 
   /// Timestamp of the next event to pop. Queue must be non-empty.
   Time nextTime() const {
-    assert(size_ > 0);
-    if (!fifoEmpty()) return fifo_time_;  // minimal: all others >= now
-    if (!cur_.empty()) return cur_.front().t;
-    if (ring_count_ > 0) {
-      const auto& b = ring_[nextSlot(slotOf(win_lo_))];
-      Time t = b.front().t;
-      for (const Item& e : b) {
-        if (e.t < t) t = e.t;
-      }
-      return t;
-    }
-    return far_.top().t;
+    assert(!empty());
+    if (fifoEmpty()) return heap_.front().t;
+    if (heap_.empty()) return fifo_[fifo_head_].t;
+    return std::min(fifo_[fifo_head_].t, heap_.front().t);
   }
 
  private:
-  // 64 Ki-ns buckets, 512 of them: sub-microsecond timers (semaphore waits,
-  // NIC transfers) almost never cross a window edge, and the ring still
-  // covers ~33 ms of future — device service times and think times included.
-  // Coarser timers overflow to the far heap.
-  static constexpr Time kWidth = 65536;
-  static constexpr std::size_t kBuckets = 512;
-  static constexpr Time kHorizon = kWidth * static_cast<Time>(kBuckets);
-  static constexpr std::size_t kWords = kBuckets / 64;
-
   /// "a comes after b": heap comparator yielding a (time, seq) min-front.
   struct After {
     bool operator()(const Item& a, const Item& b) const noexcept {
@@ -158,94 +89,13 @@ class EventQueue {
     }
   };
 
-  static std::size_t slotOf(Time t) noexcept {
-    return static_cast<std::size_t>(t / kWidth) % kBuckets;
-  }
+  bool fifoEmpty() const noexcept { return fifo_head_ == fifo_.size(); }
 
-  /// Next populated ring slot strictly after `s0`, circularly. Requires
-  /// ring_count_ > 0; a couple of word scans thanks to the occupancy bitmap.
-  std::size_t nextSlot(std::size_t s0) const noexcept {
-    std::size_t s = (s0 + 1) % kBuckets;
-    const std::size_t w0 = s >> 6;
-    if (const std::uint64_t word = bits_[w0] >> (s & 63); word != 0) {
-      return s + static_cast<std::size_t>(std::countr_zero(word));
-    }
-    for (std::size_t k = 1; k <= kWords; ++k) {
-      const std::size_t w = (w0 + k) % kWords;
-      if (bits_[w] != 0) {
-        return (w << 6) + static_cast<std::size_t>(std::countr_zero(bits_[w]));
-      }
-    }
-    assert(false && "ring_count_ > 0 but occupancy bitmap empty");
-    return s0;
-  }
-
-  /// Files a future (t > now) event into window heap, ring, or far heap.
-  void place(Item e) {
-    assert(e.t >= win_lo_);
-    if (e.t < win_lo_ + kWidth) {
-      cur_.push_back(e);
-      std::push_heap(cur_.begin(), cur_.end(), After{});
-    } else if (e.t - win_lo_ < kHorizon) {
-      const std::size_t s = slotOf(e.t);
-      ring_[s].push_back(e);
-      bits_[s >> 6] |= 1ULL << (s & 63);
-      ++ring_count_;
-    } else {
-      far_.push(e);
-    }
-  }
-
-  /// Moves the current window forward to the next populated bucket (or to
-  /// the far heap's front when the ring is empty), then pulls far events
-  /// that the new horizon now covers back into the ring.
-  void advance() {
-    if (ring_count_ > 0) {
-      const std::size_t s0 = slotOf(win_lo_);
-      const std::size_t s = nextSlot(s0);
-      const std::size_t d = (s + kBuckets - s0) % kBuckets;
-      assert(d > 0);
-      win_lo_ += static_cast<Time>(d) * kWidth;
-      auto& b = ring_[s];
-      assert(!b.empty());
-      cur_.swap(b);
-      bits_[s >> 6] &= ~(1ULL << (s & 63));
-      ring_count_ -= cur_.size();
-      std::make_heap(cur_.begin(), cur_.end(), After{});
-      drainFar();
-      return;
-    }
-    assert(!far_.empty());
-    win_lo_ = (far_.top().t / kWidth) * kWidth;
-    drainFar();  // guaranteed to move far_.top() into the window heap
-  }
-
-  void drainFar() {
-    while (!far_.empty() && far_.top().t - win_lo_ < kHorizon) {
-      place(far_.top());
-      far_.pop();
-    }
-  }
-
-  bool fifoEmpty() const noexcept { return fifo_head_ == now_fifo_.size(); }
-
-  // Events at exactly the current time: a vector drained via a head index
-  // (cheaper empty-check than a deque, and the storage is reused once
-  // drained since the FIFO refills from index zero).
-  std::vector<Item> now_fifo_;
+  // Events at exactly the current time, drained via a head index (a cheaper
+  // empty check than a deque).
+  std::vector<Item> fifo_;
   std::size_t fifo_head_ = 0;
-  Time fifo_time_ = 0;
-  std::vector<Item> cur_;  // (time, seq) min-heap over [win_lo_, win_lo_+W)
-  Time win_lo_ = 0;
-  std::vector<Item> ring_[kBuckets];
-  std::uint64_t bits_[kWords] = {};  // per-slot non-empty occupancy bitmap
-  std::size_t ring_count_ = 0;
-  std::priority_queue<Item, std::vector<Item>, After> far_;
-  std::size_t size_ = 0;
-  // True iff every stored event is in cur_ (see "Adaptive single-window
-  // bypass" above); push/pop then skip the other levels entirely.
-  bool bypass_ = true;
-
+  std::vector<Item> heap_;  // (time, seq) min-heap of events pushed for later
 };
 
 }  // namespace daosim::sim

@@ -228,6 +228,7 @@ TEST(SweepTest, GridAndScaling) {
   EXPECT_EQ(scaledOps(1, 1000, 40000), 1000u);    // capped at base
   EXPECT_EQ(scaledOps(512, 1000, 40000), 78u);    // scaled down
   EXPECT_EQ(scaledOps(4000, 1000, 40000), 50u);   // floor
+  EXPECT_EQ(scaledOps(256, 20, 40000), 20u);      // base below the floor
 }
 
 // Headline calibration: the paper's 16-server DAOS system reaches ~60 GiB/s

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "apps/runner.h"
 #include "apps/sweep.h"
@@ -347,6 +348,15 @@ TEST(AppsCorners, EnvOverridesParse) {
   unsetenv("DAOSIM_REPS");
   EXPECT_EQ(apps::envOps(55), 55u);
   EXPECT_EQ(apps::envReps(3), 3);
+  // Anything but a whole number >= 1 is rejected, not read as 0.
+  for (const char* bad : {"0", "abc", "12abc", "-5", " 7"}) {
+    setenv("DAOSIM_OPS", bad, 1);
+    EXPECT_THROW(apps::envOps(), std::invalid_argument) << bad;
+    setenv("DAOSIM_REPS", bad, 1);
+    EXPECT_THROW(apps::envReps(), std::invalid_argument) << bad;
+  }
+  unsetenv("DAOSIM_OPS");
+  unsetenv("DAOSIM_REPS");
 }
 
 TEST(AppsCorners, PrintSeriesFormatsRows) {

@@ -356,6 +356,10 @@ TEST(TraceRoundTrip, MetricsExportAggregatesOps) {
   EXPECT_GT(wr.cat_ns[static_cast<int>(obs::Cat::kDevice)], 0u);
 
   obs.exportMetrics();
+  obs.exportMetrics();  // idempotent: a second export must not double counts
+  EXPECT_EQ(obs.metrics().counters().at("op.array.write.count").value(), 1u);
+  EXPECT_EQ(obs.metrics().histograms().at("op.array.write.latency_ns").count(),
+            1u);
   std::ostringstream os;
   obs.metrics().writeCsv(os);
   EXPECT_NE(os.str().find("op.array.write.count"), std::string::npos);

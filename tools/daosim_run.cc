@@ -538,10 +538,8 @@ int main(int argc, char** argv) {
       std::ofstream f(o.trace_file);
       observer.writeChromeTrace(f);
     }
-    bool metrics_exported = false;
     if (!o.metrics_file.empty()) {
       observer.exportMetrics();
-      metrics_exported = true;
       std::ofstream f(o.metrics_file);
       const std::string& mf = o.metrics_file;
       if (mf.size() >= 5 && mf.compare(mf.size() - 5, 5, ".json") == 0) {
@@ -553,7 +551,7 @@ int main(int argc, char** argv) {
     if (!o.telemetry_file.empty() || o.stats) {
       // Splice the last rep's op.* layer aggregates into the dump so the
       // analyzer can attribute wall-clock share per layer.
-      if (!metrics_exported) observer.exportMetrics();
+      observer.exportMetrics();
       const obs::MetricsRegistry* extra = &observer.metrics();
       obs::TelemetryHub& hub = obs::TelemetryHub::global();
       if (!o.telemetry_file.empty()) {
