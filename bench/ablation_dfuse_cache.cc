@@ -49,7 +49,8 @@ class RereadBench final : public apps::SpmdBenchmark {
   int passes_;
 };
 
-apps::RunResult runPoint(bool caches, SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runPoint(bool caches, SweepPoint pt, std::uint64_t seed,
+                         obs::Observer* observer) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
@@ -63,7 +64,7 @@ apps::RunResult runPoint(bool caches, SweepPoint pt, std::uint64_t seed) {
                     apps::scaledOps(pt.totalProcs(), apps::envOps(200), 8000),
                     /*passes=*/3);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace
@@ -71,12 +72,14 @@ apps::RunResult runPoint(bool caches, SweepPoint pt, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const auto grid = apps::crossGrid({4, 16}, {8});
   bench::registerSweep("dfuse-no-cache(paper)", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runPoint(false, pt, seed);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runPoint(false, pt, seed, observer);
                        });
   bench::registerSweep("dfuse-all-caches", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runPoint(true, pt, seed);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runPoint(true, pt, seed, observer);
                        });
   return bench::benchMain(
       argc, argv, "Ablation: DFUSE caching on a re-read workload (3 passes)");

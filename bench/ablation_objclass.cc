@@ -17,7 +17,7 @@ using apps::SweepPoint;
 using placement::ObjClass;
 
 apps::RunResult runPoint(ObjClass oclass, bool shared, SweepPoint pt,
-                         std::uint64_t seed) {
+                         std::uint64_t seed, obs::Observer* observer) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
@@ -31,7 +31,7 @@ apps::RunResult runPoint(ObjClass oclass, bool shared, SweepPoint pt,
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 40000);
   apps::Ior bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace
@@ -44,14 +44,16 @@ int main(int argc, char** argv) {
   };
   for (const auto& [name, oc] : classes) {
     bench::registerSweep(std::string("ior-fpp-") + name, grid,
-                         [oc = oc](SweepPoint pt, std::uint64_t seed) {
-                           return runPoint(oc, false, pt, seed);
+                         [oc = oc](SweepPoint pt, std::uint64_t seed,
+                                   obs::Observer* observer) {
+                           return runPoint(oc, false, pt, seed, observer);
                          });
   }
   for (const auto& [name, oc] : classes) {
     bench::registerSweep(std::string("ior-shared-") + name, grid,
-                         [oc = oc](SweepPoint pt, std::uint64_t seed) {
-                           return runPoint(oc, true, pt, seed);
+                         [oc = oc](SweepPoint pt, std::uint64_t seed,
+                                   obs::Observer* observer) {
+                           return runPoint(oc, true, pt, seed, observer);
                          });
   }
   return bench::benchMain(

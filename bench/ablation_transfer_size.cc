@@ -19,7 +19,8 @@ using apps::DaosTestbed;
 using apps::SweepPoint;
 
 apps::RunResult runPoint(std::string api, std::uint64_t transfer,
-                         SweepPoint pt, std::uint64_t seed) {
+                         SweepPoint pt, std::uint64_t seed,
+                         obs::Observer* observer) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
@@ -36,7 +37,7 @@ apps::RunResult runPoint(std::string api, std::uint64_t transfer,
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(4000), total_ops);
   apps::Ior bench(tb.ioEnv(), api, cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace
@@ -49,12 +50,16 @@ int main(int argc, char** argv) {
     const SweepPoint pt{kClients, kPpn};
     const std::string suffix = std::to_string(kib) + "KiB";
     bench::registerSweep("ior-daos-array-" + suffix, {pt},
-                         [kib](SweepPoint p, std::uint64_t seed) {
-                           return runPoint("daos-array", kib << 10, p, seed);
+                         [kib](SweepPoint p, std::uint64_t seed,
+                               obs::Observer* observer) {
+                           return runPoint("daos-array", kib << 10, p, seed,
+                                           observer);
                          });
     bench::registerSweep("ior-dfuse-" + suffix, {pt},
-                         [kib](SweepPoint p, std::uint64_t seed) {
-                           return runPoint("dfuse", kib << 10, p, seed);
+                         [kib](SweepPoint p, std::uint64_t seed,
+                               obs::Observer* observer) {
+                           return runPoint("dfuse", kib << 10, p, seed,
+                                           observer);
                          });
   }
   return bench::benchMain(argc, argv,

@@ -18,7 +18,7 @@ using apps::IorConfig;
 using apps::SweepPoint;
 
 apps::RunResult runPoint(std::string api, SweepPoint pt,
-                         std::uint64_t seed) {
+                         std::uint64_t seed, obs::Observer* observer) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
@@ -35,7 +35,7 @@ apps::RunResult runPoint(std::string api, SweepPoint pt,
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(1000));
   apps::Ior bench(tb.ioEnv(), api, cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace
@@ -50,8 +50,9 @@ int main(int argc, char** argv) {
   for (const char* api : {"daos-array", "dfs", "dfuse", "dfuse-il"}) {
     bench::registerSweep(std::string("ior-") + api, grid,
                          [api = std::string(api)](SweepPoint pt,
-                                                  std::uint64_t seed) {
-                           return runPoint(api, pt, seed);
+                                                  std::uint64_t seed,
+                                                  obs::Observer* observer) {
+                           return runPoint(api, pt, seed, observer);
                          });
   }
   return bench::benchMain(

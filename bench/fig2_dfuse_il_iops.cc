@@ -17,7 +17,7 @@ using apps::IorConfig;
 using apps::SweepPoint;
 
 apps::RunResult runPoint(std::string api, SweepPoint pt,
-                         std::uint64_t seed) {
+                         std::uint64_t seed, obs::Observer* observer) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
@@ -35,7 +35,7 @@ apps::RunResult runPoint(std::string api, SweepPoint pt,
                             /*total_target=*/400000);
   apps::Ior bench(tb.ioEnv(), api, cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace
@@ -46,14 +46,14 @@ int main(int argc, char** argv) {
                         : apps::crossGrid({1, 4, 16}, {4, 16, 32});
   bench::registerSweep(
       "ior-dfuse-1KiB", grid,
-      [](SweepPoint pt, std::uint64_t seed) {
-        return runPoint("dfuse", pt, seed);
+      [](SweepPoint pt, std::uint64_t seed, obs::Observer* observer) {
+        return runPoint("dfuse", pt, seed, observer);
       },
       /*show_iops=*/true);
   bench::registerSweep(
       "ior-dfuse-il-1KiB", grid,
-      [](SweepPoint pt, std::uint64_t seed) {
-        return runPoint("dfuse-il", pt, seed);
+      [](SweepPoint pt, std::uint64_t seed, obs::Observer* observer) {
+        return runPoint("dfuse-il", pt, seed, observer);
       },
       /*show_iops=*/true);
   return bench::benchMain(argc, argv,

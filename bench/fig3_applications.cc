@@ -31,34 +31,36 @@ DaosTestbed::Options options16(SweepPoint pt, std::uint64_t seed,
 }
 
 apps::RunResult runHdf5(std::string api, SweepPoint pt,
-                        std::uint64_t seed) {
+                        std::uint64_t seed, obs::Observer* observer) {
   DaosTestbed tb(options16(pt, seed, api == "hdf5"));
   apps::IorConfig cfg;
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(1000),
                             /*total_target=*/20000);
   apps::Ior bench(tb.ioEnv(), api, cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
-apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed,
+                           obs::Observer* observer) {
   DaosTestbed tb(options16(pt, seed, false));
   apps::FieldIoConfig cfg;
   cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000),
                                /*total_target=*/20000);
   apps::FieldIo bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
-apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed,
+                       obs::Observer* observer) {
   DaosTestbed tb(options16(pt, seed, false));
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000),
                                /*total_target=*/20000);
   apps::Fdb bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace
@@ -72,12 +74,14 @@ int main(int argc, char** argv) {
                             : apps::crossGrid({1, 4, 16, 32}, {4, 16});
 
   bench::registerSweep("ior-hdf5", ior_grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runHdf5("hdf5", pt, seed);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runHdf5("hdf5", pt, seed, observer);
                        });
   bench::registerSweep("ior-hdf5-daos", ior_grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runHdf5("hdf5-daos", pt, seed);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runHdf5("hdf5-daos", pt, seed, observer);
                        });
   bench::registerSweep("fieldio", app_grid, runFieldIo);
   bench::registerSweep("fdb-hammer-daos", app_grid, runFdb);

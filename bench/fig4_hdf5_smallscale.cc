@@ -17,7 +17,7 @@ using apps::IorConfig;
 using apps::SweepPoint;
 
 apps::RunResult runPoint(std::string api, SweepPoint pt,
-                         std::uint64_t seed) {
+                         std::uint64_t seed, obs::Observer* observer) {
   DaosTestbed::Options opt;
   opt.server_nodes = 4;
   opt.client_nodes = pt.client_nodes;
@@ -30,7 +30,7 @@ apps::RunResult runPoint(std::string api, SweepPoint pt,
                             /*total_target=*/20000);
   apps::Ior bench(tb.ioEnv(), api, cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace
@@ -40,12 +40,14 @@ int main(int argc, char** argv) {
                         ? apps::crossGrid({1, 2, 4, 8, 16}, {1, 4, 16, 32})
                         : apps::crossGrid({1, 4, 16}, {4, 16, 32});
   bench::registerSweep("ior-daos-array-4srv", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runPoint("daos-array", pt, seed);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runPoint("daos-array", pt, seed, observer);
                        });
   bench::registerSweep("ior-hdf5-daos-4srv", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runPoint("hdf5-daos", pt, seed);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runPoint("hdf5-daos", pt, seed, observer);
                        });
   return bench::benchMain(
       argc, argv,

@@ -41,15 +41,16 @@ DaosTestbed makeTestbed(int servers, std::uint64_t seed, bool with_dfuse) {
 }
 
 apps::RunResult runOn(DaosTestbed& tb, const std::string& label,
-                      apps::SpmdBenchmark& bench) {
+                      apps::SpmdBenchmark& bench, obs::Observer* observer) {
   apps::ScopedRunTelemetry telem(tb.sim(), label);
   if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
-  return apps::runSpmd(tb.sim(), tb.clientSubset(kClients), kPpn, bench);
+  return apps::runSpmd(tb.sim(), tb.clientSubset(kClients), kPpn, bench,
+                       observer);
 }
 
 // The sweep "client_nodes" column carries the *server* count here.
 apps::RunResult runIor(std::string api, SweepPoint pt,
-                       std::uint64_t seed) {
+                       std::uint64_t seed, obs::Observer* observer) {
   const bool needs_dfuse =
       api == "dfuse" || api == "dfuse-il" || api == "hdf5";
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, needs_dfuse);
@@ -58,23 +59,25 @@ apps::RunResult runIor(std::string api, SweepPoint pt,
   cfg.ops = apps::scaledOps(kClients * kPpn, apps::envOps(1000),
                             hdf5 ? 20000 : 40000);
   apps::Ior bench(tb.ioEnv(), api, cfg);
-  return runOn(tb, runLabel("ior-" + api, pt, seed), bench);
+  return runOn(tb, runLabel("ior-" + api, pt, seed), bench, observer);
 }
 
-apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed,
+                           obs::Observer* observer) {
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, false);
   apps::FieldIoConfig cfg;
   cfg.fields = apps::scaledOps(kClients * kPpn, apps::envOps(1000), 20000);
   apps::FieldIo bench(tb.ioEnv(), "daos-array", cfg);
-  return runOn(tb, runLabel("fieldio", pt, seed), bench);
+  return runOn(tb, runLabel("fieldio", pt, seed), bench, observer);
 }
 
-apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed,
+                       obs::Observer* observer) {
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, false);
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(kClients * kPpn, apps::envOps(1000), 20000);
   apps::Fdb bench(tb.ioEnv(), "daos-array", cfg);
-  return runOn(tb, runLabel("fdb-hammer-daos", pt, seed), bench);
+  return runOn(tb, runLabel("fdb-hammer-daos", pt, seed), bench, observer);
 }
 
 }  // namespace
@@ -91,8 +94,9 @@ int main(int argc, char** argv) {
        {"daos-array", "dfs", "dfuse", "dfuse-il", "hdf5", "hdf5-daos"}) {
     bench::registerSweep(
         std::string("ior-") + api, servers,
-        [api = std::string(api)](SweepPoint pt, std::uint64_t seed) {
-          return runIor(api, pt, seed);
+        [api = std::string(api)](SweepPoint pt, std::uint64_t seed,
+                                 obs::Observer* observer) {
+          return runIor(api, pt, seed, observer);
         },
         /*show_iops=*/false, /*col1=*/"servers");
   }

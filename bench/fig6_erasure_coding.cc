@@ -30,18 +30,20 @@ DaosTestbed::Options options16(SweepPoint pt, std::uint64_t seed) {
   return opt;
 }
 
-apps::RunResult runIor(ObjClass oclass, SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runIor(ObjClass oclass, SweepPoint pt, std::uint64_t seed,
+                       obs::Observer* observer) {
   DaosTestbed tb(options16(pt, seed));
   apps::IorConfig cfg;
   cfg.oclass = oclass;
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 40000);
   apps::Ior bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 apps::RunResult runFdb(ObjClass array_oclass, ObjClass kv_oclass,
-                       SweepPoint pt, std::uint64_t seed) {
+                       SweepPoint pt, std::uint64_t seed,
+                       obs::Observer* observer) {
   DaosTestbed tb(options16(pt, seed));
   apps::FdbConfig cfg;
   cfg.array_oclass = array_oclass;
@@ -49,7 +51,7 @@ apps::RunResult runFdb(ObjClass array_oclass, ObjClass kv_oclass,
   cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 20000);
   apps::Fdb bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace
@@ -60,27 +62,32 @@ int main(int argc, char** argv) {
                         : apps::crossGrid({4, 16}, {16, 32});
 
   bench::registerSweep("ior-libdaos-ec2p1", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runIor(ObjClass::EC_2P1GX, pt, seed);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runIor(ObjClass::EC_2P1GX, pt, seed, observer);
                        });
   bench::registerSweep("fdb-daos-ec2p1(kv-rp2)", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
                          return runFdb(ObjClass::EC_2P1G1, ObjClass::RP_2G1,
-                                       pt, seed);
+                                       pt, seed, observer);
                        });
   bench::registerSweep("ior-libdaos-rp2", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runIor(ObjClass::RP_2GX, pt, seed);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runIor(ObjClass::RP_2GX, pt, seed, observer);
                        });
   bench::registerSweep("fdb-daos-rp2", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
                          return runFdb(ObjClass::RP_2G1, ObjClass::RP_2G1, pt,
-                                       seed);
+                                       seed, observer);
                        });
   // No-redundancy reference series for the ratios.
   bench::registerSweep("ior-libdaos-none", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runIor(ObjClass::SX, pt, seed);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runIor(ObjClass::SX, pt, seed, observer);
                        });
   return bench::benchMain(
       argc, argv, "E6/E10 / Fig. 6 + §III-D: redundancy on 16-server DAOS");

@@ -25,24 +25,26 @@ LustreTestbed::Options options16(SweepPoint pt, std::uint64_t seed) {
   return opt;
 }
 
-apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed,
+                       obs::Observer* observer) {
   LustreTestbed tb(options16(pt, seed));
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 20000);
   apps::Fdb bench(tb.ioEnv(/*stripe_count=*/8, /*stripe_size=*/8 << 20),
                   "lustre-posix", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
-apps::RunResult runIor(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runIor(SweepPoint pt, std::uint64_t seed,
+                       obs::Observer* observer) {
   LustreTestbed tb(options16(pt, seed));
   apps::IorConfig cfg;
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 40000);
   apps::Ior bench(tb.ioEnv(/*stripe_count=*/8, /*stripe_size=*/8 << 20),
                   "lustre-posix", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace

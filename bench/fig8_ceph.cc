@@ -29,22 +29,24 @@ CephTestbed::Options options16(SweepPoint pt, std::uint64_t seed,
   return opt;
 }
 
-apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed, int pg_count) {
+apps::RunResult runFdb(int pg_count, SweepPoint pt, std::uint64_t seed,
+                       obs::Observer* observer) {
   CephTestbed tb(options16(pt, seed, pg_count));
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 20000);
   apps::Fdb bench(tb.ioEnv(), "rados", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
-apps::RunResult runIor(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runIor(SweepPoint pt, std::uint64_t seed,
+                       obs::Observer* observer) {
   CephTestbed tb(options16(pt, seed));
   apps::IorConfig cfg;
   cfg.ops = 100;  // fits the per-process object within 132 MiB
   apps::Ior bench(tb.ioEnv(), "rados", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace
@@ -54,16 +56,18 @@ int main(int argc, char** argv) {
                         ? apps::crossGrid({1, 4, 16, 32}, {1, 4, 16, 32})
                         : apps::crossGrid({4, 16, 32}, {4, 16});
   bench::registerSweep("fdb-hammer-rados-pg1024", grid,
-                       [](SweepPoint pt, std::uint64_t seed) {
-                         return runFdb(pt, seed, 1024);
+                       [](SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
+                         return runFdb(1024, pt, seed, observer);
                        });
   bench::registerSweep("ior-rados", grid, runIor);
   // PG ablation (the paper tuned PGs and found 1024 optimal).
   const auto ablation = apps::crossGrid({16}, {16});
   for (int pgs : {64, 256, 1024}) {
     bench::registerSweep("fdb-rados-pg" + std::to_string(pgs), ablation,
-                         [pgs](SweepPoint pt, std::uint64_t seed) {
-                           return runFdb(pt, seed, pgs);
+                         [pgs](SweepPoint pt, std::uint64_t seed,
+                               obs::Observer* observer) {
+                           return runFdb(pgs, pt, seed, observer);
                          });
   }
   return bench::benchMain(

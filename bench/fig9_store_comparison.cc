@@ -21,7 +21,8 @@ std::uint64_t fieldsFor(SweepPoint pt) {
   return apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 20000);
 }
 
-apps::RunResult runDaos(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runDaos(SweepPoint pt, std::uint64_t seed,
+                        obs::Observer* observer) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = kClients;
@@ -32,10 +33,11 @@ apps::RunResult runDaos(SweepPoint pt, std::uint64_t seed) {
   cfg.fields = fieldsFor(pt);
   apps::Fdb bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(kClients),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
-apps::RunResult runLustre(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runLustre(SweepPoint pt, std::uint64_t seed,
+                          obs::Observer* observer) {
   apps::LustreTestbed::Options opt;
   opt.oss_nodes = 16;
   opt.client_nodes = kClients;
@@ -45,10 +47,11 @@ apps::RunResult runLustre(SweepPoint pt, std::uint64_t seed) {
   cfg.fields = fieldsFor(pt);
   apps::Fdb bench(tb.ioEnv(8, 8 << 20), "lustre-posix", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(kClients),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
-apps::RunResult runCeph(SweepPoint pt, std::uint64_t seed) {
+apps::RunResult runCeph(SweepPoint pt, std::uint64_t seed,
+                        obs::Observer* observer) {
   apps::CephTestbed::Options opt;
   opt.osd_nodes = 16;
   opt.client_nodes = kClients;
@@ -58,7 +61,7 @@ apps::RunResult runCeph(SweepPoint pt, std::uint64_t seed) {
   cfg.fields = fieldsFor(pt);
   apps::Fdb bench(tb.ioEnv(), "rados", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(kClients),
-                       pt.procs_per_node, bench);
+                       pt.procs_per_node, bench, observer);
 }
 
 }  // namespace

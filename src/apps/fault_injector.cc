@@ -72,15 +72,6 @@ void FaultInjector::registerTelemetry(obs::Telemetry& telemetry) {
   });
 }
 
-sim::Task<void> FaultInjector::quiesce() {
-  // procs_ grows while we join (exclusions spawn rebuilds), so index-loop
-  // over the live vector rather than iterating a snapshot.
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    sim::ProcHandle h = procs_[i];  // joining may reallocate procs_
-    co_await h.join();
-  }
-}
-
 void FaultInjector::rethrowIfFailed() const {
   for (const sim::ProcHandle& h : procs_) {
     if (h.failed()) std::rethrow_exception(h.error());

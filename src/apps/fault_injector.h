@@ -65,11 +65,6 @@ class FaultInjector {
   const sim::FaultPlan& plan() const noexcept { return plan_; }
   const FaultStats& stats() const noexcept { return stats_; }
 
-  /// Awaits every process the injector spawned (driver, link restores,
-  /// stalls, background rebuilds), rethrowing the first failure. Call from
-  /// a simulated process when the workload must observe rebuild completion.
-  sim::Task<void> quiesce();
-
   /// Rethrows the first exception any injector-spawned process died with
   /// (call after sim.run(); detached processes otherwise swallow errors).
   void rethrowIfFailed() const;

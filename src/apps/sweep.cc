@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace daosim::apps {
 
@@ -42,33 +43,46 @@ std::uint64_t scaledOps(int total_procs, std::uint64_t base_ops,
 }
 
 namespace {
-/// A positive count from the environment, `def` when unset or empty. Any
-/// other value that is not a whole decimal number in [1, max] throws.
-std::uint64_t envCount(const char* name, std::uint64_t def,
-                       std::uint64_t max) {
+/// A count from the environment, `def` when unset or empty. Any other value
+/// that is not a whole decimal number in [lo, hi] throws.
+std::uint64_t envCount(const char* name, std::uint64_t def, std::uint64_t lo,
+                       std::uint64_t hi) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
   const char* end = v + std::strlen(v);
   std::uint64_t n = 0;
   const auto [ptr, ec] = std::from_chars(v, end, n);
-  if (ec != std::errc{} || ptr != end || n < 1 || n > max) {
+  if (ec != std::errc{} || ptr != end || n < lo || n > hi) {
     throw std::invalid_argument(std::string(name) +
-                                " must be a whole number >= 1, got '" + v +
-                                "'");
+                                " must be a whole number >= " +
+                                std::to_string(lo) + ", got '" + v + "'");
   }
   return n;
 }
+
+constexpr auto kIntMax =
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
 }  // namespace
 
 std::uint64_t envOps(std::uint64_t def) {
-  return envCount("DAOSIM_OPS", def,
+  return envCount("DAOSIM_OPS", def, 1,
                   std::numeric_limits<std::uint64_t>::max());
 }
 
 int envReps(int def) {
-  return static_cast<int>(envCount("DAOSIM_REPS",
-                                   static_cast<std::uint64_t>(def),
-                                   std::numeric_limits<int>::max()));
+  return static_cast<int>(
+      envCount("DAOSIM_REPS", static_cast<std::uint64_t>(def), 1, kIntMax));
+}
+
+int envJobs() {
+  const auto jobs = static_cast<int>(envCount("DAOSIM_JOBS", 0, 0, kIntMax));
+  if (jobs > 0) return jobs;
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+std::size_t envExemplars() {
+  return static_cast<std::size_t>(
+      envCount("DAOSIM_EXEMPLARS", 0, 0, kIntMax));
 }
 
 bool envFullGrid() {

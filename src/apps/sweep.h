@@ -3,6 +3,7 @@
 // (mean ± stddev over 3 runs, as in §II), and table printing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -68,6 +69,14 @@ std::uint64_t scaledOps(int total_procs, std::uint64_t base_ops,
 std::uint64_t envOps(std::uint64_t def = 1000);
 int envReps(int def = 3);
 bool envFullGrid();
+
+/// DAOSIM_JOBS: threads for a sweep's independent runs (sim::parallelMap);
+/// unset, empty or 0 means hardware concurrency. DAOSIM_EXEMPLARS: K slowest
+/// ops per op type to keep; unset, empty or 0 means off. Any other value
+/// that is not a whole number throws std::invalid_argument naming the
+/// variable.
+int envJobs();
+std::size_t envExemplars();
 
 /// Paper-style table: one row per point with write/read mean ± stddev.
 void printSeries(std::ostream& os, const Series& series,

@@ -73,10 +73,10 @@ sim::Task<void> extentWriteOp(Client* client, vos::ContId cont, ObjectId oid,
   auto rpc = client->beginLeg(op, "rpc.extent_write");
   const obs::OpId rop = rpc.ctx();
   co_await net::request(cluster, client->node(), engine->node(),
-                        data.size(), rp, rop);
+                        data.size(), rop, rp);
   co_await engine->extentWrite(local, cont, oid, dkey, akey, offset,
                                std::move(data), rop);
-  co_await net::respond(cluster, engine->node(), client->node(), 0, rp, rop);
+  co_await net::respond(cluster, engine->node(), client->node(), 0, rop, rp);
 }
 
 /// One extent-read RPC to a pool-global target.
@@ -90,11 +90,11 @@ sim::Task<vos::Payload> fetchOp(Client* client, vos::ContId cont,
   auto rpc = client->beginLeg(op, "rpc.fetch");
   const obs::OpId rop = rpc.ctx();
   co_await net::request(cluster, client->node(), engine->node(),
-                        0, rp, rop);
+                        0, rop, rp);
   vos::Payload p = co_await engine->extentRead(local, cont, oid, dkey, akey,
                                                offset, length, rop);
-  co_await net::respond(cluster, engine->node(), client->node(), p.size(), rp,
-                        rop);
+  co_await net::respond(cluster, engine->node(), client->node(), p.size(), rop,
+                        rp);
   co_return p;
 }
 
@@ -109,10 +109,10 @@ sim::Task<void> truncateShardOp(Client* client, vos::ContId cont,
   auto rpc = client->beginLeg(op, "rpc.truncate");
   const obs::OpId rop = rpc.ctx();
   co_await net::request(cluster, client->node(), engine->node(),
-                        0, rp, rop);
+                        0, rop, rp);
   co_await engine->arrayShardTruncate(local, cont, oid, chunk_size, new_size,
                                       rop);
-  co_await net::respond(cluster, engine->node(), client->node(), 0, rp, rop);
+  co_await net::respond(cluster, engine->node(), client->node(), 0, rop, rp);
 }
 
 sim::Task<void> fetchInto(Client* client, vos::ContId cont, ObjectId oid,
@@ -151,9 +151,10 @@ sim::Task<void> metaPutOp(Client* client, vos::ContId cont, ObjectId oid,
   hw::Cluster& cluster = client->system().cluster();
   const net::RetryPolicy& rp = client->system().config().rpc_retry;
   co_await net::request(cluster, client->node(), engine->node(),
-                        meta.size(), rp);
+                        meta.size(), /*op=*/0, rp);
   co_await engine->valuePut(local, cont, oid, kMetaDkey, "0", std::move(meta));
-  co_await net::respond(cluster, engine->node(), client->node(), 0, rp);
+  co_await net::respond(cluster, engine->node(), client->node(), 0,
+                        /*op=*/0, rp);
 }
 
 }  // namespace
@@ -188,12 +189,12 @@ sim::Task<Array> Array::open(Client& client, Container cont, ObjectId oid) {
     auto [engine, local] =
         client.system().locateTarget(layout.target(0, m));
     co_await net::request(cluster, client.node(), engine->node(),
-                          0, rp);
+                          0, /*op=*/0, rp);
     Engine::GetResult r;
     try {
       r = co_await engine->valueGet(local, cont.id, oid, kMetaDkey, "0");
       co_await net::respond(cluster, engine->node(), client.node(),
-                            r.value.size(), rp);
+                            r.value.size(), /*op=*/0, rp);
     } catch (const hw::DeviceFailed&) {
       if (m + 1 == layout.group_size) throw;
       client.system().noteDegradedRead();
@@ -460,10 +461,10 @@ sim::Task<void> Array::probeShardEnd(int target, std::uint64_t* out,
   auto rpc = client_->beginLeg(op, "rpc.probe");
   const obs::OpId rop = rpc.ctx();
   co_await net::request(cluster, client_->node(), engine->node(),
-                        0, rp, rop);
+                        0, rop, rp);
   *out = co_await engine->arrayShardEnd(local, cont_.id, oid_,
                                         attrs_.chunk_size, rop);
-  co_await net::respond(cluster, engine->node(), client_->node(), 16, rp, rop);
+  co_await net::respond(cluster, engine->node(), client_->node(), 16, rop, rp);
 }
 
 sim::Task<void> Array::probeShardEndReplicated(std::vector<int> replicas,
@@ -538,12 +539,13 @@ sim::Task<void> Array::setSize(std::uint64_t size) {
   hw::Cluster& cluster = client_->system().cluster();
   const net::RetryPolicy& rp = client_->system().config().rpc_retry;
   co_await net::request(cluster, client_->node(), engine->node(),
-                        0, rp);
+                        0, /*op=*/0, rp);
   Target& t = engine->target(local);
   co_await t.xstream().exec(engine->config().engine.rpc_cpu);
   co_await t.device().write(engine->config().engine.wal_bytes);
   t.store().extentTruncate(cont, oid, dkey, "0", in_chunk_end);
-  co_await net::respond(cluster, engine->node(), client_->node(), 0, rp);
+  co_await net::respond(cluster, engine->node(), client_->node(), 0,
+                        /*op=*/0, rp);
 }
 
 }  // namespace daosim::daos

@@ -38,7 +38,6 @@ class Client {
 
   DaosSystem& system() noexcept { return *system_; }
   hw::NodeId node() const noexcept { return node_; }
-  std::uint32_t clientId() const noexcept { return client_id_; }
   /// The simulation client-side delays (library CPU, reconstruction XOR)
   /// charge on.
   sim::Simulation& sim() noexcept { return system_->cluster().sim(); }
@@ -82,27 +81,6 @@ class Client {
   // as coroutine parameters (see net/rpc.h). RPCs are therefore written
   // inline as request leg -> engine work -> response leg; every coroutine
   // takes only plain data parameters.
-
-  /// Request leg of an RPC to a pool-global target; returns the engine and
-  /// local target index for the inline server work.
-  sim::Task<void> requestToTarget(int global_target,
-                                  std::uint64_t request_bytes,
-                                  obs::OpId op = 0) {
-    auto [engine, local] = system_->locateTarget(global_target);
-    (void)local;
-    co_await net::request(system_->cluster(), node_, engine->node(),
-                          request_bytes, system_->config().rpc_retry, op);
-  }
-
-  /// Response leg from a pool-global target back to this client.
-  sim::Task<void> respondFromTarget(int global_target,
-                                    std::uint64_t response_bytes,
-                                    obs::OpId op = 0) {
-    auto [engine, local] = system_->locateTarget(global_target);
-    (void)local;
-    co_await net::respond(system_->cluster(), engine->node(), node_,
-                          response_bytes, system_->config().rpc_retry, op);
-  }
 
   /// Opens an observability span for a client-API op on this client's
   /// track; inert (id 0) when no observer is attached.

@@ -52,15 +52,6 @@ sim::Task<Engine::GetResult> Engine::valueGet(int tgt, ContId c,
   co_return r;
 }
 
-sim::Task<std::pair<Engine::GetResult, std::uint64_t>> Engine::valueGetSized(
-    int tgt, ContId c, const ObjectId& o, std::string dkey, std::string akey,
-    obs::OpId op) {
-  GetResult g =
-      co_await valueGet(tgt, c, o, std::move(dkey), std::move(akey), op);
-  const std::uint64_t bytes = g.value.size();
-  co_return std::pair(std::move(g), bytes);
-}
-
 sim::Task<std::uint64_t> Engine::valueRemove(int tgt, ContId c,
                                              const ObjectId& o,
                                              std::string dkey,
@@ -95,15 +86,6 @@ sim::Task<Payload> Engine::extentRead(int tgt, ContId c, const ObjectId& o,
   // Only bytes that exist are read from flash; holes cost nothing.
   if (r.bytes_found > 0) co_await t.device().read(r.bytes_found, op);
   co_return std::move(r.data);
-}
-
-sim::Task<std::pair<Payload, std::uint64_t>> Engine::extentReadSized(
-    int tgt, ContId c, const ObjectId& o, std::string dkey, std::string akey,
-    std::uint64_t offset, std::uint64_t length, obs::OpId op) {
-  Payload p = co_await extentRead(tgt, c, o, std::move(dkey), std::move(akey),
-                                  offset, length, op);
-  const std::uint64_t bytes = p.size();
-  co_return std::pair(std::move(p), bytes);
 }
 
 sim::Task<std::uint64_t> Engine::arrayShardEnd(int tgt, ContId c,

@@ -68,11 +68,6 @@ class Engine {
                                 std::string dkey, std::string akey,
                                 obs::OpId op = 0);
 
-  /// valueGet paired with its response size (for callValue transports).
-  sim::Task<std::pair<GetResult, std::uint64_t>> valueGetSized(
-      int tgt, ContId c, const ObjectId& o, std::string dkey,
-      std::string akey, obs::OpId op = 0);
-
   sim::Task<std::uint64_t> valueRemove(int tgt, ContId c, const ObjectId& o,
                                        std::string dkey, std::string akey,
                                        obs::OpId op = 0);
@@ -89,12 +84,6 @@ class Engine {
                                 std::string dkey, std::string akey,
                                 std::uint64_t offset, std::uint64_t length,
                                 obs::OpId op = 0);
-
-  /// extentRead paired with its response size (for callValue transports).
-  sim::Task<std::pair<Payload, std::uint64_t>> extentReadSized(
-      int tgt, ContId c, const ObjectId& o, std::string dkey,
-      std::string akey, std::uint64_t offset, std::uint64_t length,
-      obs::OpId op = 0);
 
   /// Largest byte offset stored for this object on this target, given the
   /// array chunk size (dkeys encode chunk indices).

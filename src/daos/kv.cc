@@ -20,10 +20,10 @@ sim::Task<void> putReplicaOp(Client* client, vos::ContId cont, ObjectId oid,
   hw::Cluster& cluster = client->system().cluster();
   const net::RetryPolicy& rp = client->system().config().rpc_retry;
   co_await net::request(cluster, client->node(), engine->node(),
-                        key.size() + value.size(), rp, op);
+                        key.size() + value.size(), op, rp);
   co_await engine->valuePut(local, cont, oid, std::move(key), kValueAkey,
                             std::move(value), op);
-  co_await net::respond(cluster, engine->node(), client->node(), 0, rp, op);
+  co_await net::respond(cluster, engine->node(), client->node(), 0, op, rp);
 }
 
 /// Remove the key from one replica target.
@@ -33,9 +33,10 @@ sim::Task<void> removeReplicaOp(Client* client, vos::ContId cont,
   hw::Cluster& cluster = client->system().cluster();
   const net::RetryPolicy& rp = client->system().config().rpc_retry;
   co_await net::request(cluster, client->node(), engine->node(),
-                        key.size(), rp);
+                        key.size(), /*op=*/0, rp);
   co_await engine->valueRemove(local, cont, oid, std::move(key), kValueAkey);
-  co_await net::respond(cluster, engine->node(), client->node(), 0, rp);
+  co_await net::respond(cluster, engine->node(), client->node(), 0,
+                        /*op=*/0, rp);
 }
 
 /// Enumerate one group's keys into *out.
@@ -45,11 +46,12 @@ sim::Task<void> listGroupOp(Client* client, vos::ContId cont, ObjectId oid,
   hw::Cluster& cluster = client->system().cluster();
   const net::RetryPolicy& rp = client->system().config().rpc_retry;
   co_await net::request(cluster, client->node(), engine->node(),
-                        0, rp);
+                        0, /*op=*/0, rp);
   *out = co_await engine->listDkeys(local, cont, oid);
   std::uint64_t bytes = 0;
   for (const auto& k : *out) bytes += k.size() + 16;
-  co_await net::respond(cluster, engine->node(), client->node(), bytes, rp);
+  co_await net::respond(cluster, engine->node(), client->node(), bytes,
+                        /*op=*/0, rp);
 }
 
 }  // namespace
@@ -82,13 +84,13 @@ sim::Task<std::optional<vos::Payload>> KeyValue::get(std::string key) {
     auto [engine, local] =
         client_->system().locateTarget(layout_.target(group, r));
     co_await net::request(cluster, client_->node(), engine->node(),
-                          key.size(), rp, span.id());
+                          key.size(), span.id(), rp);
     Engine::GetResult g;
     try {
       g = co_await engine->valueGet(local, cont_.id, oid_, key, kValueAkey,
                                     span.id());
       co_await net::respond(cluster, engine->node(), client_->node(),
-                            g.value.size(), rp, span.id());
+                            g.value.size(), span.id(), rp);
     } catch (const hw::DeviceFailed&) {
       if (r + 1 == layout_.group_size) throw;
       client_->system().noteDegradedRead();

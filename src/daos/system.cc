@@ -29,14 +29,6 @@ void DaosSystem::excludeTarget(int global) {
   }
 }
 
-void DaosSystem::reintegrateTarget(int global) {
-  auto& slot = alive_[static_cast<std::size_t>(global)];
-  if (slot == 0) {
-    slot = 1;
-    --excluded_targets_;
-  }
-}
-
 void DaosSystem::failTarget(int global) {
   auto [engine, local] = locateTarget(global);
   auto& device = engine->target(local).device();

@@ -57,10 +57,6 @@ class DaosSystem {
   /// Administrative exclusion: removes the target from the pool map, so
   /// *new* layouts avoid it. Existing data is restored by daos::rebuild().
   void excludeTarget(int global);
-  void reintegrateTarget(int global);
-  bool isExcluded(int global) const {
-    return alive_[static_cast<std::size_t>(global)] == 0;
-  }
   const std::vector<std::uint8_t>& aliveMap() const noexcept { return alive_; }
 
   /// Total user bytes held across all targets (space accounting tests).

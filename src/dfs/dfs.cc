@@ -333,8 +333,4 @@ sim::Task<std::uint64_t> FileSystem::size(File& f) {
   co_return co_await f.array.getSize();
 }
 
-sim::Task<void> FileSystem::ftruncate(File& f, std::uint64_t size) {
-  co_await f.array.setSize(size);
-}
-
 }  // namespace daosim::dfs

@@ -93,7 +93,6 @@ class FileSystem {
   sim::Task<std::uint64_t> write(File& f, std::uint64_t offset, Payload data);
   sim::Task<Payload> read(File& f, std::uint64_t offset, std::uint64_t len);
   sim::Task<std::uint64_t> size(File& f);
-  sim::Task<void> ftruncate(File& f, std::uint64_t size);
 
   const DfsConfig& config() const noexcept { return config_; }
   Client& client() noexcept { return *client_; }

@@ -24,9 +24,9 @@ struct RetryPolicy {
   sim::Time backoff_base = 500 * sim::kMicrosecond;
   sim::Time backoff_cap = 50 * sim::kMillisecond;
 
-  /// A disabled policy takes the exact fast path of the policy-free
-  /// net::request / net::respond: one await of Cluster::send, no timer
-  /// race, no RNG draw — byte-identical timing.
+  /// A disabled policy (the net::request / net::respond default) takes
+  /// the fast path: one await of Cluster::send, no timer race, no RNG
+  /// draw.
   bool enabled() const noexcept { return timeout != 0 || max_retries != 0; }
 
   /// The chaos default daosim_run --faults enables: rides through NIC

@@ -69,8 +69,8 @@ sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
                               RetryPolicy policy, obs::OpId op,
                               obs::Cat cat) {
   if (!policy.enabled()) {
-    // Zero-retry fast path: identical event schedule to the policy-free
-    // request()/respond() (no timer, no extra frames, no RNG draw).
+    // Zero-retry fast path: one send, no timer, no extra frames, no RNG
+    // draw.
     co_await cluster->send(src, dst, wire_bytes, op, cat);
     co_return;
   }

@@ -31,29 +31,7 @@ namespace daosim::net {
 inline constexpr std::uint64_t kSmallRequest = 384;
 inline constexpr std::uint64_t kSmallResponse = 256;
 
-/// Request leg: client -> server carrying `payload_bytes` of request body on
-/// top of the protocol header (`kSmallRequest`, added here — callers pass
-/// only the payload, symmetric with `respond`). A nonzero `op` records the
-/// transfer as a net-request leg of that op.
-inline sim::Task<void> request(hw::Cluster& cluster, hw::NodeId src,
-                               hw::NodeId dst, std::uint64_t payload_bytes,
-                               obs::OpId op = 0) {
-  co_await cluster.send(src, dst, payload_bytes + kSmallRequest, op,
-                        obs::Cat::kNetRequest);
-}
-
-/// Response leg: server -> client carrying `payload_bytes` of response body
-/// plus the status header.
-inline sim::Task<void> respond(hw::Cluster& cluster, hw::NodeId src,
-                               hw::NodeId dst, std::uint64_t payload_bytes,
-                               obs::OpId op = 0) {
-  co_await cluster.send(src, dst, payload_bytes + kSmallResponse, op,
-                        obs::Cat::kNetResponse);
-}
-
-// ---- retrying variants (fault-injection robustness layer) ----------------
-//
-// One send attempt with `policy` semantics: a per-attempt timeout races the
+// One send with `policy` semantics: a per-attempt timeout races the
 // transfer (the losing transfer keeps charging the wire — the message is
 // already in flight, only the caller's wait is bounded), failed/timed-out
 // attempts are resent after a capped exponential backoff with half-jitter
@@ -66,18 +44,23 @@ sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
                               hw::NodeId dst, std::uint64_t wire_bytes,
                               RetryPolicy policy, obs::OpId op, obs::Cat cat);
 
-/// Request leg under a retry policy (header added here, as above).
+/// Request leg: client -> server carrying `payload_bytes` of request body on
+/// top of the protocol header (`kSmallRequest`, added here — callers pass
+/// only the payload, symmetric with `respond`). A nonzero `op` records the
+/// transfer as a net-request leg of that op. `policy` (disabled by default)
+/// bounds and resends the transfer, as in sendWithRetry.
 inline sim::Task<void> request(hw::Cluster& cluster, hw::NodeId src,
                                hw::NodeId dst, std::uint64_t payload_bytes,
-                               RetryPolicy policy, obs::OpId op = 0) {
+                               obs::OpId op = 0, RetryPolicy policy = {}) {
   return sendWithRetry(&cluster, src, dst, payload_bytes + kSmallRequest,
                        policy, op, obs::Cat::kNetRequest);
 }
 
-/// Response leg under a retry policy.
+/// Response leg: server -> client carrying `payload_bytes` of response body
+/// plus the status header.
 inline sim::Task<void> respond(hw::Cluster& cluster, hw::NodeId src,
                                hw::NodeId dst, std::uint64_t payload_bytes,
-                               RetryPolicy policy, obs::OpId op = 0) {
+                               obs::OpId op = 0, RetryPolicy policy = {}) {
   return sendWithRetry(&cluster, src, dst, payload_bytes + kSmallResponse,
                        policy, op, obs::Cat::kNetResponse);
 }

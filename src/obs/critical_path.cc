@@ -398,4 +398,11 @@ void writeStationDiff(std::ostream& os, const std::vector<OpRecord>& ops_a,
   os << std::setprecision(6);
 }
 
+void writeTailReport(std::ostream& os, const ExemplarReservoir& r) {
+  const std::vector<OpRecord> ops = reservoirOps(r);
+  const std::vector<std::string> stations = stationNames(r.tracks());
+  writeExemplars(os, ops, stations, r.k());
+  writeCriticalPath(os, ops, stations);
+}
+
 }  // namespace daosim::obs

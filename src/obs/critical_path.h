@@ -145,4 +145,8 @@ inline std::vector<OpRecord> reservoirOps(const ExemplarReservoir& r) {
   return out;
 }
 
+/// The tail report of a (possibly merged) reservoir: its exemplars with
+/// their leg trees, then the critical-path breakdown over them.
+void writeTailReport(std::ostream& os, const ExemplarReservoir& r);
+
 }  // namespace daosim::obs

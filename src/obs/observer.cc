@@ -168,14 +168,6 @@ void Observer::exportMetrics() {
   }
 }
 
-void Observer::writeTailReport(std::ostream& os) const {
-  if (reservoir_ == nullptr) return;
-  const std::vector<OpRecord> ops = reservoirOps(*reservoir_);
-  const std::vector<std::string> stations = stationNames(reservoir_->tracks());
-  writeExemplars(os, ops, stations, reservoir_->k());
-  writeCriticalPath(os, ops, stations);
-}
-
 void Observer::writeChromeTrace(std::ostream& os) const {
   if (tracer_ != nullptr) {
     tracer_->writeChromeTrace(os);

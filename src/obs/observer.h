@@ -131,10 +131,6 @@ class Observer {
   /// latency percentiles, and % of total time per category.
   void writeBreakdown(std::ostream& os) const;
 
-  /// Prints the reservoir's tail exemplars with their critical-path
-  /// decomposition; no-op unless enableExemplars() was called.
-  void writeTailReport(std::ostream& os) const;
-
  private:
   struct OpenOp {
     sim::Time cat_ns[kCatCount] = {};

@@ -123,18 +123,15 @@ class Telemetry {
   /// probed objects). Idempotent; implied by detach().
   void finish();
 
-  bool attached() const noexcept { return sim_ != nullptr; }
   sim::Time interval() const noexcept { return interval_; }
   /// Monotone instance id for cached-handle invalidation (a fresh Telemetry
   /// never sees a handle cached against a previous one).
   std::uint64_t epoch() const noexcept { return epoch_; }
 
   // --- kernel interface -------------------------------------------------
-  /// Samples the due boundary (nextDue()) and returns the next one
-  /// (absolute); called by the simulation kernel once its clock stands at
-  /// the due boundary.
+  /// Samples the due boundary and returns the next one (absolute); called
+  /// by the simulation kernel once its clock stands at the due boundary.
   sim::Time sampleDue();
-  sim::Time nextDue() const noexcept { return next_due_; }
 
   // --- inspection / export ---------------------------------------------
   const std::vector<std::unique_ptr<Node>>& nodes() const noexcept {

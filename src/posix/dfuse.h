@@ -132,7 +132,6 @@ class DfuseVfs : public Vfs {
 
   /// Entry backing an open fd (used by the interception library).
   const dfs::File& fileOf(Fd fd) const { return files_.at(fd); }
-  const std::string& pathOf(Fd fd) const { return paths_.at(fd); }
 
  private:
   // Cost helpers: kernel entry/exit and FUSE thread occupancy.

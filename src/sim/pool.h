@@ -7,8 +7,8 @@
 // global allocation at all (see FramePool::threadStats in tests).
 //
 // Thread model: the pool is thread_local. A Simulation and everything it
-// spawns live on a single thread (sim::ParallelRunner runs each simulation
-// to completion on one worker), so blocks never migrate between pools in
+// spawns live on a single thread (sim::parallelMap runs each simulation
+// to completion on one thread), so blocks never migrate between pools in
 // practice; if a block is freed on a different thread than it was allocated
 // on, it simply joins that thread's free list, which is benign.
 #pragma once

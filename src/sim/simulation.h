@@ -9,7 +9,7 @@
 // Hot-path notes: coroutine frames and spawn join-states come from the
 // per-thread FramePool (sim/pool.h), the event queue is a now-FIFO plus one
 // (time, seq) heap (sim/event_queue.h), and independent simulations (sweep
-// points, repetitions) can execute concurrently via sim::ParallelRunner — a
+// points, repetitions) can execute concurrently via sim::parallelMap — a
 // Simulation itself is strictly single-threaded.
 #pragma once
 

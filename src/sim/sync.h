@@ -104,65 +104,6 @@ class Semaphore {
   std::deque<std::coroutine_handle<>> waiters_;
 };
 
-class Mutex;
-
-/// RAII lock for sim::Mutex (move-only). Released on destruction.
-class [[nodiscard]] MutexLock {
- public:
-  MutexLock() noexcept = default;
-  explicit MutexLock(Mutex* m) noexcept : mutex_(m) {}
-
-  MutexLock(MutexLock&& o) noexcept : mutex_(o.mutex_) { o.mutex_ = nullptr; }
-  MutexLock& operator=(MutexLock&& o) noexcept {
-    if (this != &o) {
-      releaseNow();
-      mutex_ = o.mutex_;
-      o.mutex_ = nullptr;
-    }
-    return *this;
-  }
-
-  MutexLock(const MutexLock&) = delete;
-  MutexLock& operator=(const MutexLock&) = delete;
-
-  ~MutexLock() { releaseNow(); }
-
-  void unlock() { releaseNow(); }
-
- private:
-  void releaseNow() noexcept;
-
-  Mutex* mutex_ = nullptr;
-};
-
-/// FIFO mutex for simulated coroutines.
-class Mutex {
- public:
-  explicit Mutex(Simulation& sim) : sem_(sim, 1) {}
-
-  /// `auto lock = co_await mutex.scoped();`
-  Task<MutexLock> scoped() {
-    co_await sem_.acquire();
-    co_return MutexLock(this);
-  }
-
-  Task<void> lock() {
-    co_await sem_.acquire();
-    co_return;
-  }
-  void unlock() { sem_.release(); }
-
- private:
-  Semaphore sem_;
-};
-
-inline void MutexLock::releaseNow() noexcept {
-  if (mutex_ != nullptr) {
-    mutex_->unlock();
-    mutex_ = nullptr;
-  }
-}
-
 /// Cyclic barrier for a fixed number of participants.
 class Barrier {
  public:

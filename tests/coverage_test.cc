@@ -357,6 +357,31 @@ TEST(AppsCorners, EnvOverridesParse) {
   }
   unsetenv("DAOSIM_OPS");
   unsetenv("DAOSIM_REPS");
+  // DAOSIM_JOBS / DAOSIM_EXEMPLARS: unset, empty or 0 is the default
+  // (hardware concurrency / off); junk throws instead of reading as 0 or 4.
+  unsetenv("DAOSIM_JOBS");
+  unsetenv("DAOSIM_EXEMPLARS");
+  const int hw_jobs = apps::envJobs();
+  EXPECT_GE(hw_jobs, 1);
+  EXPECT_EQ(apps::envExemplars(), 0u);
+  for (const char* dflt : {"", "0"}) {
+    setenv("DAOSIM_JOBS", dflt, 1);
+    EXPECT_EQ(apps::envJobs(), hw_jobs) << dflt;
+    setenv("DAOSIM_EXEMPLARS", dflt, 1);
+    EXPECT_EQ(apps::envExemplars(), 0u) << dflt;
+  }
+  setenv("DAOSIM_JOBS", "3", 1);
+  setenv("DAOSIM_EXEMPLARS", "2", 1);
+  EXPECT_EQ(apps::envJobs(), 3);
+  EXPECT_EQ(apps::envExemplars(), 2u);
+  for (const char* bad : {"abc", "4x", "-1", " 2", "99999999999"}) {
+    setenv("DAOSIM_JOBS", bad, 1);
+    EXPECT_THROW(apps::envJobs(), std::invalid_argument) << bad;
+    setenv("DAOSIM_EXEMPLARS", bad, 1);
+    EXPECT_THROW(apps::envExemplars(), std::invalid_argument) << bad;
+  }
+  unsetenv("DAOSIM_JOBS");
+  unsetenv("DAOSIM_EXEMPLARS");
 }
 
 TEST(AppsCorners, PrintSeriesFormatsRows) {

@@ -211,15 +211,16 @@ TEST(Backoff, TinyBaseSkipsJitter) {
 
 namespace retrytest {
 
+/// The bare transfer a request leg makes: one Cluster::send of the header.
 sim::Task<void> plainRequest(hw::Cluster* c, hw::NodeId src, hw::NodeId dst) {
-  co_await net::request(*c, src, dst, 0);
+  co_await c->send(src, dst, net::kSmallRequest, 0, obs::Cat::kNetRequest);
 }
 
 sim::Task<void> policyRequest(hw::Cluster* c, hw::NodeId src, hw::NodeId dst,
                               net::RetryPolicy policy,
                               std::shared_ptr<std::exception_ptr> err) {
   try {
-    co_await net::request(*c, src, dst, 0, policy);
+    co_await net::request(*c, src, dst, 0, /*op=*/0, policy);
   } catch (...) {
     *err = std::current_exception();
   }
@@ -253,8 +254,8 @@ TEST(Retry, DisabledPolicyIsScheduleIdenticalToPlainRequest) {
   }
   {
     // A default (disabled) RetryPolicy must produce the exact event
-    // schedule of the policy-free overload: same event count, same clock,
-    // no RNG draw, no timer.
+    // schedule of the bare send: same event count, same clock, no RNG
+    // draw, no timer.
     sim::Simulation sim;
     hw::Cluster cluster(sim);
     auto c = cluster.addNode(hw::NodeSpec::client());

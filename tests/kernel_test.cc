@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <queue>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -239,10 +239,10 @@ apps::RunResult runPoint(int clients, int ppn, std::uint64_t seed) {
   return apps::runSpmd(tb.sim(), tb.clientSubset(clients), ppn, bench);
 }
 
-TEST(ParallelRunner, SweepMatchesSerialBitwise) {
-  // 4 sweep points x 2 reps, executed serially and on a 4-worker pool; each
-  // simulation is self-contained and seed-deterministic, so the two must
-  // agree on every field of every result.
+TEST(ParallelMap, SweepMatchesSerialBitwise) {
+  // 4 sweep points x 2 reps, mapped on 1 and on 4 threads; each simulation
+  // is self-contained and seed-deterministic, so the two must agree on
+  // every field of every result.
   struct Pt {
     int clients, ppn;
   };
@@ -250,8 +250,7 @@ TEST(ParallelRunner, SweepMatchesSerialBitwise) {
   const int reps = 2;
 
   auto runAll = [&](int jobs) {
-    sim::ParallelRunner pool(jobs);
-    return pool.map(grid.size() * reps, [&](std::size_t i) {
+    return sim::parallelMap(grid.size() * reps, jobs, [&](std::size_t i) {
       const Pt pt = grid[i / reps];
       const std::uint64_t seed = i % reps + 1;
       return runPoint(pt.clients, pt.ppn, seed);
@@ -265,64 +264,42 @@ TEST(ParallelRunner, SweepMatchesSerialBitwise) {
   }
 }
 
-TEST(ParallelRunner, PropagatesExceptionsThroughFutures) {
-  sim::ParallelRunner pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+TEST(ParallelMap, OneJobRunsInIndexOrderOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  const auto squares = sim::parallelMap(4, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+    return i * i;
+  });
+  EXPECT_EQ(squares, (std::vector<std::size_t>{0, 1, 4, 9}));
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
-TEST(ParallelRunner, SerialModeRunsInline) {
-  sim::ParallelRunner pool(1);
-  EXPECT_EQ(pool.jobs(), 1);
-  const auto ids = pool.map(4, [](std::size_t i) { return i * i; });
-  EXPECT_EQ(ids, (std::vector<std::size_t>{0, 1, 4, 9}));
+TEST(ParallelMap, NoIndexStartsAfterASerialFailure) {
+  int calls = 0;
+  EXPECT_THROW(sim::parallelMap(8, 1,
+                                [&](std::size_t i) -> int {
+                                  ++calls;
+                                  if (i == 2) throw std::runtime_error("two");
+                                  return 0;
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(calls, 3);
 }
 
-TEST(ParallelRunner, FailFastCancelsQueuedJobs) {
-  // Deterministic fail-fast check on a 2-worker pool: a blocker pins one
-  // worker behind a gate, a failer poisons the pool from the other; once
-  // the failure is visible, everything submitted afterwards must be
-  // skipped (JobCancelled) without running.
-  sim::ParallelRunner pool(2);
-  std::promise<void> gate;
-  auto opened = gate.get_future().share();
-  auto blocker = pool.submit([opened] { opened.wait(); });
-  auto failer =
-      pool.submit([]() -> void { throw std::runtime_error("boom"); });
-  while (pool.firstError() == nullptr) std::this_thread::yield();
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> later;
-  for (int i = 0; i < 4; ++i) {
-    later.push_back(pool.submit([&ran] { ran.fetch_add(1); }));
-  }
-  gate.set_value();
-  EXPECT_THROW(failer.get(), std::runtime_error);
-  blocker.get();  // ran normally: it started before the failure
-  int cancelled = 0;
-  for (auto& f : later) {
+TEST(ParallelMap, RethrowsTheLowestIndexError) {
+  // Every call throws; whichever thread fails first, index 0 has started
+  // by then and its error is the one rethrown.
+  for (int trial = 0; trial < 20; ++trial) {
     try {
-      f.get();
-    } catch (const sim::JobCancelled&) {
-      ++cancelled;
+      sim::parallelMap(16, 4, [](std::size_t i) -> int {
+        throw std::invalid_argument("job" + std::to_string(i));
+      });
+      FAIL() << "parallelMap should have thrown";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "job0");
     }
-  }
-  EXPECT_EQ(cancelled, 4);
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_NE(pool.firstError(), nullptr);
-}
-
-TEST(ParallelRunner, MapRethrowsFirstRealErrorNotCancellation) {
-  // map() must surface the originating error even when later jobs were
-  // skipped with JobCancelled after the pool was poisoned.
-  sim::ParallelRunner pool(2);
-  try {
-    pool.map(8, [](std::size_t i) -> int {
-      if (i == 3) throw std::invalid_argument("job3");
-      return static_cast<int>(i);
-    });
-    FAIL() << "map() should have thrown";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "job3");
   }
 }
 

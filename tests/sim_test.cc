@@ -179,26 +179,6 @@ TEST(Semaphore, LimitsConcurrency) {
   EXPECT_EQ(sim.now(), 30_us);  // 6 jobs, 2 at a time, 10us each
 }
 
-TEST(Mutex, ScopedLockSerializes) {
-  Simulation sim;
-  Mutex mu(sim);
-  int in_section = 0;
-  bool overlap = false;
-  for (int i = 0; i < 4; ++i) {
-    sim.spawn(
-        [](Simulation& s, Mutex& m, int& in, bool& ov) -> Task<void> {
-          auto lock = co_await m.scoped();
-          ++in;
-          if (in > 1) ov = true;
-          co_await s.delay(3_us);
-          --in;
-        }(sim, mu, in_section, overlap));
-  }
-  sim.run();
-  EXPECT_FALSE(overlap);
-  EXPECT_EQ(sim.now(), 12_us);
-}
-
 TEST(Barrier, ReleasesAllTogether) {
   Simulation sim;
   Barrier bar(sim, 3);

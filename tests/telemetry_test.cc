@@ -295,8 +295,7 @@ Task<void> hubWorkload(Simulation* sim, Telemetry::Handle ops,
 
 std::string hubDump(int jobs) {
   obs::TelemetryHub hub;
-  sim::ParallelRunner pool(jobs);
-  pool.map(4, [&hub](std::size_t rep) {
+  sim::parallelMap(4, jobs, [&hub](std::size_t rep) {
     Simulation sim;
     Telemetry t(10_ms);
     Telemetry::Handle ops = t.rate("ops");
@@ -330,8 +329,7 @@ TEST(TelemetryHub, SerialAndParallelDumpsAreByteIdentical) {
 /// serial/parallel) produce byte-identical CSV.
 std::string testbedDump(int jobs, bool with_fault_machinery) {
   obs::TelemetryHub hub;
-  sim::ParallelRunner pool(jobs);
-  pool.map(2, [&hub, with_fault_machinery](std::size_t rep) {
+  sim::parallelMap(2, jobs, [&hub, with_fault_machinery](std::size_t rep) {
     apps::DaosTestbed::Options opt;
     opt.server_nodes = 2;
     opt.client_nodes = 1;

@@ -107,9 +107,9 @@ struct Options {
       "timing model whether or not data was written first).\n"
       "Numeric flags take a whole decimal integer; --transfer must be > 0.\n"
       "Parallelism: --jobs (or DAOSIM_JOBS) runs repetitions concurrently\n"
-      "on a worker pool. Each repetition is one self-contained simulation\n"
-      "on one thread, so results are identical to --jobs 1 for a fixed\n"
-      "--seed.\n"
+      "on that many threads. Each repetition is one self-contained\n"
+      "simulation on one thread, so results are identical to --jobs 1 for\n"
+      "a fixed --seed.\n"
       "Observability: --trace writes a Chrome-trace JSON (open in\n"
       "chrome://tracing or Perfetto) and --metrics a CSV (or JSON when the\n"
       "file ends in .json) of op latency histograms, both for the last\n"
@@ -292,9 +292,7 @@ Options parse(int argc, char** argv) {
     if (const char* v = std::getenv("DAOSIM_TRACE")) o.trace_file = v;
   }
   if (o.exemplars == 0) {
-    if (const char* v = std::getenv("DAOSIM_EXEMPLARS")) {
-      o.exemplars = std::atoi(v);
-    }
+    o.exemplars = static_cast<int>(apps::envExemplars());
   }
   if (o.metrics_file.empty()) {
     if (const char* v = std::getenv("DAOSIM_METRICS")) o.metrics_file = v;
@@ -465,13 +463,7 @@ void printSummary(const Options& o, const apps::Measurement& m) {
 int main(int argc, char** argv) {
   try {
     const Options o = parse(argc, argv);
-    // parse() has folded these into `o`. Drop them so runSpmd's env hook
-    // cannot also export the repetitions this tool leaves unobserved; no
-    // other thread is running yet.
-    for (const char* v :
-         {"DAOSIM_TRACE", "DAOSIM_METRICS", "DAOSIM_EXEMPLARS"}) {
-      ::unsetenv(v);
-    }
+    const int jobs = o.jobs > 0 ? o.jobs : apps::envJobs();
     // Observe the last repetition only (mirrors --stats), so traces and
     // metrics describe one run rather than a mix of seeds.
     obs::Observer observer;
@@ -484,17 +476,16 @@ int main(int argc, char** argv) {
     }
     apps::Measurement m;
     m.point = apps::SweepPoint{o.clients, o.ppn};
-    // Per-rep exemplar reservoirs, merged in rep order after the pool joins
+    // Per-rep exemplar reservoirs, merged in rep order after the sweep
     // (merge order does not matter, but fixed order keeps it obviously
     // deterministic under --jobs).
     std::vector<std::unique_ptr<obs::ExemplarReservoir>> reservoirs(
         static_cast<std::size_t>(o.reps));
-    // Repetitions are independent simulations; run them across a worker
-    // pool (--jobs / DAOSIM_JOBS). Aggregation stays in rep order, so the
-    // printed numbers are identical to a serial run for a fixed --seed.
-    sim::ParallelRunner pool(o.jobs > 0 ? o.jobs : sim::envJobs());
-    auto results = pool.map(
-        static_cast<std::size_t>(o.reps),
+    // Repetitions are independent simulations; run them on --jobs /
+    // DAOSIM_JOBS threads. Aggregation stays in rep order, so the printed
+    // numbers are identical to a serial run for a fixed --seed.
+    auto results = sim::parallelMap(
+        static_cast<std::size_t>(o.reps), jobs,
         [&](std::size_t rep) -> apps::RunResult {
           const std::uint64_t seed = o.seed + static_cast<std::uint64_t>(rep);
           const bool last = rep == static_cast<std::size_t>(o.reps) - 1;
@@ -529,10 +520,7 @@ int main(int argc, char** argv) {
       for (const auto& r : reservoirs) {
         if (r != nullptr) master.merge(*r);
       }
-      const auto ops = obs::reservoirOps(master);
-      const auto stations = obs::stationNames(master.tracks());
-      obs::writeExemplars(std::cout, ops, stations, master.k());
-      obs::writeCriticalPath(std::cout, ops, stations);
+      obs::writeTailReport(std::cout, master);
     }
     if (!o.trace_file.empty()) {
       std::ofstream f(o.trace_file);
