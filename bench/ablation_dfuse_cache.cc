@@ -50,7 +50,7 @@ class RereadBench final : public apps::SpmdBenchmark {
 };
 
 apps::RunResult runPoint(bool caches, SweepPoint pt, std::uint64_t seed,
-                         obs::Observer* observer) {
+                         const apps::RunSlot& slot) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
@@ -59,12 +59,13 @@ apps::RunResult runPoint(bool caches, SweepPoint pt, std::uint64_t seed,
   opt.dfuse.dentry_cache = caches;
   opt.dfuse.data_cache = caches;
   DaosTestbed tb(opt);
+  apps::ObservedRun observed(slot, tb);
 
   RereadBench bench(tb,
                     apps::scaledOps(pt.totalProcs(), apps::envOps(200), 8000),
                     /*passes=*/3);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 }  // namespace
@@ -73,13 +74,13 @@ int main(int argc, char** argv) {
   const auto grid = apps::crossGrid({4, 16}, {8});
   bench::registerSweep("dfuse-no-cache(paper)", grid,
                        [](SweepPoint pt, std::uint64_t seed,
-                          obs::Observer* observer) {
-                         return runPoint(false, pt, seed, observer);
+                          const apps::RunSlot& slot) {
+                         return runPoint(false, pt, seed, slot);
                        });
   bench::registerSweep("dfuse-all-caches", grid,
                        [](SweepPoint pt, std::uint64_t seed,
-                          obs::Observer* observer) {
-                         return runPoint(true, pt, seed, observer);
+                          const apps::RunSlot& slot) {
+                         return runPoint(true, pt, seed, slot);
                        });
   return bench::benchMain(
       argc, argv, "Ablation: DFUSE caching on a re-read workload (3 passes)");

@@ -17,13 +17,14 @@ using apps::SweepPoint;
 using placement::ObjClass;
 
 apps::RunResult runPoint(ObjClass oclass, bool shared, SweepPoint pt,
-                         std::uint64_t seed, obs::Observer* observer) {
+                         std::uint64_t seed, const apps::RunSlot& slot) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
   opt.seed = seed;
   opt.with_dfuse = false;
   DaosTestbed tb(opt);
+  apps::ObservedRun observed(slot, tb);
 
   apps::IorConfig cfg;
   cfg.oclass = oclass;
@@ -31,7 +32,7 @@ apps::RunResult runPoint(ObjClass oclass, bool shared, SweepPoint pt,
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 40000);
   apps::Ior bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 }  // namespace
@@ -45,15 +46,15 @@ int main(int argc, char** argv) {
   for (const auto& [name, oc] : classes) {
     bench::registerSweep(std::string("ior-fpp-") + name, grid,
                          [oc = oc](SweepPoint pt, std::uint64_t seed,
-                                   obs::Observer* observer) {
-                           return runPoint(oc, false, pt, seed, observer);
+                                   const apps::RunSlot& slot) {
+                           return runPoint(oc, false, pt, seed, slot);
                          });
   }
   for (const auto& [name, oc] : classes) {
     bench::registerSweep(std::string("ior-shared-") + name, grid,
                          [oc = oc](SweepPoint pt, std::uint64_t seed,
-                                   obs::Observer* observer) {
-                           return runPoint(oc, true, pt, seed, observer);
+                                   const apps::RunSlot& slot) {
+                           return runPoint(oc, true, pt, seed, slot);
                          });
   }
   return bench::benchMain(

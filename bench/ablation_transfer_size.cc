@@ -20,13 +20,14 @@ using apps::SweepPoint;
 
 apps::RunResult runPoint(std::string api, std::uint64_t transfer,
                          SweepPoint pt, std::uint64_t seed,
-                         obs::Observer* observer) {
+                         const apps::RunSlot& slot) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
   opt.seed = seed;
   opt.with_dfuse = api != "daos-array";
   DaosTestbed tb(opt);
+  apps::ObservedRun observed(slot, tb);
 
   apps::IorConfig cfg;
   cfg.transfer = transfer;
@@ -37,7 +38,7 @@ apps::RunResult runPoint(std::string api, std::uint64_t transfer,
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(4000), total_ops);
   apps::Ior bench(tb.ioEnv(), api, cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 }  // namespace
@@ -51,15 +52,15 @@ int main(int argc, char** argv) {
     const std::string suffix = std::to_string(kib) + "KiB";
     bench::registerSweep("ior-daos-array-" + suffix, {pt},
                          [kib](SweepPoint p, std::uint64_t seed,
-                               obs::Observer* observer) {
+                               const apps::RunSlot& slot) {
                            return runPoint("daos-array", kib << 10, p, seed,
-                                           observer);
+                                           slot);
                          });
     bench::registerSweep("ior-dfuse-" + suffix, {pt},
                          [kib](SweepPoint p, std::uint64_t seed,
-                               obs::Observer* observer) {
+                               const apps::RunSlot& slot) {
                            return runPoint("dfuse", kib << 10, p, seed,
-                                           observer);
+                                           slot);
                          });
   }
   return bench::benchMain(argc, argv,

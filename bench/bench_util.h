@@ -18,13 +18,11 @@
 // --benchmark_filter does not stop unselected registered points from being
 // computed.
 //
-// Observation is the harness's job (apps::runSpmd reads no environment):
-//   DAOSIM_TRACE / DAOSIM_METRICS  Chrome-trace JSON / metrics file (CSV, or
-//       JSON when the name ends in .json) of the last registered point's
-//       last repetition;
-//   DAOSIM_EXEMPLARS=K  the K slowest ops per op type over every run, merged
-//       into one tail report on stdout;
-//   DAOSIM_TELEMETRY  one dump of every run (see apps/telemetry_probes.h).
+// Observation goes through apps/observe.h: each runner opens an
+// apps::ObservedRun on its slot right after building its testbed.
+// DAOSIM_TRACE / DAOSIM_METRICS cover the last registered point's last
+// repetition, DAOSIM_TELEMETRY every run (labels `<case name>/rep/<seed>`),
+// and DAOSIM_EXEMPLARS=K prints one merged tail report on stdout.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -32,19 +30,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "apps/observe.h"
 #include "apps/runner.h"
 #include "apps/sweep.h"
-#include "apps/telemetry_probes.h"
-#include "obs/observer.h"
 #include "sim/parallel.h"
 
 namespace daosim::bench {
@@ -71,15 +66,16 @@ inline Series& seriesNamed(const std::string& name) {
 }
 
 /// A point runner: executes one full benchmark run (fresh testbed) for one
-/// repetition, hands `observer` (null unless the harness observes this run)
-/// on to apps::runSpmd, and returns the run's result.
+/// repetition, opens an apps::ObservedRun on `slot` right after building
+/// the testbed, and returns the run's result.
 using PointRunner = std::function<apps::RunResult(
-    SweepPoint, std::uint64_t seed, obs::Observer* observer)>;
+    SweepPoint, std::uint64_t seed, const apps::RunSlot& slot)>;
 
 namespace detail {
 
 /// One registered sweep point and, once the sweep has run, its repetitions.
 struct SweepCase {
+  std::string name;  // google-benchmark case name
   SweepPoint pt;
   PointRunner runner;
   std::vector<apps::RunResult> reps;
@@ -93,16 +89,12 @@ inline std::deque<SweepCase>& sweepRegistry() {
 }
 
 /// The binary's one sweep: settings benchMain reads from the environment
-/// before any case runs, and what the sweep observed.
+/// before any case runs, and what the sweep observed once it ran.
 struct Sweep {
   int reps = 0;
   int jobs = 1;
-  std::string trace_file;     // DAOSIM_TRACE
-  std::string metrics_file;   // DAOSIM_METRICS
-  std::size_t exemplars = 0;  // DAOSIM_EXEMPLARS
-  bool done = false;
-  std::optional<obs::Observer> last;  // the final registered run
-  std::optional<obs::ExemplarReservoir> tail;  // every run's, merged
+  apps::ObserveSpec spec;
+  std::optional<apps::SweepObservation> observed;  // set: the sweep ran
 };
 
 inline Sweep& sweep() {
@@ -114,66 +106,36 @@ inline Sweep& sweep() {
 /// repetition order, and stores each case's results.
 inline void runAllSweeps() {
   Sweep& sw = sweep();
-  if (sw.done) return;
-  sw.done = true;
+  if (sw.observed) return;
   std::deque<SweepCase>& cases = sweepRegistry();
   const auto reps = static_cast<std::size_t>(sw.reps);
   const std::size_t n = cases.size() * reps;
-  if (!sw.trace_file.empty() || !sw.metrics_file.empty()) {
-    sw.last.emplace();
-    if (!sw.trace_file.empty()) sw.last->enableTracing();
-  }
-  std::vector<std::unique_ptr<obs::ExemplarReservoir>> tails(n);
+  apps::SweepObservation& observed = sw.observed.emplace(sw.spec, n);
   std::vector<apps::RunResult> results =
       sim::parallelMap(n, sw.jobs, [&](std::size_t i) {
         const SweepCase& c = cases[i / reps];
-        std::optional<obs::Observer> local;
-        obs::Observer* observer = nullptr;
-        if (sw.last && i + 1 == n) {
-          observer = &*sw.last;
-        } else if (sw.exemplars > 0) {
-          observer = &local.emplace();
-        }
-        if (sw.exemplars > 0) {
-          observer->enableExemplars(sw.exemplars,
-                                    static_cast<std::uint32_t>(i));
-        }
-        apps::RunResult r = c.runner(c.pt, i % reps + 1, observer);
-        if (sw.exemplars > 0) tails[i] = observer->takeExemplars();
-        return r;
+        const std::uint64_t seed = i % reps + 1;
+        return c.runner(
+            c.pt, seed,
+            observed.slot(i, c.name + "/rep/" + std::to_string(seed)));
       });
   for (std::size_t i = 0; i < n; ++i) {
     cases[i / reps].reps.push_back(std::move(results[i]));
   }
-  if (sw.exemplars > 0) {
-    sw.tail.emplace(sw.exemplars);
-    for (const auto& t : tails) sw.tail->merge(*t);
-  }
-}
-
-/// Writes what the sweep observed, if it ran.
-inline void writeObservations() {
-  Sweep& sw = sweep();
-  if (sw.last) {
-    if (!sw.trace_file.empty()) {
-      std::ofstream f(sw.trace_file);
-      sw.last->writeChromeTrace(f);
-    }
-    if (!sw.metrics_file.empty()) {
-      sw.last->exportMetrics();
-      std::ofstream f(sw.metrics_file);
-      const std::string& mf = sw.metrics_file;
-      if (mf.size() >= 5 && mf.compare(mf.size() - 5, 5, ".json") == 0) {
-        sw.last->metrics().writeJson(f);
-      } else {
-        sw.last->metrics().writeCsv(f);
-      }
-    }
-  }
-  if (sw.tail) obs::writeTailReport(std::cout, *sw.tail);
 }
 
 }  // namespace detail
+
+/// apps::envFullGrid() for a figure's main(), which builds its grids before
+/// benchMain reads the rest of the environment: junk exits 2 there too.
+inline bool fullGrid(const char* argv0) {
+  try {
+    return apps::envFullGrid();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << argv0 << ": " << e.what() << "\n";
+    std::exit(2);
+  }
+}
 
 /// Registers one google-benchmark case per sweep point for `series`.
 inline void registerSweep(const std::string& series,
@@ -185,6 +147,7 @@ inline void registerSweep(const std::string& series,
     const std::string name = series + "/c" + std::to_string(pt.client_nodes) +
                              "/n" + std::to_string(pt.procs_per_node);
     detail::SweepCase* cs = &detail::sweepRegistry().emplace_back();
+    cs->name = name;
     cs->pt = pt;
     cs->runner = runner;
     benchmark::RegisterBenchmark(
@@ -225,29 +188,29 @@ inline int benchMain(int argc, char** argv, const char* figure_title,
                      bool show_iops = false) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // A bad DAOSIM_OPS / DAOSIM_REPS / DAOSIM_JOBS / DAOSIM_EXEMPLARS fails
-  // here, before any case runs, rather than printing an all-zero table or
-  // running some other sweep than the one asked for.
+  // A bad DAOSIM_OPS / DAOSIM_REPS / DAOSIM_JOBS or observation variable
+  // fails here, before any case runs, rather than printing an all-zero
+  // table or running some other sweep than the one asked for.
   detail::Sweep& sw = detail::sweep();
   try {
     apps::envOps();
     sw.reps = apps::envReps();
     sw.jobs = apps::envJobs();
-    sw.exemplars = apps::envExemplars();
+    sw.spec = apps::ObserveSpec::fromEnv();
   } catch (const std::invalid_argument& e) {
     std::cerr << argv[0] << ": " << e.what() << "\n";
     return 2;
   }
-  if (const char* v = std::getenv("DAOSIM_TRACE")) sw.trace_file = v;
-  if (const char* v = std::getenv("DAOSIM_METRICS")) sw.metrics_file = v;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  detail::writeObservations();
-  // DAOSIM_TELEMETRY: every run registered a labelled registry with
-  // TelemetryHub::global(); write the merged dump now that the sweep is
-  // done. Labels encode (series, point, seed), so the file is identical at
-  // any DAOSIM_JOBS.
-  apps::flushTelemetryEnv();
+  if (sw.observed) {
+    try {
+      sw.observed->finish(std::cout);
+    } catch (const std::exception& e) {
+      std::cerr << argv[0] << ": " << e.what() << "\n";
+      return 1;
+    }
+  }
   std::cerr << "\n#### " << figure_title << " ####\n";
   for (const auto& s : allSeries()) {
     apps::printSeries(std::cerr, s, show_iops);

@@ -6,7 +6,6 @@
 // at saturation (ideals 61.76 and 100); libdaos is ahead at low process
 // counts; 16 client nodes suffice.
 #include "apps/ior.h"
-#include "apps/telemetry_probes.h"
 #include "apps/testbed.h"
 #include "bench_util.h"
 
@@ -18,31 +17,27 @@ using apps::IorConfig;
 using apps::SweepPoint;
 
 apps::RunResult runPoint(std::string api, SweepPoint pt,
-                         std::uint64_t seed, obs::Observer* observer) {
+                         std::uint64_t seed, const apps::RunSlot& slot) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
   opt.seed = seed;
   opt.with_dfuse = api != "daos-array";
   DaosTestbed tb(opt);
-  apps::ScopedRunTelemetry telem(
-      tb.sim(), "ior-" + api + "/c" + std::to_string(pt.client_nodes) + "/n" +
-                    std::to_string(pt.procs_per_node) + "/rep/" +
-                    std::to_string(seed));
-  if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
+  apps::ObservedRun observed(slot, tb);
 
   IorConfig cfg;
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(1000));
   apps::Ior bench(tb.ioEnv(), api, cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto grid =
-      apps::envFullGrid()
+      bench::fullGrid(argv[0])
           ? apps::crossGrid({1, 2, 4, 8, 16}, {1, 2, 4, 8, 16, 32})
           : apps::crossGrid({1, 4, 16}, {1, 4, 16, 32});
 
@@ -51,8 +46,8 @@ int main(int argc, char** argv) {
     bench::registerSweep(std::string("ior-") + api, grid,
                          [api = std::string(api)](SweepPoint pt,
                                                   std::uint64_t seed,
-                                                  obs::Observer* observer) {
-                           return runPoint(api, pt, seed, observer);
+                                                  const apps::RunSlot& slot) {
+                           return runPoint(api, pt, seed, slot);
                          });
   }
   return bench::benchMain(

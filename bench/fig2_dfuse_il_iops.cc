@@ -5,7 +5,6 @@
 // noticeable" at this I/O size — DFUSE pays two kernel crossings and a FUSE
 // thread per op; the IL forwards read/write straight to libdfs.
 #include "apps/ior.h"
-#include "apps/telemetry_probes.h"
 #include "apps/testbed.h"
 #include "bench_util.h"
 
@@ -17,17 +16,13 @@ using apps::IorConfig;
 using apps::SweepPoint;
 
 apps::RunResult runPoint(std::string api, SweepPoint pt,
-                         std::uint64_t seed, obs::Observer* observer) {
+                         std::uint64_t seed, const apps::RunSlot& slot) {
   DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = pt.client_nodes;
   opt.seed = seed;
   DaosTestbed tb(opt);
-  apps::ScopedRunTelemetry telem(
-      tb.sim(), "ior-" + api + "-1KiB/c" + std::to_string(pt.client_nodes) +
-                    "/n" + std::to_string(pt.procs_per_node) + "/rep/" +
-                    std::to_string(seed));
-  if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
+  apps::ObservedRun observed(slot, tb);
 
   IorConfig cfg;
   cfg.transfer = 1024;  // 1 KiB
@@ -35,25 +30,25 @@ apps::RunResult runPoint(std::string api, SweepPoint pt,
                             /*total_target=*/400000);
   apps::Ior bench(tb.ioEnv(), api, cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto grid = apps::envFullGrid()
+  const auto grid = bench::fullGrid(argv[0])
                         ? apps::crossGrid({1, 2, 4, 8, 16}, {4, 16, 32})
                         : apps::crossGrid({1, 4, 16}, {4, 16, 32});
   bench::registerSweep(
       "ior-dfuse-1KiB", grid,
-      [](SweepPoint pt, std::uint64_t seed, obs::Observer* observer) {
-        return runPoint("dfuse", pt, seed, observer);
+      [](SweepPoint pt, std::uint64_t seed, const apps::RunSlot& slot) {
+        return runPoint("dfuse", pt, seed, slot);
       },
       /*show_iops=*/true);
   bench::registerSweep(
       "ior-dfuse-il-1KiB", grid,
-      [](SweepPoint pt, std::uint64_t seed, obs::Observer* observer) {
-        return runPoint("dfuse-il", pt, seed, observer);
+      [](SweepPoint pt, std::uint64_t seed, const apps::RunSlot& slot) {
+        return runPoint("dfuse-il", pt, seed, slot);
       },
       /*show_iops=*/true);
   return bench::benchMain(argc, argv,

@@ -31,57 +31,60 @@ DaosTestbed::Options options16(SweepPoint pt, std::uint64_t seed,
 }
 
 apps::RunResult runHdf5(std::string api, SweepPoint pt,
-                        std::uint64_t seed, obs::Observer* observer) {
+                        std::uint64_t seed, const apps::RunSlot& slot) {
   DaosTestbed tb(options16(pt, seed, api == "hdf5"));
+  apps::ObservedRun observed(slot, tb);
   apps::IorConfig cfg;
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(1000),
                             /*total_target=*/20000);
   apps::Ior bench(tb.ioEnv(), api, cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed,
-                           obs::Observer* observer) {
+                           const apps::RunSlot& slot) {
   DaosTestbed tb(options16(pt, seed, false));
+  apps::ObservedRun observed(slot, tb);
   apps::FieldIoConfig cfg;
   cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000),
                                /*total_target=*/20000);
   apps::FieldIo bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed,
-                       obs::Observer* observer) {
+                       const apps::RunSlot& slot) {
   DaosTestbed tb(options16(pt, seed, false));
+  apps::ObservedRun observed(slot, tb);
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000),
                                /*total_target=*/20000);
   apps::Fdb bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto ior_grid = apps::envFullGrid()
+  const auto ior_grid = bench::fullGrid(argv[0])
                             ? apps::crossGrid({1, 4, 16}, {1, 4, 16, 32})
                             : apps::crossGrid({1, 4, 16}, {4, 16});
-  const auto app_grid = apps::envFullGrid()
+  const auto app_grid = bench::fullGrid(argv[0])
                             ? apps::crossGrid({1, 4, 16, 32}, {1, 4, 16, 32})
                             : apps::crossGrid({1, 4, 16, 32}, {4, 16});
 
   bench::registerSweep("ior-hdf5", ior_grid,
                        [](SweepPoint pt, std::uint64_t seed,
-                          obs::Observer* observer) {
-                         return runHdf5("hdf5", pt, seed, observer);
+                          const apps::RunSlot& slot) {
+                         return runHdf5("hdf5", pt, seed, slot);
                        });
   bench::registerSweep("ior-hdf5-daos", ior_grid,
                        [](SweepPoint pt, std::uint64_t seed,
-                          obs::Observer* observer) {
-                         return runHdf5("hdf5-daos", pt, seed, observer);
+                          const apps::RunSlot& slot) {
+                         return runHdf5("hdf5-daos", pt, seed, slot);
                        });
   bench::registerSweep("fieldio", app_grid, runFieldIo);
   bench::registerSweep("fdb-hammer-daos", app_grid, runFdb);

@@ -11,7 +11,6 @@
 #include "apps/fdb.h"
 #include "apps/fieldio.h"
 #include "apps/ior.h"
-#include "apps/telemetry_probes.h"
 #include "apps/testbed.h"
 #include "bench_util.h"
 
@@ -24,13 +23,6 @@ using apps::SweepPoint;
 constexpr int kClients = 16;
 constexpr int kPpn = 16;
 
-// Run label for DAOSIM_TELEMETRY dumps ("s" = server count on this figure).
-std::string runLabel(const std::string& series, SweepPoint pt,
-                     std::uint64_t seed) {
-  return series + "/s" + std::to_string(pt.client_nodes) + "/rep/" +
-         std::to_string(seed);
-}
-
 DaosTestbed makeTestbed(int servers, std::uint64_t seed, bool with_dfuse) {
   DaosTestbed::Options opt;
   opt.server_nodes = servers;
@@ -40,44 +32,43 @@ DaosTestbed makeTestbed(int servers, std::uint64_t seed, bool with_dfuse) {
   return DaosTestbed(opt);
 }
 
-apps::RunResult runOn(DaosTestbed& tb, const std::string& label,
-                      apps::SpmdBenchmark& bench, obs::Observer* observer) {
-  apps::ScopedRunTelemetry telem(tb.sim(), label);
-  if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
-  return apps::runSpmd(tb.sim(), tb.clientSubset(kClients), kPpn, bench,
-                       observer);
+apps::RunResult runOn(DaosTestbed& tb, apps::SpmdBenchmark& bench) {
+  return apps::runSpmd(tb.sim(), tb.clientSubset(kClients), kPpn, bench);
 }
 
 // The sweep "client_nodes" column carries the *server* count here.
 apps::RunResult runIor(std::string api, SweepPoint pt,
-                       std::uint64_t seed, obs::Observer* observer) {
+                       std::uint64_t seed, const apps::RunSlot& slot) {
   const bool needs_dfuse =
       api == "dfuse" || api == "dfuse-il" || api == "hdf5";
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, needs_dfuse);
+  apps::ObservedRun observed(slot, tb);
   apps::IorConfig cfg;
   const bool hdf5 = api == "hdf5" || api == "hdf5-daos";
   cfg.ops = apps::scaledOps(kClients * kPpn, apps::envOps(1000),
                             hdf5 ? 20000 : 40000);
   apps::Ior bench(tb.ioEnv(), api, cfg);
-  return runOn(tb, runLabel("ior-" + api, pt, seed), bench, observer);
+  return runOn(tb, bench);
 }
 
 apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed,
-                           obs::Observer* observer) {
+                           const apps::RunSlot& slot) {
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, false);
+  apps::ObservedRun observed(slot, tb);
   apps::FieldIoConfig cfg;
   cfg.fields = apps::scaledOps(kClients * kPpn, apps::envOps(1000), 20000);
   apps::FieldIo bench(tb.ioEnv(), "daos-array", cfg);
-  return runOn(tb, runLabel("fieldio", pt, seed), bench, observer);
+  return runOn(tb, bench);
 }
 
 apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed,
-                       obs::Observer* observer) {
+                       const apps::RunSlot& slot) {
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, false);
+  apps::ObservedRun observed(slot, tb);
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(kClients * kPpn, apps::envOps(1000), 20000);
   apps::Fdb bench(tb.ioEnv(), "daos-array", cfg);
-  return runOn(tb, runLabel("fdb-hammer-daos", pt, seed), bench, observer);
+  return runOn(tb, bench);
 }
 
 }  // namespace
@@ -95,8 +86,8 @@ int main(int argc, char** argv) {
     bench::registerSweep(
         std::string("ior-") + api, servers,
         [api = std::string(api)](SweepPoint pt, std::uint64_t seed,
-                                 obs::Observer* observer) {
-          return runIor(api, pt, seed, observer);
+                                 const apps::RunSlot& slot) {
+          return runIor(api, pt, seed, slot);
         },
         /*show_iops=*/false, /*col1=*/"servers");
   }

@@ -26,31 +26,33 @@ LustreTestbed::Options options16(SweepPoint pt, std::uint64_t seed) {
 }
 
 apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed,
-                       obs::Observer* observer) {
+                       const apps::RunSlot& slot) {
   LustreTestbed tb(options16(pt, seed));
+  apps::ObservedRun observed(slot, tb);
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 20000);
   apps::Fdb bench(tb.ioEnv(/*stripe_count=*/8, /*stripe_size=*/8 << 20),
                   "lustre-posix", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 apps::RunResult runIor(SweepPoint pt, std::uint64_t seed,
-                       obs::Observer* observer) {
+                       const apps::RunSlot& slot) {
   LustreTestbed tb(options16(pt, seed));
+  apps::ObservedRun observed(slot, tb);
   apps::IorConfig cfg;
   cfg.ops = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 40000);
   apps::Ior bench(tb.ioEnv(/*stripe_count=*/8, /*stripe_size=*/8 << 20),
                   "lustre-posix", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto grid = apps::envFullGrid()
+  const auto grid = bench::fullGrid(argv[0])
                         ? apps::crossGrid({1, 4, 16, 32}, {1, 4, 16, 32})
                         : apps::crossGrid({4, 16, 32}, {4, 16});
   bench::registerSweep("fdb-hammer-lustre", grid, runFdb);

@@ -30,35 +30,37 @@ CephTestbed::Options options16(SweepPoint pt, std::uint64_t seed,
 }
 
 apps::RunResult runFdb(int pg_count, SweepPoint pt, std::uint64_t seed,
-                       obs::Observer* observer) {
+                       const apps::RunSlot& slot) {
   CephTestbed tb(options16(pt, seed, pg_count));
+  apps::ObservedRun observed(slot, tb);
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 20000);
   apps::Fdb bench(tb.ioEnv(), "rados", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 apps::RunResult runIor(SweepPoint pt, std::uint64_t seed,
-                       obs::Observer* observer) {
+                       const apps::RunSlot& slot) {
   CephTestbed tb(options16(pt, seed));
+  apps::ObservedRun observed(slot, tb);
   apps::IorConfig cfg;
   cfg.ops = 100;  // fits the per-process object within 132 MiB
   apps::Ior bench(tb.ioEnv(), "rados", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto grid = apps::envFullGrid()
+  const auto grid = bench::fullGrid(argv[0])
                         ? apps::crossGrid({1, 4, 16, 32}, {1, 4, 16, 32})
                         : apps::crossGrid({4, 16, 32}, {4, 16});
   bench::registerSweep("fdb-hammer-rados-pg1024", grid,
                        [](SweepPoint pt, std::uint64_t seed,
-                          obs::Observer* observer) {
-                         return runFdb(1024, pt, seed, observer);
+                          const apps::RunSlot& slot) {
+                         return runFdb(1024, pt, seed, slot);
                        });
   bench::registerSweep("ior-rados", grid, runIor);
   // PG ablation (the paper tuned PGs and found 1024 optimal).
@@ -66,8 +68,8 @@ int main(int argc, char** argv) {
   for (int pgs : {64, 256, 1024}) {
     bench::registerSweep("fdb-rados-pg" + std::to_string(pgs), ablation,
                          [pgs](SweepPoint pt, std::uint64_t seed,
-                               obs::Observer* observer) {
-                           return runFdb(pgs, pt, seed, observer);
+                               const apps::RunSlot& slot) {
+                           return runFdb(pgs, pt, seed, slot);
                          });
   }
   return bench::benchMain(

@@ -22,46 +22,49 @@ std::uint64_t fieldsFor(SweepPoint pt) {
 }
 
 apps::RunResult runDaos(SweepPoint pt, std::uint64_t seed,
-                        obs::Observer* observer) {
+                        const apps::RunSlot& slot) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 16;
   opt.client_nodes = kClients;
   opt.seed = seed;
   opt.with_dfuse = false;
   apps::DaosTestbed tb(opt);
+  apps::ObservedRun observed(slot, tb);
   apps::FdbConfig cfg;
   cfg.fields = fieldsFor(pt);
   apps::Fdb bench(tb.ioEnv(), "daos-array", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(kClients),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 apps::RunResult runLustre(SweepPoint pt, std::uint64_t seed,
-                          obs::Observer* observer) {
+                          const apps::RunSlot& slot) {
   apps::LustreTestbed::Options opt;
   opt.oss_nodes = 16;
   opt.client_nodes = kClients;
   opt.seed = seed;
   apps::LustreTestbed tb(opt);
+  apps::ObservedRun observed(slot, tb);
   apps::FdbConfig cfg;
   cfg.fields = fieldsFor(pt);
   apps::Fdb bench(tb.ioEnv(8, 8 << 20), "lustre-posix", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(kClients),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 apps::RunResult runCeph(SweepPoint pt, std::uint64_t seed,
-                        obs::Observer* observer) {
+                        const apps::RunSlot& slot) {
   apps::CephTestbed::Options opt;
   opt.osd_nodes = 16;
   opt.client_nodes = kClients;
   opt.seed = seed;
   apps::CephTestbed tb(opt);
+  apps::ObservedRun observed(slot, tb);
   apps::FdbConfig cfg;
   cfg.fields = fieldsFor(pt);
   apps::Fdb bench(tb.ioEnv(), "rados", cfg);
   return apps::runSpmd(tb.sim(), tb.clientSubset(kClients),
-                       pt.procs_per_node, bench, observer);
+                       pt.procs_per_node, bench);
 }
 
 }  // namespace

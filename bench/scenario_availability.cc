@@ -150,7 +150,7 @@ void durabilityWalkthrough() {
   opt.server_nodes = 3;
   opt.client_nodes = 1;
   opt.seed = 42;
-  opt.retain_data = true;
+  opt.daos.retain_data = true;
   opt.with_dfuse = false;
   opt.daos.rpc_retry = net::RetryPolicy::chaosDefault();
   apps::DaosTestbed tb(opt);

@@ -1,0 +1,127 @@
+// One observation path for a sweep of independent runs. The figure harness
+// (bench/bench_util.h) and daosim_run both observe their runs through it:
+//
+//   ObserveSpec       what to observe, read from the DAOSIM_* variables
+//                     (daosim_run's flags override them);
+//   SweepObservation  owns the last run's observer, one exemplar reservoir
+//                     and telemetry registry per run, and writes every
+//                     report and file once after the sweep;
+//   ObservedRun       the RAII scope a run opens right after it builds its
+//                     testbed: it attaches the observer and a telemetry
+//                     registry with that testbed's probes, and hands both
+//                     back to the run's slot when the run ends.
+//
+// Only the last run is traced and its op aggregates dumped (mirrors
+// --stats); exemplars and telemetry cover every run. Runs may execute
+// concurrently (sim::parallelMap): each run writes only its own slot, and
+// finish() merges the slots in run order, so every output has the same
+// bytes at any job count.
+#pragma once
+
+#include <cstddef>
+#include <memory>
+#include <optional>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "apps/telemetry_probes.h"
+#include "obs/observer.h"
+#include "obs/telemetry.h"
+#include "sim/time.h"
+
+namespace daosim::apps {
+
+/// What a sweep observes; an empty file name is off.
+struct ObserveSpec {
+  std::string trace_file;      // DAOSIM_TRACE: Chrome trace, last run
+  std::string metrics_file;    // DAOSIM_METRICS: op rows, last run
+  std::string telemetry_file;  // DAOSIM_TELEMETRY: dump of every run
+  sim::Time telemetry_interval = 0;  // DAOSIM_TELEMETRY_INTERVAL, or 10ms
+  std::size_t exemplars = 0;  // DAOSIM_EXEMPLARS: K slowest ops per type
+  bool stats = false;  // daosim_run --stats: the last run's report
+
+  /// `given` with each field it leaves unset (empty, 0) read from its
+  /// variable. Throws std::invalid_argument naming the variable when the
+  /// interval is not a positive duration, the exemplar count is not a whole
+  /// number, or a metrics or telemetry file name ends in ".json".
+  static ObserveSpec fromEnv(ObserveSpec given);
+  static ObserveSpec fromEnv() { return fromEnv(ObserveSpec{}); }
+};
+
+/// True when `file` ends in ".json". Metrics and telemetry dumps are CSV
+/// only, so such a name is refused before any run.
+bool jsonName(const std::string& file);
+
+class SweepObservation;
+
+/// One run's place in an observed sweep. A default slot observes nothing.
+struct RunSlot {
+  SweepObservation* sweep = nullptr;
+  std::size_t index = 0;  // run order; the highest index is the last run
+  std::string label;      // telemetry run label, unique within the sweep
+};
+
+class SweepObservation {
+ public:
+  SweepObservation(ObserveSpec spec, std::size_t runs);
+  SweepObservation(const SweepObservation&) = delete;
+  SweepObservation& operator=(const SweepObservation&) = delete;
+
+  RunSlot slot(std::size_t index, std::string label) {
+    return RunSlot{this, index, std::move(label)};
+  }
+
+  /// Writes what the sweep observed, once all runs have ended: with stats,
+  /// the last run's per-op breakdown; with exemplars, one merged tail
+  /// report; the trace, metrics and telemetry files; with stats, the
+  /// telemetry bottleneck report. Reports go to `out`. Throws
+  /// std::runtime_error naming a file that cannot be written.
+  void finish(std::ostream& out);
+
+ private:
+  friend class ObservedRun;
+
+  struct Slot {
+    std::string label;
+    std::unique_ptr<obs::ExemplarReservoir> tail;
+    std::optional<obs::Telemetry> telemetry;
+  };
+
+  /// Header plus op rows: the metrics format when `hub` is empty.
+  void writeDump(std::ostream& os, const obs::TelemetryHub& hub) const;
+
+  ObserveSpec spec_;
+  bool observe_last_;  // the last run attaches last_
+  obs::Observer last_;
+  std::vector<Slot> slots_;
+};
+
+/// Observes one run of a sweep for as long as it lives; open it right after
+/// the testbed is built, and let it die before the testbed.
+class ObservedRun {
+ public:
+  template <typename Testbed>
+  ObservedRun(const RunSlot& slot, Testbed& tb) : ObservedRun(slot, tb.sim()) {
+    if (telemetry_) registerProbes(*telemetry_, tb);
+  }
+  ~ObservedRun();
+  ObservedRun(const ObservedRun&) = delete;
+  ObservedRun& operator=(const ObservedRun&) = delete;
+
+  /// The run's telemetry registry, or null when telemetry is off (e.g. for
+  /// FaultInjector::registerTelemetry).
+  obs::Telemetry* telemetry() noexcept {
+    return telemetry_ ? &*telemetry_ : nullptr;
+  }
+
+ private:
+  ObservedRun(const RunSlot& slot, sim::Simulation& sim);
+
+  RunSlot slot_;
+  obs::Observer* observer_ = nullptr;
+  std::optional<obs::Observer> local_;  // a non-last run's, for exemplars
+  std::optional<obs::Telemetry> telemetry_;
+};
+
+}  // namespace daosim::apps

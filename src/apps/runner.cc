@@ -2,8 +2,6 @@
 
 #include <exception>
 
-#include "obs/observer.h"
-
 namespace daosim::apps {
 
 namespace {
@@ -15,17 +13,7 @@ sim::Task<void> runProcess(SpmdBenchmark* bench, ProcContext ctx) {
 }  // namespace
 
 RunResult runSpmd(sim::Simulation& sim, const std::vector<hw::NodeId>& nodes,
-                  int procs_per_node, SpmdBenchmark& bench,
-                  obs::Observer* observer) {
-  // Detached on every exit: the observer may outlive `sim`.
-  struct Scope {
-    obs::Observer* o;
-    ~Scope() {
-      if (o != nullptr) o->detach();
-    }
-  } scope{observer};
-  if (observer != nullptr) observer->attach(sim);
-
+                  int procs_per_node, SpmdBenchmark& bench) {
   const int procs = static_cast<int>(nodes.size()) * procs_per_node;
   RunResult result;
   result.procs = procs;

@@ -19,10 +19,6 @@
 #include "sim/task.h"
 #include "sim/time.h"
 
-namespace daosim::obs {
-class Observer;
-}
-
 namespace daosim::apps {
 
 enum Phase : int { kWrite = 0, kRead = 1 };
@@ -99,11 +95,9 @@ class SpmdBenchmark {
 
 /// Runs `procs_per_node` processes on each listed client node to
 /// completion; rethrows the first process failure. Rank r runs on
-/// nodes[r / procs_per_node]. A non-null `observer` is attached to `sim`
-/// for the run and detached after it; exporting what it saw is the
-/// caller's business.
+/// nodes[r / procs_per_node]. Observation is the caller's business (see
+/// apps/observe.h).
 RunResult runSpmd(sim::Simulation& sim, const std::vector<hw::NodeId>& nodes,
-                  int procs_per_node, SpmdBenchmark& bench,
-                  obs::Observer* observer = nullptr);
+                  int procs_per_node, SpmdBenchmark& bench);
 
 }  // namespace daosim::apps

@@ -43,8 +43,10 @@ std::uint64_t scaledOps(int total_procs, std::uint64_t base_ops,
 }
 
 namespace {
-/// A count from the environment, `def` when unset or empty. Any other value
-/// that is not a whole decimal number in [lo, hi] throws.
+constexpr auto kIntMax =
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+}  // namespace
+
 std::uint64_t envCount(const char* name, std::uint64_t def, std::uint64_t lo,
                        std::uint64_t hi) {
   const char* v = std::getenv(name);
@@ -53,16 +55,13 @@ std::uint64_t envCount(const char* name, std::uint64_t def, std::uint64_t lo,
   std::uint64_t n = 0;
   const auto [ptr, ec] = std::from_chars(v, end, n);
   if (ec != std::errc{} || ptr != end || n < lo || n > hi) {
-    throw std::invalid_argument(std::string(name) +
-                                " must be a whole number >= " +
-                                std::to_string(lo) + ", got '" + v + "'");
+    std::string want = "a whole number >= " + std::to_string(lo);
+    if (hi < kIntMax) want += " and <= " + std::to_string(hi);
+    throw std::invalid_argument(std::string(name) + " must be " + want +
+                                ", got '" + v + "'");
   }
   return n;
 }
-
-constexpr auto kIntMax =
-    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
-}  // namespace
 
 std::uint64_t envOps(std::uint64_t def) {
   return envCount("DAOSIM_OPS", def, 1,
@@ -80,15 +79,7 @@ int envJobs() {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
-std::size_t envExemplars() {
-  return static_cast<std::size_t>(
-      envCount("DAOSIM_EXEMPLARS", 0, 0, kIntMax));
-}
-
-bool envFullGrid() {
-  const char* v = std::getenv("DAOSIM_FULL_GRID");
-  return v != nullptr && std::strtoull(v, nullptr, 10) != 0;
-}
+bool envFullGrid() { return envCount("DAOSIM_FULL_GRID", 0, 0, 1) == 1; }
 
 namespace {
 /// Per-op latency columns (p50/p95/p99/p99.9/max), in microseconds.

@@ -62,21 +62,25 @@ std::vector<SweepPoint> crossGrid(std::vector<int> client_nodes,
 std::uint64_t scaledOps(int total_procs, std::uint64_t base_ops,
                         std::uint64_t total_target = 40000);
 
+/// A count from the environment variable `name`: `def` when unset or empty.
+/// Any other value that is not a whole decimal number in [lo, hi] throws
+/// std::invalid_argument naming the variable.
+std::uint64_t envCount(const char* name, std::uint64_t def, std::uint64_t lo,
+                       std::uint64_t hi);
+
 /// Environment overrides: DAOSIM_OPS (per-process op base),
-/// DAOSIM_REPS (repetitions), DAOSIM_FULL_GRID (1 = larger grids). A set
-/// DAOSIM_OPS or DAOSIM_REPS that is not a whole number >= 1 throws
+/// DAOSIM_REPS (repetitions), DAOSIM_FULL_GRID (1 = larger grids, 0 or
+/// unset = the default grids). A set DAOSIM_OPS or DAOSIM_REPS that is not a
+/// whole number >= 1, or a DAOSIM_FULL_GRID other than 0 or 1, throws
 /// std::invalid_argument naming the variable.
 std::uint64_t envOps(std::uint64_t def = 1000);
 int envReps(int def = 3);
 bool envFullGrid();
 
 /// DAOSIM_JOBS: threads for a sweep's independent runs (sim::parallelMap);
-/// unset, empty or 0 means hardware concurrency. DAOSIM_EXEMPLARS: K slowest
-/// ops per op type to keep; unset, empty or 0 means off. Any other value
-/// that is not a whole number throws std::invalid_argument naming the
-/// variable.
+/// unset, empty or 0 means hardware concurrency. Any other value that is
+/// not a whole number throws std::invalid_argument naming the variable.
 int envJobs();
-std::size_t envExemplars();
 
 /// Paper-style table: one row per point with write/read mean ± stddev.
 void printSeries(std::ostream& os, const Series& series,

@@ -1,7 +1,5 @@
 #include "apps/telemetry_probes.h"
 
-#include <cstdlib>
-#include <fstream>
 #include <unordered_map>
 
 #include "daos/engine.h"
@@ -11,7 +9,6 @@
 #include "hw/device.h"
 #include "lustre/lustre.h"
 #include "rados/rados.h"
-#include "sim/fault_plan.h"
 #include "sim/queue_station.h"
 #include "vos/target_store.h"
 
@@ -178,47 +175,6 @@ void registerProbes(obs::Telemetry& t, CephTestbed& tb) {
   }
   clientNicProbes(t, tb.cluster(), tb.clients());
   netProbes(t, tb.cluster());
-}
-
-sim::Time parseDuration(const std::string& s) {
-  return sim::parseDuration(s);  // canonical parser (sim/fault_plan.h)
-}
-
-std::string telemetryEnvFile() {
-  const char* v = std::getenv("DAOSIM_TELEMETRY");
-  return v ? std::string(v) : std::string();
-}
-
-sim::Time telemetryEnvInterval() {
-  const char* v = std::getenv("DAOSIM_TELEMETRY_INTERVAL");
-  return v ? parseDuration(v) : 10 * sim::kMillisecond;
-}
-
-void flushTelemetryEnv() {
-  const std::string path = telemetryEnvFile();
-  obs::TelemetryHub& hub = obs::TelemetryHub::global();
-  if (path.empty() || hub.empty()) return;
-  std::ofstream os(path);
-  if (!os) return;
-  if (path.size() > 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
-    hub.writeJson(os);
-  } else {
-    hub.writeCsv(os);
-  }
-}
-
-ScopedRunTelemetry::ScopedRunTelemetry(sim::Simulation& sim, std::string label,
-                                       bool enabled, sim::Time interval)
-    : label_(std::move(label)) {
-  if (!enabled) return;
-  t_.emplace(interval > 0 ? interval : telemetryEnvInterval());
-  t_->attach(sim);
-}
-
-ScopedRunTelemetry::~ScopedRunTelemetry() {
-  if (!t_.has_value()) return;
-  t_->detach();
-  obs::TelemetryHub::global().add(label_, std::move(*t_));
 }
 
 }  // namespace daosim::apps

@@ -22,7 +22,6 @@ sim::Task<void> daosSetup(DaosTestbed* tb, daos::Client* admin,
 
 DaosTestbed::DaosTestbed(Options opt)
     : sim_(opt.seed), cluster_(sim_), seed_(opt.seed) {
-  opt.daos.retain_data = opt.retain_data;
   servers_ = cluster_.addNodes(hw::NodeSpec::server(), opt.server_nodes);
   clients_ = cluster_.addNodes(hw::NodeSpec::client(), opt.client_nodes);
   daos_ = std::make_unique<daos::DaosSystem>(cluster_, servers_, opt.daos);
@@ -50,7 +49,6 @@ DaosTestbed::DaosTestbed(Options opt)
 
 LustreTestbed::LustreTestbed(Options opt)
     : sim_(opt.seed), cluster_(sim_), seed_(opt.seed) {
-  opt.lustre.retain_data = opt.retain_data;
   auto oss = cluster_.addNodes(hw::NodeSpec::server(), opt.oss_nodes);
   auto mds = cluster_.addNode(hw::NodeSpec::server(1));
   clients_ = cluster_.addNodes(hw::NodeSpec::client(), opt.client_nodes);
@@ -60,7 +58,6 @@ LustreTestbed::LustreTestbed(Options opt)
 
 CephTestbed::CephTestbed(Options opt)
     : sim_(opt.seed), cluster_(sim_), seed_(opt.seed) {
-  opt.ceph.retain_data = opt.retain_data;
   auto osd_nodes = cluster_.addNodes(hw::NodeSpec::server(), opt.osd_nodes);
   auto mon = cluster_.addNode(hw::NodeSpec::client());
   clients_ = cluster_.addNodes(hw::NodeSpec::client(), opt.client_nodes);

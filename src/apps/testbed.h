@@ -23,6 +23,15 @@
 
 namespace daosim::apps {
 
+/// A system config that keeps only sizes, not payload bytes: the default of
+/// every testbed's options, since benchmarks run size-only.
+template <typename Config>
+Config sizeOnly() {
+  Config c;
+  c.retain_data = false;
+  return c;
+}
+
 /// DAOS deployment: `server_count` engines (16 targets each) + client fleet.
 class DaosTestbed {
  public:
@@ -30,9 +39,9 @@ class DaosTestbed {
     int server_nodes = 16;
     int client_nodes = 16;
     std::uint64_t seed = 1;
-    bool retain_data = false;  // benchmarks run size-only by default
-    bool with_dfuse = true;    // start a DFUSE daemon on every client node
-    daos::DaosConfig daos;
+    bool with_dfuse = true;  // start a DFUSE daemon on every client node
+    /// Size-only by default: set daos.retain_data to keep real bytes.
+    daos::DaosConfig daos = sizeOnly<daos::DaosConfig>();
     dfs::DfsConfig dfs;
     posix::DfuseConfig dfuse;
   };
@@ -91,8 +100,7 @@ class LustreTestbed {
     int oss_nodes = 16;
     int client_nodes = 32;
     std::uint64_t seed = 1;
-    bool retain_data = false;
-    lustre::LustreConfig lustre;
+    lustre::LustreConfig lustre = sizeOnly<lustre::LustreConfig>();
   };
 
   explicit LustreTestbed(Options opt);
@@ -134,8 +142,7 @@ class CephTestbed {
     int osd_nodes = 16;
     int client_nodes = 32;
     std::uint64_t seed = 1;
-    bool retain_data = false;
-    rados::CephConfig ceph;
+    rados::CephConfig ceph = sizeOnly<rados::CephConfig>();
   };
 
   explicit CephTestbed(Options opt);

@@ -44,8 +44,6 @@ struct DaosConfig {
   bool retain_data = true;
   EngineCost engine;
   PoolServiceCost pool_service;
-  /// Default array chunk size, as in libdaos (1 MiB throughout the paper).
-  std::uint64_t default_chunk_size = 1 << 20;
   /// Client data-path RPC retry/timeout policy. Disabled by default
   /// (infinite patience, failures surface immediately), which keeps every
   /// RPC on the zero-retry fast path — bit-identical to the

@@ -57,12 +57,10 @@ struct NodeSpec {
   NicSpec nic;
   int nvme_count = 0;  // clients have no local NVMe
   NvmeSpec nvme;
-  int cores = 32;
 
   static NodeSpec server(int drives = 16) {
     NodeSpec s;
     s.nvme_count = drives;
-    s.cores = 36;
     return s;
   }
   static NodeSpec client() { return NodeSpec{}; }

@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <string>
 
+#include "obs/telemetry.h"
+
 namespace daosim::obs {
 
 namespace {
@@ -155,16 +157,31 @@ LegId Observer::openLeg(OpId op) {
   return ++it->second.next_leg;
 }
 
-void Observer::exportMetrics() {
+void Observer::writeOpRows(std::ostream& os) const {
+  // Rows sort by full name (not by op type) within each kind.
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, const Histogram*> latencies;
   for (const auto& [type, agg] : op_types_) {
-    metrics_.counter("op." + type + ".count").set(agg.count);
-    metrics_.histogram("op." + type + ".latency_ns") = agg.latency;
+    const std::string p = "op." + type + ".";
+    counters[p + "count"] = agg.count;
     for (int c = 0; c < kCatCount; ++c) {
       if (agg.cat_ns[c] == 0) continue;
-      metrics_.counter("op." + type + "." + catName(static_cast<Cat>(c)) +
-                       "_ns")
-          .set(agg.cat_ns[c]);
+      counters[p + catName(static_cast<Cat>(c)) + "_ns"] = agg.cat_ns[c];
     }
+    latencies[p + "latency_ns"] = &agg.latency;
+  }
+  for (const auto& [name, v] : counters) {
+    os << "counter," << csvField(name) << ",value," << v << "\n";
+  }
+  for (const auto& [name, h] : latencies) {
+    const std::string n = "histogram," + csvField(name) + ",";
+    os << n << "count," << h->count() << "\n";
+    os << n << "min," << h->min() << "\n";
+    os << n << "max," << h->max() << "\n";
+    os << n << "mean," << h->mean() << "\n";
+    os << n << "p50," << h->percentile(50) << "\n";
+    os << n << "p95," << h->percentile(95) << "\n";
+    os << n << "p99," << h->percentile(99) << "\n";
   }
 }
 

@@ -25,7 +25,6 @@
 
 #include "obs/critical_path.h"
 #include "obs/histogram.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
 
@@ -42,14 +41,16 @@ class Observer {
   /// detaches automatically on destruction.
   void attach(sim::Simulation& sim);
   void detach();
+  /// The simulation this observer is attached to (null when detached).
+  sim::Simulation* simulation() const noexcept { return sim_; }
 
   /// Unique across all Observer instances in the process. Stations cache
   /// their TrackId keyed by this epoch so a fresh observer (new rep) never
   /// sees a stale id.
   std::uint64_t epoch() const noexcept { return epoch_; }
 
-  /// Turns on span/leg event recording (for --trace). Aggregation and
-  /// metrics are always on while attached.
+  /// Turns on span/leg event recording (for --trace). Aggregation is always
+  /// on while attached.
   void enableTracing();
   Tracer* tracer() noexcept { return tracer_.get(); }
   const Tracer* tracer() const noexcept { return tracer_.get(); }
@@ -69,9 +70,6 @@ class Observer {
   std::unique_ptr<ExemplarReservoir> takeExemplars() noexcept {
     return std::move(reservoir_);
   }
-
-  MetricsRegistry& metrics() noexcept { return metrics_; }
-  const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
   sim::Time now() const noexcept;
 
@@ -121,9 +119,12 @@ class Observer {
 
   std::uint64_t opsStarted() const noexcept { return next_op_ - 1; }
 
-  /// Writes per-op-type aggregates into metrics() as `op.<type>.*`
-  /// entries; calling it again gives the same registry.
-  void exportMetrics();
+  /// Writes the per-op-type aggregates as `kind,name,field,value` dump rows
+  /// (no header), counters then histograms, each sorted by name:
+  /// `op.<type>.count`, one `op.<type>.<category>_ns` per nonzero category,
+  /// and `op.<type>.latency_ns` count/min/max/mean/p50/p95/p99. They follow
+  /// a TelemetryHub::writeCsv header in metrics and telemetry dumps.
+  void writeOpRows(std::ostream& os) const;
 
   void writeChromeTrace(std::ostream& os) const;
 
@@ -151,7 +152,6 @@ class Observer {
   std::unique_ptr<ExemplarReservoir> reservoir_;
   std::uint32_t rep_ = 0;
   std::vector<TrackId> reservoir_track_;  // tracer TrackId -> reservoir id
-  MetricsRegistry metrics_;
   OpId next_op_ = 1;
   std::map<OpId, OpenOp> open_;  // keyed by op sequence number
   std::map<std::string, OpTypeAgg> op_types_;
@@ -163,16 +163,22 @@ class Observer {
 ///   auto op = obs::beginOp(sim, "array.write", node_, "client3");
 ///   ... co_await legs passing op.id() ...
 ///   (destructor or op.end() closes the span at the current sim time)
+///
+/// A scope records only while its observer is still attached to the
+/// simulation it was opened on. A process still suspended when its
+/// Simulation dies has its frames destroyed by ~Simulation, typically after
+/// the observer detached or died; its scopes then close silently.
 class OpScope {
  public:
   OpScope() = default;
   OpScope(Observer* o, const char* type, TrackId track)
-      : o_(o), type_(type), track_(track), id_(o->beginOp(type, track)),
-        start_(o->now()) {}
+      : o_(o), sim_(o->simulation()), type_(type), track_(track),
+        id_(o->beginOp(type, track)), start_(o->now()) {}
   OpScope(OpScope&& other) noexcept { *this = std::move(other); }
   OpScope& operator=(OpScope&& other) noexcept {
     end();
     o_ = other.o_;
+    sim_ = other.sim_;
     type_ = other.type_;
     track_ = other.track_;
     id_ = other.id_;
@@ -186,13 +192,16 @@ class OpScope {
   OpId id() const noexcept { return id_; }
 
   void end() noexcept {
-    if (o_ != nullptr && id_ != 0) o_->endOp(id_, type_, track_, start_);
+    if (o_ != nullptr && id_ != 0 && sim_->observer() == o_) {
+      o_->endOp(id_, type_, track_, start_);
+    }
     o_ = nullptr;
     id_ = 0;
   }
 
  private:
   Observer* o_ = nullptr;
+  sim::Simulation* sim_ = nullptr;  // the simulation `o_` was attached to
   const char* type_ = nullptr;
   TrackId track_ = 0;
   OpId id_ = 0;
@@ -203,17 +212,19 @@ class OpScope {
 /// tree without charging the aggregate (the children carry the charges).
 /// ctx() is the OpId to thread into child work — it names this leg as the
 /// children's parent. Default-constructed scopes are inert and ctx() passes
-/// the original op through unchanged.
+/// the original op through unchanged. Like OpScope, it records nothing once
+/// its observer has left the simulation it was opened on.
 class LegScope {
  public:
   LegScope() = default;
   LegScope(Observer* o, OpId op, const char* name, Cat cat, TrackId track)
-      : o_(o), op_(op), name_(name), cat_(cat), track_(track),
-        id_(o->openLeg(op)), start_(o->now()) {}
+      : o_(o), sim_(o->simulation()), op_(op), name_(name), cat_(cat),
+        track_(track), id_(o->openLeg(op)), start_(o->now()) {}
   LegScope(LegScope&& other) noexcept { *this = std::move(other); }
   LegScope& operator=(LegScope&& other) noexcept {
     end();
     o_ = other.o_;
+    sim_ = other.sim_;
     op_ = other.op_;
     name_ = other.name_;
     cat_ = other.cat_;
@@ -232,7 +243,7 @@ class LegScope {
   }
 
   void end() noexcept {
-    if (o_ != nullptr && id_ != 0) {
+    if (o_ != nullptr && id_ != 0 && sim_->observer() == o_) {
       o_->structLeg(op_, cat_, track_, name_, start_, 0, id_);
     }
     o_ = nullptr;
@@ -241,6 +252,7 @@ class LegScope {
 
  private:
   Observer* o_ = nullptr;
+  sim::Simulation* sim_ = nullptr;  // the simulation `o_` was attached to
   OpId op_ = 0;
   const char* name_ = nullptr;
   Cat cat_ = Cat::kOther;

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/metrics.h"
 #include "sim/simulation.h"
 
 namespace daosim::obs {
@@ -25,6 +24,17 @@ std::string fmtNum(double v) {
 }
 
 }  // namespace
+
+std::string csvField(const std::string& s) {
+  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"') out.push_back('"');
+    out.push_back(c);
+  }
+  out.push_back('"');
+  return out;
+}
 
 const char* Telemetry::kindName(Kind k) noexcept {
   switch (k) {
@@ -149,90 +159,19 @@ void Telemetry::writeCsvRows(std::ostream& os,
   }
 }
 
-void Telemetry::writeCsv(std::ostream& os,
-                         const MetricsRegistry* extra) const {
+void Telemetry::writeCsv(std::ostream& os) const {
   os << "# daosim-metrics schema=" << kMetricsSchemaVersion << "\n";
   os << "# telemetry interval_ns=" << interval_ << "\n";
   os << "kind,name,field,value\n";
   writeCsvRows(os, "");
-  if (extra != nullptr) extra->writeCsvRows(os);
-}
-
-namespace {
-
-void jsonBody(std::ostream& os, const Telemetry& t, const char* indent) {
-  std::string ind(indent);
-  os << ind << "\"summary\": {";
-  bool first = true;
-  for (const auto& n : t.nodes()) {
-    os << (first ? "" : ",") << "\n"
-       << ind << "  \"" << jsonEscape(n->path) << "\": {\"kind\": \""
-       << Telemetry::kindName(n->kind)
-       << "\", \"total\": " << fmtNum(n->value) << "}";
-    first = false;
-  }
-  if (!first) os << "\n" << ind;
-  os << "},\n" << ind << "\"series\": {";
-  first = true;
-  for (const auto& n : t.nodes()) {
-    os << (first ? "" : ",") << "\n"
-       << ind << "  \"" << jsonEscape(n->path) << "\": [";
-    bool fs = true;
-    for (const auto& [ts, v] : n->samples) {
-      os << (fs ? "" : ",") << "[" << ts << "," << fmtNum(v) << "]";
-      fs = false;
-    }
-    os << "]";
-    first = false;
-  }
-  if (!first) os << "\n" << ind;
-  os << "}";
-}
-
-}  // namespace
-
-void Telemetry::writeJson(std::ostream& os,
-                          const MetricsRegistry* extra) const {
-  os << "{\n  \"schema\": " << kMetricsSchemaVersion << ",\n"
-     << "  \"interval_ns\": " << interval_ << ",\n";
-  jsonBody(os, *this, "  ");
-  if (extra != nullptr) {
-    os << ",\n  \"metrics\": {\n";
-    extra->writeJsonFields(os, "    ");
-    os << "\n  }";
-  }
-  os << "\n}\n";
-}
-
-TelemetryHub& TelemetryHub::global() {
-  static TelemetryHub hub;
-  return hub;
 }
 
 void TelemetryHub::add(const std::string& label, Telemetry t) {
   t.finish();
-  std::lock_guard<std::mutex> lock(mu_);
   runs_.emplace(label, std::move(t));
 }
 
-bool TelemetryHub::empty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return runs_.empty();
-}
-
-std::size_t TelemetryHub::runCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return runs_.size();
-}
-
-void TelemetryHub::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  runs_.clear();
-}
-
-void TelemetryHub::writeCsv(std::ostream& os,
-                            const MetricsRegistry* extra) const {
-  std::lock_guard<std::mutex> lock(mu_);
+void TelemetryHub::writeCsv(std::ostream& os) const {
   os << "# daosim-metrics schema=" << kMetricsSchemaVersion << "\n";
   for (const auto& [label, t] : runs_) {
     os << "# telemetry run=" << label << " interval_ns=" << t.interval()
@@ -240,29 +179,6 @@ void TelemetryHub::writeCsv(std::ostream& os,
   }
   os << "kind,name,field,value\n";
   for (const auto& [label, t] : runs_) t.writeCsvRows(os, label + "/");
-  if (extra != nullptr) extra->writeCsvRows(os);
-}
-
-void TelemetryHub::writeJson(std::ostream& os,
-                             const MetricsRegistry* extra) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  os << "{\n  \"schema\": " << kMetricsSchemaVersion << ",\n  \"runs\": {";
-  bool first = true;
-  for (const auto& [label, t] : runs_) {
-    os << (first ? "" : ",") << "\n    \"" << jsonEscape(label)
-       << "\": {\n      \"interval_ns\": " << t.interval() << ",\n";
-    jsonBody(os, t, "      ");
-    os << "\n    }";
-    first = false;
-  }
-  if (!first) os << "\n  ";
-  os << "}";
-  if (extra != nullptr) {
-    os << ",\n  \"metrics\": {\n";
-    extra->writeJsonFields(os, "    ");
-    os << "\n  }";
-  }
-  os << "\n}\n";
 }
 
 }  // namespace daosim::obs

@@ -41,7 +41,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,7 +53,15 @@ class Simulation;
 
 namespace daosim::obs {
 
-class MetricsRegistry;
+/// Version stamped into the first line of every metrics and telemetry dump
+/// (`# daosim-metrics schema=N`). v2: names are CSV-escaped, and dumps may
+/// carry a time-series section (`series,name,t_ns,value` rows).
+inline constexpr int kMetricsSchemaVersion = 2;
+
+/// RFC-4180 field quoting: names containing commas, quotes or newlines are
+/// wrapped in double quotes (embedded quotes doubled); everything else is
+/// returned verbatim.
+std::string csvField(const std::string& s);
 
 class Telemetry {
  public:
@@ -142,12 +149,8 @@ class Telemetry {
 
   /// Schema-versioned CSV dump (`# daosim-metrics schema=2`): summary rows
   /// (`kind,path,value,total`) followed by a time-series section
-  /// (`series,path,t_ns,value`). `extra` appends a MetricsRegistry's rows
-  /// (e.g. the observer's op.* layer aggregates). Requires finish().
-  void writeCsv(std::ostream& os, const MetricsRegistry* extra = nullptr) const;
-  /// JSON equivalent with a top-level "schema": 2 field.
-  void writeJson(std::ostream& os,
-                 const MetricsRegistry* extra = nullptr) const;
+  /// (`series,path,t_ns,value`). Requires finish().
+  void writeCsv(std::ostream& os) const;
 
   /// Summary + series rows only (no header); every path gets `prefix`
   /// prepended. Used by TelemetryHub to splice runs into one dump.
@@ -168,31 +171,27 @@ class Telemetry {
   std::map<std::string, Node*> by_path_;
 };
 
-/// Collects per-run Telemetry registries and writes one merged dump with
-/// every path prefixed by its run label. Runs may finish in any order on
-/// any thread (parallel sweeps); the dump iterates labels sorted, so a
-/// serial and a --jobs run of the same workload produce byte-identical
-/// files.
+/// Collects finished per-run Telemetry registries and writes one merged
+/// dump with every path prefixed by its run label. The dump iterates labels
+/// sorted, so it does not depend on the order runs were added in. A hub is
+/// single-threaded: a sweep whose runs execute concurrently keeps one
+/// registry per run and adds them once the sweep is done
+/// (apps::SweepObservation).
 class TelemetryHub {
  public:
-  /// Process-wide hub used by the bench binaries and daosim_run.
-  static TelemetryHub& global();
-
-  /// Takes ownership of a finished run's registry. Labels must be unique
-  /// per run and deterministic (derived from the run's identity, not from
-  /// scheduling); a duplicate label keeps the first registry.
+  /// Takes ownership of a run's registry (finishing it). Labels must be
+  /// unique per run and deterministic (derived from the run's identity,
+  /// not from scheduling); a duplicate label keeps the first registry.
   void add(const std::string& label, Telemetry t);
 
-  bool empty() const;
-  std::size_t runCount() const;
-  void clear();
+  std::size_t runCount() const noexcept { return runs_.size(); }
 
-  void writeCsv(std::ostream& os, const MetricsRegistry* extra = nullptr) const;
-  void writeJson(std::ostream& os,
-                 const MetricsRegistry* extra = nullptr) const;
+  /// Schema-versioned CSV dump of every run. An empty hub writes just the
+  /// header, which is the metrics file format: callers append flat rows
+  /// such as obs::Observer::writeOpRows after it.
+  void writeCsv(std::ostream& os) const;
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, Telemetry> runs_;
 };
 

@@ -8,7 +8,7 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "obs/metrics.h"
+#include "obs/telemetry.h"
 
 namespace daosim::obs {
 

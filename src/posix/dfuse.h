@@ -28,7 +28,6 @@ namespace daosim::posix {
 
 struct DfuseConfig {
   int fuse_threads = 24;              // paper: 24 FUSE threads
-  int eq_threads = 12;                // paper: 12 event-queue threads
   sim::Time kernel_crossing = 25 * sim::kMicrosecond;  // each direction
   sim::Time thread_cpu = 12 * sim::kMicrosecond;       // per-request handling
   double copy_gibps = 8.0;            // kernel<->daemon data copy bandwidth

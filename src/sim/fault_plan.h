@@ -105,7 +105,7 @@ class FaultPlan {
 
 /// Parses a duration: a plain number is nanoseconds; "ns"/"us"/"ms"/"s"
 /// suffixes are honoured ("10ms", "500us"). Throws std::invalid_argument
-/// on junk or non-positive values. (apps::parseDuration delegates here.)
+/// on junk or non-positive values.
 Time parseDuration(const std::string& s);
 
 }  // namespace daosim::sim

@@ -19,6 +19,13 @@ void JoinState::complete(std::exception_ptr e) {
 
 }  // namespace detail
 
+Simulation::~Simulation() {
+  while (roots_ != nullptr) {
+    std::coroutine_handle<detail::Root::promise_type>::from_promise(*roots_)
+        .destroy();
+  }
+}
+
 detail::Root Simulation::runRoot(detail::JoinRef state, Task<void> task) {
   std::exception_ptr error;
   try {

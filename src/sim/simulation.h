@@ -85,6 +85,8 @@ class JoinRef {
 };
 
 /// Self-starting, self-destroying root coroutine wrapping a spawned task.
+/// While it lives, its promise is linked into its Simulation's list of live
+/// roots, so ~Simulation can destroy a process that never finished.
 struct Root {
   struct promise_type {
     static void* operator new(std::size_t n) { return FramePool::allocate(n); }
@@ -92,11 +94,21 @@ struct Root {
       FramePool::deallocate(p);
     }
 
+    /// Receives the coroutine's arguments (Simulation::runRoot's).
+    promise_type(const JoinRef& state, const Task<void>& task) noexcept;
+    ~promise_type();
+    promise_type(const promise_type&) = delete;
+    promise_type& operator=(const promise_type&) = delete;
+
     Root get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
     void unhandled_exception() noexcept { std::terminate(); }
+
+    Simulation* sim;
+    promise_type* prev = nullptr;  // intrusive list of live roots
+    promise_type* next = nullptr;
   };
 };
 
@@ -146,6 +158,12 @@ class Simulation {
   static constexpr Time kNever = ~Time{0};
 
   explicit Simulation(std::uint64_t seed = 1) : rng_(seed) {}
+  /// Destroys every process still suspended (a livelock cut by run()'s
+  /// event budget, a waiter nobody wakes). Each root frame owns its task
+  /// chain, so every frame-local destructor runs once. Those destructors
+  /// must not resume anything; obs scopes whose observer has detached
+  /// record nothing.
+  ~Simulation();
 
   // Neither copyable nor movable: queue stations, nodes and engines hold
   // stable pointers to their Simulation.
@@ -243,6 +261,29 @@ class Simulation {
   obs::Observer* observer_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   Time telemetry_due_ = kNever;
+  detail::Root::promise_type* roots_ = nullptr;  // live spawned processes
+
+  friend struct detail::Root::promise_type;
 };
+
+namespace detail {
+
+inline Root::promise_type::promise_type(const JoinRef& state,
+                                        const Task<void>& /*task*/) noexcept
+    : sim(state->sim), next(sim->roots_) {
+  if (next != nullptr) next->prev = this;
+  sim->roots_ = this;
+}
+
+inline Root::promise_type::~promise_type() {
+  if (prev != nullptr) {
+    prev->next = next;
+  } else {
+    sim->roots_ = next;
+  }
+  if (next != nullptr) next->prev = prev;
+}
+
+}  // namespace detail
 
 }  // namespace daosim::sim

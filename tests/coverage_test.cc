@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "apps/observe.h"
 #include "apps/runner.h"
 #include "apps/sweep.h"
 #include "apps/testbed.h"
@@ -225,7 +226,7 @@ TEST(PosixCorners, SeekTellAndIndependentFds) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.daos.retain_data = true;
   apps::DaosTestbed tb(opt);
   auto h = tb.sim().spawn([](apps::DaosTestbed& tb) -> Task<void> {
     posix::DfsVfs vfs(tb.dfsMount());
@@ -270,7 +271,7 @@ TEST(LustreCorners, AppendCursorAndReaddirNested) {
   apps::LustreTestbed::Options opt;
   opt.oss_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.lustre.retain_data = true;
   apps::LustreTestbed tb(opt);
   auto h = tb.sim().spawn([](apps::LustreTestbed& tb) -> Task<void> {
     lustre::LustreVfs vfs(tb.lustre(), tb.clients().front());
@@ -323,7 +324,7 @@ TEST(Hdf5Corners, ZeroByteDatasetAndLargeIndex) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.daos.retain_data = true;
   apps::DaosTestbed tb(opt);
   auto h = tb.sim().spawn(bigIndexBody(tb));
   tb.sim().run();
@@ -338,6 +339,8 @@ TEST(AppsCorners, PhaseResultEmptyIsZero) {
   EXPECT_DOUBLE_EQ(p.gibps(), 0.0);
   EXPECT_DOUBLE_EQ(p.iops(), 0.0);
 }
+
+std::size_t exemplars() { return apps::ObserveSpec::fromEnv().exemplars; }
 
 TEST(AppsCorners, EnvOverridesParse) {
   setenv("DAOSIM_OPS", "123", 1);
@@ -363,25 +366,40 @@ TEST(AppsCorners, EnvOverridesParse) {
   unsetenv("DAOSIM_EXEMPLARS");
   const int hw_jobs = apps::envJobs();
   EXPECT_GE(hw_jobs, 1);
-  EXPECT_EQ(apps::envExemplars(), 0u);
+  EXPECT_EQ(exemplars(), 0u);
   for (const char* dflt : {"", "0"}) {
     setenv("DAOSIM_JOBS", dflt, 1);
     EXPECT_EQ(apps::envJobs(), hw_jobs) << dflt;
     setenv("DAOSIM_EXEMPLARS", dflt, 1);
-    EXPECT_EQ(apps::envExemplars(), 0u) << dflt;
+    EXPECT_EQ(exemplars(), 0u) << dflt;
   }
   setenv("DAOSIM_JOBS", "3", 1);
   setenv("DAOSIM_EXEMPLARS", "2", 1);
   EXPECT_EQ(apps::envJobs(), 3);
-  EXPECT_EQ(apps::envExemplars(), 2u);
+  EXPECT_EQ(exemplars(), 2u);
   for (const char* bad : {"abc", "4x", "-1", " 2", "99999999999"}) {
     setenv("DAOSIM_JOBS", bad, 1);
     EXPECT_THROW(apps::envJobs(), std::invalid_argument) << bad;
     setenv("DAOSIM_EXEMPLARS", bad, 1);
-    EXPECT_THROW(apps::envExemplars(), std::invalid_argument) << bad;
+    EXPECT_THROW(exemplars(), std::invalid_argument) << bad;
   }
   unsetenv("DAOSIM_JOBS");
   unsetenv("DAOSIM_EXEMPLARS");
+  // DAOSIM_FULL_GRID: unset, empty or 0 is off and 1 is on; anything else
+  // throws instead of silently meaning off.
+  unsetenv("DAOSIM_FULL_GRID");
+  EXPECT_FALSE(apps::envFullGrid());
+  for (const char* off : {"", "0"}) {
+    setenv("DAOSIM_FULL_GRID", off, 1);
+    EXPECT_FALSE(apps::envFullGrid()) << off;
+  }
+  setenv("DAOSIM_FULL_GRID", "1", 1);
+  EXPECT_TRUE(apps::envFullGrid());
+  for (const char* bad : {"yes", "2", "1x", "-1", " 1"}) {
+    setenv("DAOSIM_FULL_GRID", bad, 1);
+    EXPECT_THROW(apps::envFullGrid(), std::invalid_argument) << bad;
+  }
+  unsetenv("DAOSIM_FULL_GRID");
 }
 
 TEST(AppsCorners, PrintSeriesFormatsRows) {
@@ -434,7 +452,7 @@ TEST(DfsCorners, RenameAcrossDirectoriesKeepsData) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.daos.retain_data = true;
   apps::DaosTestbed tb(opt);
   auto h = tb.sim().spawn([](apps::DaosTestbed& tb) -> Task<void> {
     dfs::FileSystem fs = tb.dfsMount();
@@ -458,7 +476,7 @@ TEST(KvCorners, ListMergesManyKeysAcrossAllGroups) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.daos.retain_data = true;
   apps::DaosTestbed tb(opt);
   auto h = tb.sim().spawn([](apps::DaosTestbed& tb) -> Task<void> {
     Client c(tb.daos(), tb.clients().front(), 77);
@@ -479,7 +497,7 @@ TEST(LustreCorners2, TruncateThenReadSeesHole) {
   apps::LustreTestbed::Options opt;
   opt.oss_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.lustre.retain_data = true;
   apps::LustreTestbed tb(opt);
   auto h = tb.sim().spawn([](apps::LustreTestbed& tb) -> Task<void> {
     lustre::LustreVfs vfs(tb.lustre(), tb.clients().front());
@@ -507,7 +525,7 @@ TEST(RadosCorners, RemoveFreesSpaceAndStatSeesPartialWrites) {
   apps::CephTestbed::Options opt;
   opt.osd_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.ceph.retain_data = true;
   apps::CephTestbed tb(opt);
   auto h = tb.sim().spawn([](apps::CephTestbed& tb) -> Task<void> {
     rados::RadosClient c(tb.ceph(), tb.clients().front());
@@ -542,7 +560,7 @@ TEST(Hdf5Corners, DaosVolDatasetOverwriteTakesLatest) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.daos.retain_data = true;
   apps::DaosTestbed tb(opt);
   auto h = tb.sim().spawn(h5DaosOverwriteBody(tb));
   tb.sim().run();

@@ -167,7 +167,7 @@ TEST(VfsRename, WorksThroughDfuseAndInterception) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.daos.retain_data = true;
   apps::DaosTestbed tb(opt);
   auto h = tb.sim().spawn([](apps::DaosTestbed& tb) -> Task<void> {
     posix::DfuseVfs dfuse(tb.daemon(tb.clients().front()));
@@ -202,7 +202,7 @@ TEST(VfsRename, WorksOnLustre) {
   apps::LustreTestbed::Options opt;
   opt.oss_nodes = 2;
   opt.client_nodes = 1;
-  opt.retain_data = true;
+  opt.lustre.retain_data = true;
   apps::LustreTestbed tb(opt);
   auto h = tb.sim().spawn([](apps::LustreTestbed& tb) -> Task<void> {
     lustre::LustreVfs vfs(tb.lustre(), tb.clients().front());

@@ -513,7 +513,7 @@ TEST_P(FaultProperty, AckedWritesSurviveSeededChaos) {
   opt.server_nodes = 3;
   opt.client_nodes = 1;
   opt.seed = seed;
-  opt.retain_data = true;  // verify real bytes, not just sizes
+  opt.daos.retain_data = true;  // verify real bytes, not just sizes
   opt.with_dfuse = false;
   opt.daos.targets_per_engine = 4;
   opt.daos.rpc_retry = net::RetryPolicy::chaosDefault();

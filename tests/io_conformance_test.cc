@@ -135,7 +135,7 @@ TEST(IoRoundTrip, EveryBackendReturnsWrittenBytes) {
         apps::DaosTestbed::Options opt;
         opt.server_nodes = 2;
         opt.client_nodes = 1;
-        opt.retain_data = true;
+        opt.daos.retain_data = true;
         apps::DaosTestbed tb(opt);
         runRoundTrip(tb.ioEnv(), api, tb.sim(), tb.clientSubset(1));
         break;
@@ -144,7 +144,7 @@ TEST(IoRoundTrip, EveryBackendReturnsWrittenBytes) {
         apps::LustreTestbed::Options opt;
         opt.oss_nodes = 2;
         opt.client_nodes = 1;
-        opt.retain_data = true;
+        opt.lustre.retain_data = true;
         apps::LustreTestbed tb(opt);
         runRoundTrip(tb.ioEnv(), api, tb.sim(), tb.clientSubset(1));
         break;
@@ -153,7 +153,7 @@ TEST(IoRoundTrip, EveryBackendReturnsWrittenBytes) {
         apps::CephTestbed::Options opt;
         opt.osd_nodes = 2;
         opt.client_nodes = 1;
-        opt.retain_data = true;
+        opt.ceph.retain_data = true;
         apps::CephTestbed tb(opt);
         runRoundTrip(tb.ioEnv(), api, tb.sim(), tb.clientSubset(1));
         break;

@@ -1,5 +1,5 @@
-// Observability subsystem tests: histogram binning and percentiles, metrics
-// export schema, tracer event structure, queue-station busy accounting under
+// Observability subsystem tests: histogram binning and percentiles, the
+// exact op rows of metrics dumps, tracer event structure, queue-station busy accounting under
 // enter/leave, and an end-to-end Chrome-trace round trip that parses the
 // exported JSON back and validates the span tree.
 #include <gtest/gtest.h>
@@ -16,8 +16,8 @@
 #include "daos/system.h"
 #include "hw/cluster.h"
 #include "obs/histogram.h"
-#include "obs/metrics.h"
 #include "obs/observer.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "sim/queue_station.h"
 #include "sim/simulation.h"
@@ -135,31 +135,50 @@ TEST(Histogram, MergeWithEmptyKeepsMinMax) {
   EXPECT_EQ(a.max(), 10u);
 }
 
-// --- metrics ---------------------------------------------------------------
+// --- metrics dump -----------------------------------------------------------
 
-TEST(Metrics, CsvHasSchemaHeader) {
-  obs::MetricsRegistry reg;
-  reg.counter("ops.total").inc(5);
-  reg.gauge("queue.depth").set(2.5);
-  reg.histogram("lat").add(100);
-  std::ostringstream os;
-  reg.writeCsv(os);
-  const std::string out = os.str();
-  EXPECT_EQ(out.rfind("# daosim-metrics schema=2\n", 0), 0u) << out;
-  EXPECT_NE(out.find("counter,ops.total,value,5"), std::string::npos) << out;
-  EXPECT_NE(out.find("histogram,lat,count,1"), std::string::npos) << out;
-}
+TEST(Metrics, OpRowsAreExact) {
+  sim::Simulation sim;
+  obs::Observer o;
+  o.attach(sim);
+  const obs::TrackId t = o.track(0, "client0");
+  const obs::OpId put = o.beginOp("kv.put", t);
+  sim.runUntil(1000);
+  // An 800 ns device leg whose first 300 ns queued; the op's other 200 ns
+  // are client time.
+  o.leg(put, obs::Cat::kDevice, t, "nvme", 200, 300);
+  o.endOp(put, "kv.put", t, 0);
+  const obs::OpId odd = o.beginOp("odd,type", t);
+  sim.runUntil(3000);
+  o.endOp(odd, "odd,type", t, 1000);
 
-TEST(Metrics, JsonHasSchemaField) {
-  obs::MetricsRegistry reg;
-  reg.counter("a").inc(1);
+  // A metrics file is the telemetry dump of no runs plus the op rows.
   std::ostringstream os;
-  reg.writeJson(os);
-  const std::string out = os.str();
-  const auto schema = out.find("\"schema\": 2");
-  ASSERT_NE(schema, std::string::npos) << out;
-  // Schema version leads the document, before any metric content.
-  EXPECT_LT(schema, out.find("\"counters\"")) << out;
+  obs::TelemetryHub{}.writeCsv(os);
+  o.writeOpRows(os);
+  EXPECT_EQ(os.str(),
+            "# daosim-metrics schema=2\n"
+            "kind,name,field,value\n"
+            "counter,op.kv.put.client_ns,value,200\n"
+            "counter,op.kv.put.count,value,1\n"
+            "counter,op.kv.put.device_ns,value,500\n"
+            "counter,op.kv.put.server_queue_ns,value,300\n"
+            "counter,\"op.odd,type.client_ns\",value,2000\n"
+            "counter,\"op.odd,type.count\",value,1\n"
+            "histogram,op.kv.put.latency_ns,count,1\n"
+            "histogram,op.kv.put.latency_ns,min,1000\n"
+            "histogram,op.kv.put.latency_ns,max,1000\n"
+            "histogram,op.kv.put.latency_ns,mean,1000\n"
+            "histogram,op.kv.put.latency_ns,p50,1000\n"
+            "histogram,op.kv.put.latency_ns,p95,1000\n"
+            "histogram,op.kv.put.latency_ns,p99,1000\n"
+            "histogram,\"op.odd,type.latency_ns\",count,1\n"
+            "histogram,\"op.odd,type.latency_ns\",min,2000\n"
+            "histogram,\"op.odd,type.latency_ns\",max,2000\n"
+            "histogram,\"op.odd,type.latency_ns\",mean,2000\n"
+            "histogram,\"op.odd,type.latency_ns\",p50,2000\n"
+            "histogram,\"op.odd,type.latency_ns\",p95,2000\n"
+            "histogram,\"op.odd,type.latency_ns\",p99,2000\n");
 }
 
 // --- queue station enter/leave accounting ----------------------------------
@@ -355,14 +374,12 @@ TEST(TraceRoundTrip, MetricsExportAggregatesOps) {
   // The device leg must be part of the write's breakdown.
   EXPECT_GT(wr.cat_ns[static_cast<int>(obs::Cat::kDevice)], 0u);
 
-  obs.exportMetrics();
-  obs.exportMetrics();  // idempotent: a second export must not double counts
-  EXPECT_EQ(obs.metrics().counters().at("op.array.write.count").value(), 1u);
-  EXPECT_EQ(obs.metrics().histograms().at("op.array.write.latency_ns").count(),
-            1u);
   std::ostringstream os;
-  obs.metrics().writeCsv(os);
-  EXPECT_NE(os.str().find("op.array.write.count"), std::string::npos);
+  obs.writeOpRows(os);
+  EXPECT_NE(os.str().find("counter,op.array.write.count,value,1\n"),
+            std::string::npos);
+  EXPECT_NE(os.str().find("histogram,op.array.write.latency_ns,count,1\n"),
+            std::string::npos);
 
   // Breakdown table renders without tracing enabled.
   std::ostringstream bd;

@@ -155,7 +155,7 @@ TEST(SharedFileIor, DaosArraySegmentsDoNotCollide) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 2;
   opt.client_nodes = 2;
-  opt.retain_data = true;  // verify actual stored bytes
+  opt.daos.retain_data = true;  // verify actual stored bytes
   apps::DaosTestbed tb(opt);
   apps::IorConfig cfg;
   cfg.transfer = 128 * kKiB;
@@ -177,7 +177,7 @@ TEST(SharedFileIor, DfsSharedFileHasSingleDirectoryEntry) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 2;
   opt.client_nodes = 2;
-  opt.retain_data = true;
+  opt.daos.retain_data = true;
   apps::DaosTestbed tb(opt);
   apps::IorConfig cfg;
   cfg.transfer = 64 * kKiB;

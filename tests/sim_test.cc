@@ -2,10 +2,13 @@
 // task semantics, synchronization primitives and queueing stations.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/observer.h"
 #include "sim/queue_station.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
@@ -124,6 +127,50 @@ TEST(Simulation, EventBudgetThrows) {
     for (;;) co_await s.yield();
   }(sim));
   EXPECT_THROW(sim.run(1000), std::runtime_error);
+}
+
+/// Counts how many frame locals have been destroyed.
+struct DtorCount {
+  int* n;
+  ~DtorCount() { ++*n; }
+};
+
+Task<void> acquireIn(Semaphore* sem, int* n) {
+  DtorCount c{n};
+  co_await sem->acquire();
+}
+
+TEST(Simulation, DestructionFreesSuspendedProcesses) {
+  int dtors = 0;
+  std::optional<Simulation> sim(std::in_place);
+  Semaphore sem(*sim, 0);  // never released
+  auto observer = std::make_unique<obs::Observer>();
+  observer->attach(*sim);
+  sim->spawn([](Simulation& s, int& n) -> Task<void> {  // livelocked
+    DtorCount c{&n};
+    for (;;) co_await s.yield();
+  }(*sim, dtors));
+  ProcHandle waiter = sim->spawn([](Semaphore& sm, int& n) -> Task<void> {
+    DtorCount c{&n};
+    co_await acquireIn(&sm, &n);  // a two-frame task chain
+  }(sem, dtors));
+  sim->spawn([](ProcHandle h, int& n) -> Task<void> {  // pending join
+    DtorCount c{&n};
+    co_await h.join();
+  }(waiter, dtors));
+  sim->spawn([](Simulation& s, Semaphore& sm, int& n) -> Task<void> {
+    auto op = obs::beginOp(s, "test.op", 0, "proc");
+    DtorCount c{&n};
+    co_await sm.acquire();
+  }(*sim, sem, dtors));
+  EXPECT_THROW(sim->run(1000), std::runtime_error);
+  EXPECT_EQ(dtors, 0);
+  // The open op's observer leaves first: closing its scope must not touch
+  // the freed observer.
+  observer.reset();
+  sim.reset();
+  EXPECT_EQ(dtors, 5);
+  EXPECT_FALSE(waiter.done());
 }
 
 TEST(Event, WakesAllWaiters) {

@@ -293,9 +293,20 @@ Task<void> hubWorkload(Simulation* sim, Telemetry::Handle ops,
   }
 }
 
-std::string hubDump(int jobs) {
+/// Merges per-run registries into one dump in run order, the way a sweep
+/// does: runs finish on any thread, each into its own slot.
+std::string mergedDump(std::vector<Telemetry> runs) {
   obs::TelemetryHub hub;
-  sim::parallelMap(4, jobs, [&hub](std::size_t rep) {
+  for (std::size_t rep = 0; rep < runs.size(); ++rep) {
+    hub.add("rep/" + std::to_string(rep), std::move(runs[rep]));
+  }
+  std::ostringstream os;
+  hub.writeCsv(os);
+  return os.str();
+}
+
+std::string hubDump(int jobs) {
+  return mergedDump(sim::parallelMap(4, jobs, [](std::size_t rep) {
     Simulation sim;
     Telemetry t(10_ms);
     Telemetry::Handle ops = t.rate("ops");
@@ -304,12 +315,9 @@ std::string hubDump(int jobs) {
     t.attach(sim);
     sim.spawn(hubWorkload(&sim, ops, rep));
     sim.run();
-    hub.add("rep/" + std::to_string(rep), std::move(t));
-    return 0;
-  });
-  std::ostringstream os;
-  hub.writeCsv(os);
-  return os.str();
+    t.detach();
+    return t;
+  }));
 }
 
 TEST(TelemetryHub, SerialAndParallelDumpsAreByteIdentical) {
@@ -328,8 +336,8 @@ TEST(TelemetryHub, SerialAndParallelDumpsAreByteIdentical) {
 /// and perturb nothing: all four combinations (with/without machinery,
 /// serial/parallel) produce byte-identical CSV.
 std::string testbedDump(int jobs, bool with_fault_machinery) {
-  obs::TelemetryHub hub;
-  sim::parallelMap(2, jobs, [&hub, with_fault_machinery](std::size_t rep) {
+  return mergedDump(sim::parallelMap(2, jobs, [with_fault_machinery](
+                                                  std::size_t rep) {
     apps::DaosTestbed::Options opt;
     opt.server_nodes = 2;
     opt.client_nodes = 1;
@@ -360,12 +368,9 @@ std::string testbedDump(int jobs, bool with_fault_machinery) {
     };
     tb.sim().spawn(Work::run(&client, tb.container(), rep));
     tb.sim().run();
-    hub.add("rep/" + std::to_string(rep), std::move(t));
-    return 0;
-  });
-  std::ostringstream os;
-  hub.writeCsv(os);
-  return os.str();
+    t.detach();
+    return t;
+  }));
 }
 
 TEST(TelemetryHub, EmptyFaultPlanDumpsAreByteIdenticalSerialAndParallel) {

@@ -8,6 +8,7 @@
 //
 //   daosim_metrics telem.csv
 //   daosim_metrics --top 20 telem.csv
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,21 @@ namespace {
                "table length (default 10).\n",
                argv0);
   std::exit(2);
+}
+
+/// --top N: a whole decimal number >= 1. Anything else (a sign, trailing
+/// junk such as "3x", an out-of-range value) prints usage and exits 2.
+int parseTop(const char* argv0, const char* text) {
+  const char* end = text + std::strlen(text);
+  int n = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, n);
+  if (ec != std::errc{} || ptr != end || n < 1) {
+    std::fprintf(stderr,
+                 "invalid value for --top: '%s' (want a whole number >= 1)\n",
+                 text);
+    usage(argv0);
+  }
+  return n;
 }
 
 }  // namespace
@@ -53,8 +69,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--top") {
-      top_n = std::atoi(value());
-      if (top_n <= 0) usage(argv[0]);
+      top_n = parseTop(argv[0], value());
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else if (file.empty() && arg[0] != '-') {

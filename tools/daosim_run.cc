@@ -22,12 +22,9 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,14 +32,12 @@
 #include "apps/fdb.h"
 #include "apps/fieldio.h"
 #include "apps/ior.h"
+#include "apps/observe.h"
 #include "apps/runner.h"
 #include "apps/sweep.h"
-#include "apps/telemetry_probes.h"
 #include "apps/testbed.h"
 #include "io/backend.h"
-#include "obs/observer.h"
-#include "obs/telemetry.h"
-#include "obs/telemetry_reader.h"
+#include "sim/fault_plan.h"
 #include "sim/parallel.h"
 
 namespace {
@@ -67,14 +62,11 @@ struct Options {
   int queue_depth = 1;
   bool shared = false;
   bool async_index = false;
-  bool stats = false;
   bool write_only = false;  // --write-only: skip the IOR read phase
   bool read_only = false;   // --read-only: write silently, time reads only
-  std::string trace_file;      // --trace / DAOSIM_TRACE
-  int exemplars = 0;           // --exemplars K / DAOSIM_EXEMPLARS (0 = off)
-  std::string metrics_file;    // --metrics / DAOSIM_METRICS
-  std::string telemetry_file;  // --telemetry / DAOSIM_TELEMETRY
-  sim::Time telemetry_interval = 0;  // 0 = DAOSIM_TELEMETRY_INTERVAL / 10ms
+  // --stats, --trace, --metrics, --exemplars, --telemetry and
+  // --telemetry-interval; the DAOSIM_* variables fill what they leave unset.
+  apps::ObserveSpec observe;
   std::string faults;           // --faults: sim::FaultPlan spec (daos only)
   sim::Time rpc_timeout = 0;    // --rpc-timeout: per-attempt RPC timeout
   int rpc_retries = -1;         // --rpc-retries: retry budget (-1 = default)
@@ -111,9 +103,9 @@ struct Options {
       "simulation on one thread, so results are identical to --jobs 1 for\n"
       "a fixed --seed.\n"
       "Observability: --trace writes a Chrome-trace JSON (open in\n"
-      "chrome://tracing or Perfetto) and --metrics a CSV (or JSON when the\n"
-      "file ends in .json) of op latency histograms, both for the last\n"
-      "repetition. DAOSIM_TRACE / DAOSIM_METRICS env vars are fallbacks.\n"
+      "chrome://tracing or Perfetto) and --metrics a CSV of op latency\n"
+      "histograms, both for the last repetition. DAOSIM_TRACE /\n"
+      "DAOSIM_METRICS env vars are fallbacks.\n"
       "--exemplars K keeps the K slowest ops per op type across ALL\n"
       "repetitions (bounded memory) and prints their causal leg trees plus\n"
       "a p50/p95/p99 critical-path breakdown; deterministic under --jobs.\n"
@@ -121,9 +113,10 @@ struct Options {
       "--telemetry samples a per-component metric tree every\n"
       "--telemetry-interval of simulated time (default 10ms; \"500us\",\n"
       "\"5ms\", ... — see obs/telemetry.h) across every repetition and\n"
-      "writes one schema-versioned dump (CSV, or JSON for .json files)\n"
-      "that daosim_metrics turns into a bottleneck report. DAOSIM_TELEMETRY\n"
-      "/ DAOSIM_TELEMETRY_INTERVAL env vars are fallbacks.\n"
+      "writes one schema-versioned CSV dump that daosim_metrics turns into\n"
+      "a bottleneck report. DAOSIM_TELEMETRY / DAOSIM_TELEMETRY_INTERVAL\n"
+      "env vars are fallbacks. Metrics and telemetry files are CSV only: a\n"
+      "name ending in .json is refused.\n"
       "--stats prints that report (utilization per resource class, the\n"
       "hottest units, per-layer time shares) and a per-op latency\n"
       "breakdown; without --telemetry it samples the last repetition in\n"
@@ -196,6 +189,18 @@ T parseNumber(const char* argv0, const std::string& flag, const char* text,
   return static_cast<T>(v);
 }
 
+/// A metrics or telemetry dump name: dumps are CSV only, so a ".json" name
+/// prints usage and exits 2.
+std::string csvFile(const char* argv0, const std::string& flag,
+                    const char* text) {
+  if (apps::jsonName(text)) {
+    std::fprintf(stderr, "%s writes CSV only, not '%s'\n", flag.c_str(),
+                 text);
+    usage(argv0);
+  }
+  return text;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -257,25 +262,25 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--async-index") {
       o.async_index = true;
     } else if (arg == "--stats") {
-      o.stats = true;
+      o.observe.stats = true;
     } else if (arg == "--write-only") {
       o.write_only = true;
     } else if (arg == "--read-only") {
       o.read_only = true;
     } else if (arg == "--trace") {
-      o.trace_file = value();
+      o.observe.trace_file = value();
     } else if (arg == "--exemplars") {
-      o.exemplars = count(1);
+      o.observe.exemplars = count(1);
     } else if (arg == "--metrics") {
-      o.metrics_file = value();
+      o.observe.metrics_file = csvFile(argv[0], arg, value());
     } else if (arg == "--telemetry") {
-      o.telemetry_file = value();
+      o.observe.telemetry_file = csvFile(argv[0], arg, value());
     } else if (arg == "--telemetry-interval") {
-      o.telemetry_interval = apps::parseDuration(value());
+      o.observe.telemetry_interval = sim::parseDuration(value());
     } else if (arg == "--faults") {
       o.faults = value();
     } else if (arg == "--rpc-timeout") {
-      o.rpc_timeout = apps::parseDuration(value());
+      o.rpc_timeout = sim::parseDuration(value());
     } else if (arg == "--rpc-retries") {
       o.rpc_retries = count(0);
     } else {
@@ -288,19 +293,7 @@ Options parse(int argc, char** argv) {
   if (!o.faults.empty() && o.system != "daos") {
     throw std::invalid_argument("--faults requires --system daos");
   }
-  if (o.trace_file.empty()) {
-    if (const char* v = std::getenv("DAOSIM_TRACE")) o.trace_file = v;
-  }
-  if (o.exemplars == 0) {
-    o.exemplars = static_cast<int>(apps::envExemplars());
-  }
-  if (o.metrics_file.empty()) {
-    if (const char* v = std::getenv("DAOSIM_METRICS")) o.metrics_file = v;
-  }
-  if (o.telemetry_file.empty()) o.telemetry_file = apps::telemetryEnvFile();
-  if (o.telemetry_interval == 0) {
-    o.telemetry_interval = apps::telemetryEnvInterval();
-  }
+  o.observe = apps::ObserveSpec::fromEnv(std::move(o.observe));
   return o;
 }
 
@@ -342,22 +335,18 @@ apps::FdbConfig fdbConfig(const Options& o) {
 /// testbed; shared across the three systems now that the benchmarks are
 /// backend-neutral.
 template <typename Testbed>
-apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
-                         obs::Observer* observer, const std::string& run_label,
+apps::RunResult runBench(const Options& o, Testbed& tb,
+                         const apps::RunSlot& slot,
                          apps::FaultInjector* injector = nullptr) {
-  // Scoped: the registry detaches and lands in TelemetryHub::global()
-  // (keyed by the deterministic rep label) before the testbed dies. The
-  // --stats report is read from it, so a --stats repetition samples even
-  // without a --telemetry file.
-  apps::ScopedRunTelemetry telem(tb.sim(), run_label,
-                                 stats || !o.telemetry_file.empty(),
-                                 o.telemetry_interval);
-  if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
-  if (telem.active() && injector != nullptr) {
-    injector->registerTelemetry(telem.telemetry());
+  // Observed before the injector installs, so its fault events land in the
+  // trace; the run's telemetry also samples the injector's counters.
+  apps::ObservedRun observed(slot, tb);
+  if (injector != nullptr) {
+    if (obs::Telemetry* t = observed.telemetry()) {
+      injector->registerTelemetry(*t);
+    }
+    injector->install();
   }
-  if (observer != nullptr) observer->attach(tb.sim());
-  if (injector != nullptr) injector->install();
   const auto run = [&](apps::SpmdBenchmark& bench) {
     return apps::runSpmd(tb.sim(), tb.clientSubset(o.clients), o.ppn, bench);
   };
@@ -379,17 +368,16 @@ apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
   }
   if (injector != nullptr) {
     injector->rethrowIfFailed();
-    if (stats) injector->writeSummary(std::cout);
-  }
-  if (observer != nullptr) {
-    if (stats) observer->writeBreakdown(std::cout);
-    observer->detach();  // tb's sim dies with this scope
+    // The last repetition's summary precedes the --stats breakdown, which
+    // SweepObservation::finish prints after the sweep.
+    const bool last = slot.index + 1 == static_cast<std::size_t>(o.reps);
+    if (o.observe.stats && last) injector->writeSummary(std::cout);
   }
   return r;
 }
 
-apps::RunResult runDaos(const Options& o, std::uint64_t seed, bool stats,
-                        obs::Observer* observer, const std::string& label) {
+apps::RunResult runDaos(const Options& o, std::uint64_t seed,
+                        const apps::RunSlot& slot) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = o.servers;
   opt.client_nodes = o.clients;
@@ -415,22 +403,21 @@ apps::RunResult runDaos(const Options& o, std::uint64_t seed, bool stats,
   apps::DaosTestbed tb(opt);
   std::optional<apps::FaultInjector> injector;
   if (!plan.empty()) injector.emplace(tb, std::move(plan));
-  return runBench(o, tb, stats, observer, label,
-                  injector ? &*injector : nullptr);
+  return runBench(o, tb, slot, injector ? &*injector : nullptr);
 }
 
-apps::RunResult runLustre(const Options& o, std::uint64_t seed, bool stats,
-                          obs::Observer* observer, const std::string& label) {
+apps::RunResult runLustre(const Options& o, std::uint64_t seed,
+                          const apps::RunSlot& slot) {
   apps::LustreTestbed::Options opt;
   opt.oss_nodes = o.servers;
   opt.client_nodes = o.clients;
   opt.seed = seed;
   apps::LustreTestbed tb(opt);
-  return runBench(o, tb, stats, observer, label);
+  return runBench(o, tb, slot);
 }
 
-apps::RunResult runCeph(const Options& o, std::uint64_t seed, bool stats,
-                        obs::Observer* observer, const std::string& label) {
+apps::RunResult runCeph(const Options& o, std::uint64_t seed,
+                        const apps::RunSlot& slot) {
   apps::CephTestbed::Options opt;
   opt.osd_nodes = o.servers;
   opt.client_nodes = o.clients;
@@ -438,7 +425,7 @@ apps::RunResult runCeph(const Options& o, std::uint64_t seed, bool stats,
   opt.ceph.pg_count = o.pgs;
   opt.ceph.replica_count = o.replicas;
   apps::CephTestbed tb(opt);
-  return runBench(o, tb, stats, observer, label);
+  return runBench(o, tb, slot);
 }
 
 void printSummary(const Options& o, const apps::Measurement& m) {
@@ -464,101 +451,25 @@ int main(int argc, char** argv) {
   try {
     const Options o = parse(argc, argv);
     const int jobs = o.jobs > 0 ? o.jobs : apps::envJobs();
-    // Observe the last repetition only (mirrors --stats), so traces and
-    // metrics describe one run rather than a mix of seeds.
-    obs::Observer observer;
-    const bool want_obs = o.stats || !o.trace_file.empty() ||
-                          !o.metrics_file.empty() || !o.telemetry_file.empty();
-    if (!o.trace_file.empty()) observer.enableTracing();
-    if (o.exemplars > 0) {
-      observer.enableExemplars(static_cast<std::size_t>(o.exemplars),
-                               static_cast<std::uint32_t>(o.reps - 1));
-    }
-    apps::Measurement m;
-    m.point = apps::SweepPoint{o.clients, o.ppn};
-    // Per-rep exemplar reservoirs, merged in rep order after the sweep
-    // (merge order does not matter, but fixed order keeps it obviously
-    // deterministic under --jobs).
-    std::vector<std::unique_ptr<obs::ExemplarReservoir>> reservoirs(
-        static_cast<std::size_t>(o.reps));
+    const auto reps = static_cast<std::size_t>(o.reps);
+    apps::SweepObservation observed(o.observe, reps);
     // Repetitions are independent simulations; run them on --jobs /
     // DAOSIM_JOBS threads. Aggregation stays in rep order, so the printed
     // numbers are identical to a serial run for a fixed --seed.
     auto results = sim::parallelMap(
-        static_cast<std::size_t>(o.reps), jobs,
-        [&](std::size_t rep) -> apps::RunResult {
+        reps, jobs, [&](std::size_t rep) -> apps::RunResult {
           const std::uint64_t seed = o.seed + static_cast<std::uint64_t>(rep);
-          const bool last = rep == static_cast<std::size_t>(o.reps) - 1;
-          const bool stats = o.stats && last;
-          obs::Observer* obsp = want_obs && last ? &observer : nullptr;
-          // Non-last reps get a local observer when exemplars are on, so
-          // the reservoir sees the tail of every repetition.
-          std::optional<obs::Observer> rep_obs;
-          if (o.exemplars > 0 && obsp == nullptr) {
-            rep_obs.emplace();
-            rep_obs->enableExemplars(static_cast<std::size_t>(o.exemplars),
-                                     static_cast<std::uint32_t>(rep));
-            obsp = &*rep_obs;
-          }
-          const std::string label = "rep/" + std::to_string(rep);
-          apps::RunResult r;
-          if (o.system == "daos") {
-            r = runDaos(o, seed, stats, obsp, label);
-          } else if (o.system == "lustre") {
-            r = runLustre(o, seed, stats, obsp, label);
-          } else if (o.system == "ceph") {
-            r = runCeph(o, seed, stats, obsp, label);
-          } else {
-            throw std::invalid_argument("unknown --system: " + o.system);
-          }
-          if (o.exemplars > 0) reservoirs[rep] = obsp->takeExemplars();
-          return r;
+          const apps::RunSlot slot =
+              observed.slot(rep, "rep/" + std::to_string(rep));
+          if (o.system == "daos") return runDaos(o, seed, slot);
+          if (o.system == "lustre") return runLustre(o, seed, slot);
+          if (o.system == "ceph") return runCeph(o, seed, slot);
+          throw std::invalid_argument("unknown --system: " + o.system);
         });
+    apps::Measurement m;
+    m.point = apps::SweepPoint{o.clients, o.ppn};
     for (const auto& r : results) m.add(r);
-    if (o.exemplars > 0) {
-      obs::ExemplarReservoir master(static_cast<std::size_t>(o.exemplars));
-      for (const auto& r : reservoirs) {
-        if (r != nullptr) master.merge(*r);
-      }
-      obs::writeTailReport(std::cout, master);
-    }
-    if (!o.trace_file.empty()) {
-      std::ofstream f(o.trace_file);
-      observer.writeChromeTrace(f);
-    }
-    if (!o.metrics_file.empty()) {
-      observer.exportMetrics();
-      std::ofstream f(o.metrics_file);
-      const std::string& mf = o.metrics_file;
-      if (mf.size() >= 5 && mf.compare(mf.size() - 5, 5, ".json") == 0) {
-        observer.metrics().writeJson(f);
-      } else {
-        observer.metrics().writeCsv(f);
-      }
-    }
-    if (!o.telemetry_file.empty() || o.stats) {
-      // Splice the last rep's op.* layer aggregates into the dump so the
-      // analyzer can attribute wall-clock share per layer.
-      observer.exportMetrics();
-      const obs::MetricsRegistry* extra = &observer.metrics();
-      obs::TelemetryHub& hub = obs::TelemetryHub::global();
-      if (!o.telemetry_file.empty()) {
-        std::ofstream f(o.telemetry_file);
-        const std::string& tf = o.telemetry_file;
-        if (tf.size() >= 5 && tf.compare(tf.size() - 5, 5, ".json") == 0) {
-          hub.writeJson(f, extra);
-        } else {
-          hub.writeCsv(f, extra);
-        }
-      }
-      if (o.stats) {
-        std::stringstream ss;
-        hub.writeCsv(ss, extra);
-        const obs::TelemetryDump dump = obs::parseTelemetryCsv(ss);
-        std::cout << "\n-- telemetry bottleneck report --\n";
-        obs::writeReport(std::cout, obs::analyze(dump));
-      }
-    }
+    observed.finish(std::cout);
     printSummary(o, m);
     return 0;
   } catch (const std::exception& e) {

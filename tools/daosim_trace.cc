@@ -14,6 +14,7 @@
 // Exits non-zero (with no partial output) on missing files or a trace
 // schema this build does not understand.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +48,21 @@ namespace {
       "                        count for hops (default 5)\n",
       argv0);
   std::exit(2);
+}
+
+/// --top N: a whole decimal number >= 1. Anything else (a sign, trailing
+/// junk such as "3x", an out-of-range value) prints usage and exits 2.
+int parseTop(const char* argv0, const char* text) {
+  const char* end = text + std::strlen(text);
+  int n = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, n);
+  if (ec != std::errc{} || ptr != end || n < 1) {
+    std::fprintf(stderr,
+                 "invalid value for --top: '%s' (want a whole number >= 1)\n",
+                 text);
+    usage(argv0);
+  }
+  return n;
 }
 
 /// Cross-node op report: ops whose legs touch more than one trace pid
@@ -146,9 +162,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--top") {
-      const int n = std::atoi(value());
-      if (n <= 0) usage(argv[0]);
-      top = static_cast<std::size_t>(n);
+      top = static_cast<std::size_t>(parseTop(argv[0], value()));
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else if (arg[0] == '-') {
