@@ -5,6 +5,8 @@
 // do for a re-read-heavy POSIX workload: each process writes a file once,
 // then reads the same blocks repeatedly. With the data cache on, repeat
 // reads are served from the client page cache without touching the servers.
+// Its re-read benchmark is not an apps benchmark, so it deploys and observes
+// its own testbed instead of going through apps::run.
 #include "apps/runner.h"
 #include "apps/testbed.h"
 #include "bench_util.h"
@@ -72,16 +74,14 @@ apps::RunResult runPoint(bool caches, SweepPoint pt, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   const auto grid = apps::crossGrid({4, 16}, {8});
-  bench::registerSweep("dfuse-no-cache(paper)", grid,
-                       [](SweepPoint pt, std::uint64_t seed,
-                          const apps::RunSlot& slot) {
-                         return runPoint(false, pt, seed, slot);
-                       });
-  bench::registerSweep("dfuse-all-caches", grid,
-                       [](SweepPoint pt, std::uint64_t seed,
-                          const apps::RunSlot& slot) {
-                         return runPoint(true, pt, seed, slot);
-                       });
+  for (const bool caches : {false, true}) {
+    bench::registerSweep(
+        caches ? "dfuse-all-caches" : "dfuse-no-cache(paper)", grid,
+        [caches](SweepPoint pt, std::uint64_t seed,
+                 const apps::RunSlot& slot) {
+          return runPoint(caches, pt, seed, slot);
+        });
+  }
   return bench::benchMain(
       argc, argv, "Ablation: DFUSE caching on a re-read workload (3 passes)");
 }

@@ -5,10 +5,12 @@
 //     drives of one server node (paper: 3.86 GiB/s write, 7 GiB/s read);
 //   * iperf-style streaming between two nodes (paper: 50 Gbps = 6.25 GiB/s
 //     each direction).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "bench_util.h"
 #include "hw/cluster.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -61,34 +63,10 @@ double iperfGibps() {
          sim::toSeconds(sim.now());
 }
 
-void BM_DdWrite(benchmark::State& state) {
-  double gibps = 0;
-  for (auto _ : state) gibps = ddAggregate(false);
-  state.counters["GiBps"] = gibps;
-}
-BENCHMARK(BM_DdWrite)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_DdRead(benchmark::State& state) {
-  double gibps = 0;
-  for (auto _ : state) gibps = ddAggregate(true);
-  state.counters["GiBps"] = gibps;
-}
-BENCHMARK(BM_DdRead)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_Iperf(benchmark::State& state) {
-  double gibps = 0;
-  for (auto _ : state) gibps = iperfGibps();
-  state.counters["GiBps"] = gibps;
-}
-BENCHMARK(BM_Iperf)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  bench::noArguments(argc, argv);
   std::cerr << "\n#### E0 / §III-A hardware baselines ####\n"
             << "dd 16-drive aggregate write: " << ddAggregate(false)
             << " GiB/s (paper: 3.86)\n"

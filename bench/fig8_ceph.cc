@@ -8,47 +8,23 @@
 // OSD pipeline costs); IOR only manages ~25/50 (objects are not sharded, so
 // one object binds to one OSD and few objects balance poorly); fewer PGs
 // balance worse.
-#include "apps/fdb.h"
-#include "apps/ior.h"
-#include "apps/testbed.h"
+#include <string>
+
 #include "bench_util.h"
+
+using namespace daosim;
+using apps::SweepPoint;
 
 namespace {
 
-using namespace daosim;
-using apps::CephTestbed;
-using apps::SweepPoint;
-
-CephTestbed::Options options16(SweepPoint pt, std::uint64_t seed,
-                               int pg_count = 1024) {
-  CephTestbed::Options opt;
-  opt.osd_nodes = 16;
-  opt.client_nodes = pt.client_nodes;
-  opt.seed = seed;
-  opt.ceph.pg_count = pg_count;
-  return opt;
-}
-
-apps::RunResult runFdb(int pg_count, SweepPoint pt, std::uint64_t seed,
-                       const apps::RunSlot& slot) {
-  CephTestbed tb(options16(pt, seed, pg_count));
-  apps::ObservedRun observed(slot, tb);
-  apps::FdbConfig cfg;
-  cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 20000);
-  apps::Fdb bench(tb.ioEnv(), "rados", cfg);
-  return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
-}
-
-apps::RunResult runIor(SweepPoint pt, std::uint64_t seed,
-                       const apps::RunSlot& slot) {
-  CephTestbed tb(options16(pt, seed));
-  apps::ObservedRun observed(slot, tb);
-  apps::IorConfig cfg;
-  cfg.ops = 100;  // fits the per-process object within 132 MiB
-  apps::Ior bench(tb.ioEnv(), "rados", cfg);
-  return apps::runSpmd(tb.sim(), tb.clientSubset(pt.client_nodes),
-                       pt.procs_per_node, bench);
+bench::PointSpec fdb(int pgs) {
+  return [pgs](SweepPoint pt) {
+    apps::FdbConfig cfg;
+    cfg.fields = apps::scaledOps(pt.totalProcs(), apps::envOps(1000), 20000);
+    apps::RunSpec spec = bench::pointSpec(pt, "rados", cfg);
+    spec.pgs = pgs;
+    return spec;
+  };
 }
 
 }  // namespace
@@ -57,20 +33,17 @@ int main(int argc, char** argv) {
   const auto grid = bench::fullGrid(argv[0])
                         ? apps::crossGrid({1, 4, 16, 32}, {1, 4, 16, 32})
                         : apps::crossGrid({4, 16, 32}, {4, 16});
-  bench::registerSweep("fdb-hammer-rados-pg1024", grid,
-                       [](SweepPoint pt, std::uint64_t seed,
-                          const apps::RunSlot& slot) {
-                         return runFdb(1024, pt, seed, slot);
-                       });
-  bench::registerSweep("ior-rados", grid, runIor);
+  bench::registerSweep("fdb-hammer-rados-pg1024", grid, fdb(1024));
+  bench::registerSweep("ior-rados", grid, [](SweepPoint pt) {
+    apps::IorConfig cfg;
+    cfg.ops = 100;  // fits the per-process object within 132 MiB
+    return bench::pointSpec(pt, "rados", cfg);
+  });
   // PG ablation (the paper tuned PGs and found 1024 optimal).
   const auto ablation = apps::crossGrid({16}, {16});
   for (int pgs : {64, 256, 1024}) {
     bench::registerSweep("fdb-rados-pg" + std::to_string(pgs), ablation,
-                         [pgs](SweepPoint pt, std::uint64_t seed,
-                               const apps::RunSlot& slot) {
-                           return runFdb(pgs, pt, seed, slot);
-                         });
+                         fdb(pgs));
   }
   return bench::benchMain(
       argc, argv, "E8/E11 / Fig. 8 + §III-F: fdb-hammer + IOR on Ceph");

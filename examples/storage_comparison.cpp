@@ -7,9 +7,7 @@
 // and prints the resulting bandwidth table.
 #include <cstdio>
 
-#include "apps/fdb.h"
-#include "apps/runner.h"
-#include "apps/testbed.h"
+#include "apps/experiment.h"
 
 using namespace daosim;
 using namespace daosim::apps;
@@ -20,39 +18,16 @@ constexpr int kServers = 4;
 constexpr int kClients = 4;
 constexpr int kPpn = 8;
 
-FdbConfig workload() {
+/// fdb-hammer through `api`, which picks the store.
+RunResult runStore(const char* api) {
   FdbConfig cfg;
   cfg.fields = 150;
-  return cfg;
-}
-
-RunResult runDaos() {
-  DaosTestbed::Options opt;
-  opt.server_nodes = kServers;
-  opt.client_nodes = kClients;
-  opt.with_dfuse = false;
-  DaosTestbed tb(opt);
-  Fdb bench(tb.ioEnv(), "daos-array", workload());
-  return runSpmd(tb.sim(), tb.clientSubset(kClients), kPpn, bench);
-}
-
-RunResult runLustre() {
-  LustreTestbed::Options opt;
-  opt.oss_nodes = kServers;
-  opt.client_nodes = kClients;
-  LustreTestbed tb(opt);
-  Fdb bench(tb.ioEnv(/*stripe_count=*/8, /*stripe_size=*/8 << 20),
-            "lustre-posix", workload());
-  return runSpmd(tb.sim(), tb.clientSubset(kClients), kPpn, bench);
-}
-
-RunResult runCeph() {
-  CephTestbed::Options opt;
-  opt.osd_nodes = kServers;
-  opt.client_nodes = kClients;
-  CephTestbed tb(opt);
-  Fdb bench(tb.ioEnv(), "rados", workload());
-  return runSpmd(tb.sim(), tb.clientSubset(kClients), kPpn, bench);
+  return run(RunSpec{.api = api,
+                     .servers = kServers,
+                     .clients = kClients,
+                     .ppn = kPpn,
+                     .bench = cfg},
+             /*seed=*/1);
 }
 
 }  // namespace
@@ -62,13 +37,13 @@ int main() {
               "1 MiB fields\n\n", kServers, kClients, kPpn);
   std::printf("%-10s %14s %14s\n", "store", "write GiB/s", "read GiB/s");
 
-  const RunResult daos = runDaos();
+  const RunResult daos = runStore("daos-array");
   std::printf("%-10s %14.2f %14.2f\n", "DAOS", daos.write().gibps(),
               daos.read().gibps());
-  const RunResult lustre = runLustre();
+  const RunResult lustre = runStore("lustre-posix");
   std::printf("%-10s %14.2f %14.2f\n", "Lustre", lustre.write().gibps(),
               lustre.read().gibps());
-  const RunResult ceph = runCeph();
+  const RunResult ceph = runStore("rados");
   std::printf("%-10s %14.2f %14.2f\n", "Ceph", ceph.write().gibps(),
               ceph.read().gibps());
 

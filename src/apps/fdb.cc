@@ -9,6 +9,13 @@ namespace daosim::apps {
 
 namespace {
 
+// Index puts and gets per field: the paper's ~10 KV operations per object.
+constexpr int kIndexPuts = 7;
+constexpr int kIndexGets = 3;
+constexpr std::uint64_t kIndexEntryBytes = 256;
+// append_log backends: client-side buffer flushed in blocks of this size.
+constexpr std::uint64_t kFlushBlock = 32 << 20;
+
 vos::Payload fieldData(std::uint64_t size, int rank, std::uint64_t f) {
   return vos::Payload::synthetic(
       size, sim::hashCombine(static_cast<std::uint64_t>(rank), f));
@@ -61,17 +68,17 @@ sim::Task<void> Fdb::runNativeIndex(io::Backend* backend, ProcContext ctx) {
       // Launch the index puts on a submit queue so they overlap the bulk
       // field write, then drain the queue.
       io::SubmitQueue q(*ctx.sim);
-      for (int k = 0; k < cfg_.index_puts_per_field; ++k) {
+      for (int k = 0; k < kIndexPuts; ++k) {
         q.launch(index->put(fdbKey(ctx.rank, f, k),
-                            vos::Payload::synthetic(cfg_.index_entry_bytes)));
+                            vos::Payload::synthetic(kIndexEntryBytes)));
       }
       co_await obj->write(0, fieldData(cfg_.field_size, ctx.rank, f));
       co_await q.waitAll();
     } else {
       co_await obj->write(0, fieldData(cfg_.field_size, ctx.rank, f));
-      for (int k = 0; k < cfg_.index_puts_per_field; ++k) {
+      for (int k = 0; k < kIndexPuts; ++k) {
         co_await index->put(fdbKey(ctx.rank, f, k),
-                            vos::Payload::synthetic(cfg_.index_entry_bytes));
+                            vos::Payload::synthetic(kIndexEntryBytes));
       }
     }
     ctx.record(kWrite, cfg_.field_size, t0);
@@ -82,7 +89,7 @@ sim::Task<void> Fdb::runNativeIndex(io::Backend* backend, ProcContext ctx) {
   // --- retrieve ---------------------------------------------------------
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
     const sim::Time t0 = ctx.sim->now();
-    for (int k = 0; k < cfg_.index_gets_per_field; ++k) {
+    for (int k = 0; k < kIndexGets; ++k) {
       (void)co_await index->get(fdbKey(ctx.rank, f, k));
     }
     // The index records field lengths: open with attrs, read, no size probe.
@@ -119,8 +126,8 @@ sim::Task<void> Fdb::runAppendLog(io::Backend* backend, ProcContext ctx) {
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
     const sim::Time t0 = ctx.sim->now();
     buffered += cfg_.field_size;
-    index_buffered += cfg_.index_entry_bytes;
-    if (buffered >= cfg_.flush_block) {
+    index_buffered += kIndexEntryBytes;
+    if (buffered >= kFlushBlock) {
       co_await data->write(data_off, vos::Payload::synthetic(buffered));
       co_await index->write(index_off,
                             vos::Payload::synthetic(index_buffered));
@@ -148,8 +155,7 @@ sim::Task<void> Fdb::runAppendLog(io::Backend* backend, ProcContext ctx) {
     open_spec.create = false;
     open_spec.name = index_name;
     std::unique_ptr<io::Object> ifile = co_await backend->open(open_spec);
-    (void)co_await ifile->read(f * cfg_.index_entry_bytes,
-                               cfg_.index_entry_bytes);
+    (void)co_await ifile->read(f * kIndexEntryBytes, kIndexEntryBytes);
     co_await ifile->close();
     open_spec.name = data_name;
     std::unique_ptr<io::Object> dfile = co_await backend->open(open_spec);
@@ -166,7 +172,7 @@ sim::Task<void> Fdb::runObjectPerField(io::Backend* backend,
   // object.
   const std::uint64_t cap = backend->caps().max_object_bytes;
   const std::uint64_t index_span =
-      cap > cfg_.index_entry_bytes ? cap - cfg_.index_entry_bytes : 0;
+      cap > kIndexEntryBytes ? cap - kIndexEntryBytes : 0;
   io::OpenSpec index_spec;
   index_spec.name = "fdb.r" + std::to_string(ctx.rank) + ".index";
   std::unique_ptr<io::Object> index = co_await backend->open(index_spec);
@@ -181,10 +187,8 @@ sim::Task<void> Fdb::runObjectPerField(io::Backend* backend,
     std::unique_ptr<io::Object> obj = co_await backend->open(spec);
     co_await obj->write(0, fieldData(cfg_.field_size, ctx.rank, f));
     const std::uint64_t index_off =
-        index_span ? (f * cfg_.index_entry_bytes) % index_span
-                   : f * cfg_.index_entry_bytes;
-    co_await index->write(index_off,
-                          vos::Payload::synthetic(cfg_.index_entry_bytes));
+        index_span ? (f * kIndexEntryBytes) % index_span : f * kIndexEntryBytes;
+    co_await index->write(index_off, vos::Payload::synthetic(kIndexEntryBytes));
     co_await obj->close();
     ctx.record(kWrite, cfg_.field_size, t0);
   }
@@ -195,9 +199,8 @@ sim::Task<void> Fdb::runObjectPerField(io::Backend* backend,
   for (std::uint64_t f = 0; f < cfg_.fields; ++f) {
     const sim::Time t0 = ctx.sim->now();
     const std::uint64_t index_off =
-        index_span ? (f * cfg_.index_entry_bytes) % index_span
-                   : f * cfg_.index_entry_bytes;
-    (void)co_await index->read(index_off, cfg_.index_entry_bytes);
+        index_span ? (f * kIndexEntryBytes) % index_span : f * kIndexEntryBytes;
+    (void)co_await index->read(index_off, kIndexEntryBytes);
     io::OpenSpec spec;
     spec.name = fieldName(ctx.rank, f);
     spec.create = false;

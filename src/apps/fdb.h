@@ -31,14 +31,9 @@ struct FdbConfig {
   std::uint64_t fields = 1000;  // per process
   placement::ObjClass array_oclass = placement::ObjClass::S1;
   placement::ObjClass kv_oclass = placement::ObjClass::S1;
-  int index_puts_per_field = 7;
-  int index_gets_per_field = 3;
   /// native_index backends: issue the index puts asynchronously,
   /// overlapping them with the field's bulk write.
   bool async_index = false;
-  /// append_log backends: client-side buffer flushed in blocks of this size.
-  std::uint64_t flush_block = 32 << 20;
-  std::uint64_t index_entry_bytes = 256;
 };
 
 class Fdb final : public SpmdBenchmark {

@@ -8,6 +8,14 @@ namespace daosim::apps {
 
 namespace {
 
+// Index puts per field on the write side (split exclusive/shared) and gets
+// per field on the read side; 7 + 3 reproduces the paper's "average of 10
+// KV operations per object".
+constexpr int kPutsExclusive = 5;
+constexpr int kPutsShared = 2;
+constexpr int kGetsExclusive = 2;
+constexpr int kGetsShared = 1;
+
 std::string indexValue() { return "step=12;param=t;level=500;grid=o1280"; }
 
 }  // namespace
@@ -52,11 +60,11 @@ sim::Task<void> FieldIo::process(ProcContext ctx) {
     // Index entries: process-exclusive and shared.
     const std::string key =
         "r" + std::to_string(ctx.rank) + ".f" + std::to_string(f);
-    for (int k = 0; k < cfg_.index_puts_exclusive; ++k) {
+    for (int k = 0; k < kPutsExclusive; ++k) {
       co_await own_index->put(key + ".k" + std::to_string(k),
                               vos::Payload::fromString(indexValue()));
     }
-    for (int k = 0; k < cfg_.index_puts_shared; ++k) {
+    for (int k = 0; k < kPutsShared; ++k) {
       co_await shared_index->put(key + ".s" + std::to_string(k),
                                  vos::Payload::fromString(indexValue()));
     }
@@ -70,10 +78,10 @@ sim::Task<void> FieldIo::process(ProcContext ctx) {
     const sim::Time t0 = ctx.sim->now();
     const std::string key =
         "r" + std::to_string(ctx.rank) + ".f" + std::to_string(f);
-    for (int k = 0; k < cfg_.index_gets_exclusive; ++k) {
+    for (int k = 0; k < kGetsExclusive; ++k) {
       (void)co_await own_index->get(key + ".k" + std::to_string(k));
     }
-    for (int k = 0; k < cfg_.index_gets_shared; ++k) {
+    for (int k = 0; k < kGetsShared; ++k) {
       (void)co_await shared_index->get(key + ".s" + std::to_string(k));
     }
     // Reopen the field with a metadata fetch, then probe the size before

@@ -27,13 +27,6 @@ struct FieldIoConfig {
   std::uint64_t fields = 1000;  // per process
   placement::ObjClass array_oclass = placement::ObjClass::S1;
   placement::ObjClass kv_oclass = placement::ObjClass::SX;
-  /// Index puts per field on the write side (split exclusive/shared) and
-  /// gets per field on the read side; 7 + 3 reproduces the paper's "average
-  /// of 10 KV operations per object".
-  int index_puts_exclusive = 5;
-  int index_puts_shared = 2;
-  int index_gets_exclusive = 2;
-  int index_gets_shared = 1;
 };
 
 class FieldIo final : public SpmdBenchmark {

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "apps/fault_injector.h"
 #include "apps/sweep.h"
 #include "obs/telemetry_reader.h"
 #include "sim/fault_plan.h"
@@ -82,6 +83,7 @@ void SweepObservation::writeDump(std::ostream& os,
 }
 
 void SweepObservation::finish(std::ostream& out) {
+  out << fault_summary_;
   if (spec_.stats) last_.writeBreakdown(out);
   if (spec_.exemplars > 0) {
     obs::ExemplarReservoir tail(spec_.exemplars);
@@ -135,6 +137,17 @@ ObservedRun::ObservedRun(const RunSlot& slot, sim::Simulation& sim)
                                static_cast<std::uint32_t>(slot_.index));
   }
   observer_->attach(sim);
+}
+
+void ObservedRun::keepFaultSummary(const FaultInjector& injector) {
+  SweepObservation* sweep = slot_.sweep;
+  if (sweep == nullptr || !sweep->spec_.stats ||
+      slot_.index + 1 != sweep->slots_.size()) {
+    return;
+  }
+  std::ostringstream os;
+  injector.writeSummary(os);
+  sweep->fault_summary_ = os.str();
 }
 
 ObservedRun::~ObservedRun() {

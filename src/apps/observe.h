@@ -32,6 +32,8 @@
 
 namespace daosim::apps {
 
+class FaultInjector;
+
 /// What a sweep observes; an empty file name is off.
 struct ObserveSpec {
   std::string trace_file;      // DAOSIM_TRACE: Chrome trace, last run
@@ -73,10 +75,10 @@ class SweepObservation {
   }
 
   /// Writes what the sweep observed, once all runs have ended: with stats,
-  /// the last run's per-op breakdown; with exemplars, one merged tail
-  /// report; the trace, metrics and telemetry files; with stats, the
-  /// telemetry bottleneck report. Reports go to `out`. Throws
-  /// std::runtime_error naming a file that cannot be written.
+  /// the last run's fault injection summary and per-op breakdown; with
+  /// exemplars, one merged tail report; the trace, metrics and telemetry
+  /// files; with stats, the telemetry bottleneck report. Reports go to
+  /// `out`. Throws std::runtime_error naming a file that cannot be written.
   void finish(std::ostream& out);
 
  private:
@@ -94,6 +96,7 @@ class SweepObservation {
   ObserveSpec spec_;
   bool observe_last_;  // the last run attaches last_
   obs::Observer last_;
+  std::string fault_summary_;  // with stats: the last run's, if it had one
   std::vector<Slot> slots_;
 };
 
@@ -114,6 +117,10 @@ class ObservedRun {
   obs::Telemetry* telemetry() noexcept {
     return telemetry_ ? &*telemetry_ : nullptr;
   }
+
+  /// With stats, keeps the last run's fault injection summary for finish()
+  /// to print; a sweep that fails never prints one.
+  void keepFaultSummary(const FaultInjector& injector);
 
  private:
   ObservedRun(const RunSlot& slot, sim::Simulation& sim);

@@ -6,15 +6,11 @@ namespace daosim::apps {
 
 namespace {
 
-sim::Task<void> daosSetup(DaosTestbed* tb, daos::Client* admin,
-                          daos::Container* cont,
-                          std::optional<dfs::FileSystem>* dfs_out,
-                          dfs::DfsConfig dfs_config) {
-  (void)tb;
+sim::Task<void> daosSetup(daos::Client* admin, daos::Container* cont,
+                          std::optional<dfs::FileSystem>* dfs_out) {
   co_await admin->poolConnect();
   *cont = co_await admin->contCreate("bench");
-  dfs_out->emplace(
-      co_await dfs::FileSystem::mount(*admin, *cont, dfs_config));
+  dfs_out->emplace(co_await dfs::FileSystem::mount(*admin, *cont));
   co_await (*dfs_out)->mkdirs("/bench");
 }
 
@@ -29,7 +25,7 @@ DaosTestbed::DaosTestbed(Options opt)
       *daos_, clients_.front(),
       static_cast<std::uint32_t>(1 + (opt.seed << 8)));
 
-  auto h = sim_.spawn(daosSetup(this, admin_.get(), &cont_, &dfs_, opt.dfs));
+  auto h = sim_.spawn(daosSetup(admin_.get(), &cont_, &dfs_));
   sim_.run();
   if (h.failed()) std::rethrow_exception(h.error());
 

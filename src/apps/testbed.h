@@ -42,7 +42,6 @@ class DaosTestbed {
     bool with_dfuse = true;  // start a DFUSE daemon on every client node
     /// Size-only by default: set daos.retain_data to keep real bytes.
     daos::DaosConfig daos = sizeOnly<daos::DaosConfig>();
-    dfs::DfsConfig dfs;
     posix::DfuseConfig dfuse;
   };
 
@@ -111,16 +110,12 @@ class LustreTestbed {
   const std::vector<hw::NodeId>& clients() const noexcept { return clients_; }
   std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Env for io::makeBackend. Stripe settings default to the paper's
-  /// benchmark tuning (8 stripes x 8 MiB).
-  io::Env ioEnv(int stripe_count = 8,
-                std::uint64_t stripe_size = 8 << 20) noexcept {
+  /// Env for io::makeBackend.
+  io::Env ioEnv() noexcept {
     io::Env env;
     env.sim = &sim_;
     env.seed = seed_;
     env.lustre = lustre_.get();
-    env.lustre_stripe_count = stripe_count;
-    env.lustre_stripe_size = stripe_size;
     return env;
   }
   std::vector<hw::NodeId> clientSubset(int n) const {

@@ -101,7 +101,6 @@ class NvmeDevice {
 
   /// Node id used as the chrome-trace pid for this device's track.
   void setTracePid(int pid) noexcept { trace_pid_ = pid; }
-  int tracePid() const noexcept { return trace_pid_; }
 
  private:
   sim::Task<void> io(sim::Time service, sim::Time completion_latency,

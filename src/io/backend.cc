@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "daos/array.h"
@@ -115,7 +116,7 @@ class DaosArrayBackend final : public Backend {
 
   sim::Task<void> connect() override {
     co_await client_.poolConnect();
-    cont_ = co_await client_.contOpen(env_.container);
+    cont_ = co_await client_.contOpen("bench");
   }
 
   sim::Task<std::unique_ptr<Object>> open(OpenSpec spec) override {
@@ -273,7 +274,8 @@ class DfusePosixBackend final : public Backend {
 
  private:
   posix::DfuseDaemon& daemon() {
-    if (env_.dfuse_daemons == nullptr || env_.dfuse_daemons->count(node_) == 0) {
+    if (env_.dfuse_daemons == nullptr ||
+        env_.dfuse_daemons->count(node_) == 0) {
       throw std::invalid_argument(
           "io: dfuse backend needs a DFUSE daemon on the client node "
           "(testbed with_dfuse = false?)");
@@ -402,8 +404,8 @@ class Hdf5DaosBackend final : public Backend {
 class LustreBackend final : public Backend {
  public:
   LustreBackend(const Env& env, hw::NodeId node, std::uint32_t /*client_id*/)
-      : vfs_(requireLustre(env), node, env.lustre_stripe_count,
-             env.lustre_stripe_size) {}
+      : vfs_(requireLustre(env), node, /*stripe_count=*/8,
+             /*stripe_size=*/8 << 20) {}
 
   const Caps& caps() const override { return caps_; }
 
@@ -480,38 +482,7 @@ class RadosBackend final : public Backend {
   rados::RadosClient client_;
 };
 
-// --- registry ------------------------------------------------------------
-
-struct Entry {
-  System system;
-  Factory factory;
-};
-
-struct Registry {
-  std::map<std::string, Entry, std::less<>> backends;
-  std::map<std::string, std::string, std::less<>> aliases;
-  std::vector<std::string> order;
-};
-
-void addBackend(Registry& r, std::string name, System system, Factory f) {
-  if (r.backends.count(name) || r.aliases.count(name)) {
-    throw std::invalid_argument("io: backend name already registered: " +
-                                name);
-  }
-  r.order.push_back(name);
-  r.backends.emplace(std::move(name), Entry{system, f});
-}
-
-void addAlias(Registry& r, std::string alias, std::string canonical) {
-  if (r.backends.count(alias) || r.aliases.count(alias)) {
-    throw std::invalid_argument("io: backend name already registered: " +
-                                alias);
-  }
-  if (!r.backends.count(canonical)) {
-    throw std::invalid_argument("io: alias target unknown: " + canonical);
-  }
-  r.aliases.emplace(std::move(alias), std::move(canonical));
-}
+// --- backend table -------------------------------------------------------
 
 template <typename B>
 std::unique_ptr<Backend> make(const Env& env, hw::NodeId node,
@@ -531,70 +502,67 @@ std::unique_ptr<Backend> makeDfuseIl(const Env& env, hw::NodeId node,
                                              /*intercept=*/true);
 }
 
-Registry builtins() {
-  Registry r;
-  addBackend(r, "daos-array", System::kDaos, &make<DaosArrayBackend>);
-  addBackend(r, "dfs", System::kDaos, &make<DfsBackend>);
-  addBackend(r, "dfuse", System::kDaos, &makeDfuse);
-  addBackend(r, "dfuse-il", System::kDaos, &makeDfuseIl);
-  addBackend(r, "hdf5", System::kDaos, &make<Hdf5DfuseBackend>);
-  addBackend(r, "hdf5-daos", System::kDaos, &make<Hdf5DaosBackend>);
-  addBackend(r, "lustre-posix", System::kLustre, &make<LustreBackend>);
-  addBackend(r, "rados", System::kCeph, &make<RadosBackend>);
-  addAlias(r, "libdaos", "daos-array");
-  addAlias(r, "array", "daos-array");
-  addAlias(r, "libdfs", "dfs");
-  addAlias(r, "dfuse+il", "dfuse-il");
-  addAlias(r, "hdf5-dfuse", "hdf5");
-  addAlias(r, "hdf5-posix", "hdf5");
-  addAlias(r, "lustre", "lustre-posix");
-  return r;
+struct Entry {
+  std::string_view name;
+  System system;
+  std::unique_ptr<Backend> (*factory)(const Env& env, hw::NodeId node,
+                                      std::uint32_t client_id);
+};
+
+/// The canonical names, in `daosim_run --help` order.
+constexpr Entry kBackends[] = {
+    {"daos-array", System::kDaos, &make<DaosArrayBackend>},
+    {"dfs", System::kDaos, &make<DfsBackend>},
+    {"dfuse", System::kDaos, &makeDfuse},
+    {"dfuse-il", System::kDaos, &makeDfuseIl},
+    {"hdf5", System::kDaos, &make<Hdf5DfuseBackend>},
+    {"hdf5-daos", System::kDaos, &make<Hdf5DaosBackend>},
+    {"lustre-posix", System::kLustre, &make<LustreBackend>},
+    {"rados", System::kCeph, &make<RadosBackend>},
+};
+
+/// The canonical name an alternate spelling stands for; `api` otherwise.
+std::string_view unalias(std::string_view api) {
+  if (api == "libdaos" || api == "array") return "daos-array";
+  if (api == "libdfs") return "dfs";
+  if (api == "dfuse+il") return "dfuse-il";
+  if (api == "hdf5-dfuse" || api == "hdf5-posix") return "hdf5";
+  if (api == "lustre") return "lustre-posix";
+  return api;
 }
 
-Registry& registry() {
-  static Registry r = builtins();
-  return r;
+/// The entry `api` names, directly or through an alias; null when none.
+const Entry* find(std::string_view api) {
+  const std::string_view name = unalias(api);
+  for (const Entry& e : kBackends) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
 }
 
 const Entry& lookup(std::string_view api) {
-  Registry& r = registry();
-  auto it = r.backends.find(api);
-  if (it == r.backends.end()) {
-    auto al = r.aliases.find(api);
-    if (al != r.aliases.end()) it = r.backends.find(al->second);
-  }
-  if (it == r.backends.end()) {
+  const Entry* e = find(api);
+  if (e == nullptr) {
     throw std::invalid_argument("io: unknown backend: " + std::string(api));
   }
-  return it->second;
+  return *e;
 }
 
 }  // namespace
 
-void registerBackend(std::string name, System system, Factory factory) {
-  addBackend(registry(), std::move(name), system, factory);
-}
-
-void registerAlias(std::string alias, std::string canonical) {
-  addAlias(registry(), std::move(alias), std::move(canonical));
-}
-
-bool haveBackend(std::string_view api) {
-  Registry& r = registry();
-  return r.backends.count(api) > 0 || r.aliases.count(api) > 0;
-}
+bool haveBackend(std::string_view api) { return find(api) != nullptr; }
 
 std::string canonicalName(std::string_view api) {
-  Registry& r = registry();
-  auto al = r.aliases.find(api);
-  if (al != r.aliases.end()) return al->second;
-  if (r.backends.count(api)) return std::string(api);
-  throw std::invalid_argument("io: unknown backend: " + std::string(api));
+  return std::string(lookup(api).name);
 }
 
 System backendSystem(std::string_view api) { return lookup(api).system; }
 
-std::vector<std::string> backendNames() { return registry().order; }
+std::vector<std::string> backendNames() {
+  std::vector<std::string> names;
+  for (const Entry& e : kBackends) names.emplace_back(e.name);
+  return names;
+}
 
 std::unique_ptr<Backend> makeBackend(std::string_view api, const Env& env,
                                      hw::NodeId node,

@@ -6,9 +6,9 @@
 // An io::Backend is one of those interfaces, instantiated per simulated
 // process; it hands out io::Object (bulk data) and io::Index (key-value
 // metadata) handles with coroutine create/open/write/read/close, so a
-// benchmark written once runs against every registered interface.
+// benchmark written once runs against every interface.
 //
-// Backends are looked up by string name through a registry
+// Backends are looked up by string name in a constant table
 // (io::makeBackend); the canonical names match `daosim_run --api=`:
 //
 //   daos-array    libdaos Array API           (alias: libdaos, array)
@@ -68,16 +68,15 @@ struct Env {
   std::uint64_t seed = 1;
 
   // DAOS-side systems (daos-array, dfs, dfuse, dfuse-il, hdf5, hdf5-daos).
+  // daos-array opens the pool's "bench" container.
   daos::DaosSystem* daos = nullptr;
   const dfs::FileSystem* dfs_mount = nullptr;
   const std::map<hw::NodeId, std::unique_ptr<posix::DfuseDaemon>>*
       dfuse_daemons = nullptr;
-  std::string container = "bench";
 
-  // Lustre (lustre-posix). Stripe settings default to the paper's tuning.
+  // Lustre (lustre-posix). Files are striped over 8 OSTs at 8 MiB, the
+  // paper's tuning.
   lustre::LustreSystem* lustre = nullptr;
-  int lustre_stripe_count = 8;
-  std::uint64_t lustre_stripe_size = 8 << 20;
 
   // Ceph (rados).
   rados::CephCluster* ceph = nullptr;
@@ -166,24 +165,17 @@ class Backend {
   virtual sim::Task<std::unique_ptr<Index>> openIndex(IndexSpec spec);
 };
 
-// --- registry ------------------------------------------------------------
-
-using Factory = std::unique_ptr<Backend> (*)(const Env& env, hw::NodeId node,
-                                             std::uint32_t client_id);
-
-/// Registers a backend under a canonical name; throws std::invalid_argument
-/// on duplicates. The seven paper interfaces (plus hdf5-daos) are
-/// pre-registered.
-void registerBackend(std::string name, System system, Factory factory);
-/// Registers an alternate spelling for a canonical name.
-void registerAlias(std::string alias, std::string canonical);
+// --- backend table -------------------------------------------------------
+//
+// Constant: the seven paper interfaces plus hdf5-daos, and the aliases
+// listed at the top of this file.
 
 bool haveBackend(std::string_view api);
 /// Resolves aliases; throws std::invalid_argument for unknown names.
 std::string canonicalName(std::string_view api);
 /// Which testbed the named backend drives.
 System backendSystem(std::string_view api);
-/// Canonical names in registration order.
+/// Canonical names in table order.
 std::vector<std::string> backendNames();
 
 /// Instantiates the named backend for one simulated process. `client_id` is

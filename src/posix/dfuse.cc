@@ -82,6 +82,8 @@ void DfuseDaemon::invalidate(const std::string& path) {
 namespace {
 // Small client-side library cost per libdfs entry point.
 constexpr sim::Time kDfsCpu = 1 * sim::kMicrosecond;
+// In-process interception-library cost per intercepted data op.
+constexpr sim::Time kIlCpu = 2 * sim::kMicrosecond;
 }  // namespace
 
 sim::Task<Fd> DfsVfs::open(std::string path, OpenFlags flags) {
@@ -444,14 +446,14 @@ sim::Task<void> InterceptVfs::close(Fd fd) {
 sim::Task<std::uint64_t> InterceptVfs::pwrite(Fd fd, std::uint64_t offset,
                                               Payload data) {
   auto span = fs_.client().beginOp("il.pwrite");
-  co_await fs_.client().sim().delay(il_cpu_);
+  co_await fs_.client().sim().delay(kIlCpu);
   co_return co_await fs_.write(files_.at(fd), offset, std::move(data));
 }
 
 sim::Task<Payload> InterceptVfs::pread(Fd fd, std::uint64_t offset,
                                        std::uint64_t length) {
   auto span = fs_.client().beginOp("il.pread");
-  co_await fs_.client().sim().delay(il_cpu_);
+  co_await fs_.client().sim().delay(kIlCpu);
   co_return co_await fs_.read(files_.at(fd), offset, length);
 }
 
@@ -465,7 +467,7 @@ sim::Task<FileStat> InterceptVfs::fstat(Fd fd) {
 
 sim::Task<void> InterceptVfs::fsync(Fd) {
   // Intercepted: DAOS writes are already durable.
-  co_await fs_.client().sim().delay(il_cpu_);
+  co_await fs_.client().sim().delay(kIlCpu);
 }
 
 sim::Task<void> InterceptVfs::mkdir(std::string path) {

@@ -145,9 +145,8 @@ class DfuseVfs : public Vfs {
 /// directly via an in-process libdfs handle.
 class InterceptVfs : public Vfs {
  public:
-  InterceptVfs(DfuseDaemon& daemon, dfs::FileSystem process_fs,
-               sim::Time il_cpu = 2 * sim::kMicrosecond)
-      : dfuse_(daemon), fs_(std::move(process_fs)), il_cpu_(il_cpu) {}
+  InterceptVfs(DfuseDaemon& daemon, dfs::FileSystem process_fs)
+      : dfuse_(daemon), fs_(std::move(process_fs)) {}
 
   sim::Task<Fd> open(std::string path, OpenFlags flags) override;
   sim::Task<void> close(Fd fd) override;
@@ -168,7 +167,6 @@ class InterceptVfs : public Vfs {
  private:
   DfuseVfs dfuse_;
   dfs::FileSystem fs_;
-  sim::Time il_cpu_;
   std::map<Fd, dfs::File> files_;  // IL-side handles
   std::map<Fd, Fd> dfuse_fds_;     // our fd -> underlying dfuse fd
 };

@@ -98,7 +98,6 @@ class QueueStation {
 
   /// Node id used as the chrome-trace pid for this station's track.
   void setTracePid(int pid) noexcept { trace_pid_ = pid; }
-  int tracePid() const noexcept { return trace_pid_; }
 
   /// Mean queueing delay per operation, in ns.
   double meanWait() const noexcept {
@@ -111,13 +110,6 @@ class QueueStation {
     return horizon ? static_cast<double>(busy_ns_) /
                          static_cast<double>(horizon)
                    : 0.0;
-  }
-
-  void resetStats() noexcept {
-    ops_ = 0;
-    busy_ns_ = 0;
-    wait_ns_ = 0;
-    bytes_ = 0;
   }
 
  private:

@@ -66,7 +66,6 @@ class Semaphore {
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
 
-  std::int64_t available() const noexcept { return count_; }
   std::size_t waiting() const noexcept { return waiters_.size(); }
 
   auto acquire() noexcept {

@@ -3,15 +3,21 @@
 // headline calibration check against the paper's §III-B numbers.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "apps/experiment.h"
 #include "apps/fdb.h"
 #include "apps/fieldio.h"
 #include "apps/ior.h"
 #include "apps/runner.h"
 #include "apps/sweep.h"
 #include "apps/testbed.h"
+#include "io/backend.h"
 
 namespace daosim::apps {
 namespace {
@@ -56,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("daos-array", "dfs", "dfuse", "dfuse-il", "hdf5",
                       "hdf5-daos"),
     [](const auto& info) {
-      // Test names must be identifiers: registry names minus the dashes.
+      // Test names must be identifiers: backend names minus the dashes.
       std::string name = info.param;
       for (char& c : name) {
         if (c == '-') c = '_';
@@ -213,6 +219,38 @@ TEST(RunnerTest, ProcessFailurePropagates) {
   Failing bench;
   EXPECT_THROW(runSpmd(tb.sim(), tb.clientSubset(2), 2, bench),
                std::runtime_error);
+}
+
+// apps::run starts DFUSE daemons only for the APIs that mount DFUSE: an
+// observed run's telemetry has client/<i>/dfuse rows for dfuse, dfuse-il and
+// hdf5 (also when named through an alias) and for no other DAOS API.
+TEST(RunTest, StartsDfuseOnlyForApisThatMountIt) {
+  const std::string file = ::testing::TempDir() + "apps_run_dfuse.csv";
+  for (const char* api : {"daos-array", "dfs", "dfuse", "dfuse-il",
+                          "dfuse+il", "hdf5", "hdf5-dfuse", "hdf5-daos"}) {
+    ObserveSpec observe;
+    observe.telemetry_file = file;
+    observe.telemetry_interval = sim::kMillisecond;
+    SweepObservation sweep(observe, 1);
+    IorConfig cfg = smallIor();
+    cfg.ops = 2;
+    RunSpec spec;
+    spec.api = api;
+    spec.servers = 1;
+    spec.clients = 1;
+    spec.ppn = 1;
+    spec.bench = cfg;
+    (void)run(spec, 1, sweep.slot(0, "run"));
+    std::ostringstream reports;
+    sweep.finish(reports);
+    std::ifstream in(file);
+    const std::string dump{std::istreambuf_iterator<char>(in), {}};
+    const std::string name = io::canonicalName(api);
+    const bool mounts = name == "dfuse" || name == "dfuse-il" || name == "hdf5";
+    ASSERT_NE(dump.find("/nvme/busy_frac"), std::string::npos) << api;
+    EXPECT_EQ(dump.find("/dfuse/") != std::string::npos, mounts) << api;
+  }
+  std::remove(file.c_str());
 }
 
 TEST(SweepTest, GridAndScaling) {

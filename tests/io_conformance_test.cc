@@ -8,7 +8,8 @@
 //   3. Frozen numbers — at queue_depth = 1 the unified benchmarks reproduce
 //      the pre-io:: per-backend implementations bit for bit; the expected
 //      integers below were captured from the seed implementations at
-//      seed 7, 2 servers x 2 client nodes x 2 ppn, 256 KiB transfers.
+//      seed 7, 2 servers x 2 client nodes x 2 ppn, 256 KiB transfers. Each
+//      case runs twice: wired by hand on a testbed, and through apps::run.
 // Plus the queue-depth contract: deeper IOR submission queues never lower
 // write bandwidth (and strictly help before saturation).
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/experiment.h"
 #include "apps/fault_injector.h"
 #include "apps/fdb.h"
 #include "apps/fieldio.h"
@@ -76,12 +78,6 @@ TEST(IoRegistry, BackendsMapToTheirSystems) {
   }
   EXPECT_EQ(io::backendSystem("lustre-posix"), io::System::kLustre);
   EXPECT_EQ(io::backendSystem("rados"), io::System::kCeph);
-}
-
-TEST(IoRegistry, DuplicateRegistrationThrows) {
-  EXPECT_THROW(io::registerBackend("daos-array", io::System::kDaos, nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(io::registerAlias("libdaos", "dfs"), std::invalid_argument);
 }
 
 // --- 2. write/barrier/read-back round trip -------------------------------
@@ -198,6 +194,31 @@ apps::IorConfig frozenIor() {
   return cfg;
 }
 
+/// `bench` through `api` on the frozen deployment, run by apps::run.
+apps::RunResult runFrozen(const std::string& api, apps::RunSpec::Bench bench,
+                          sim::FaultPlan faults = {},
+                          net::RetryPolicy retry = {}) {
+  apps::RunSpec spec;
+  spec.api = api;
+  spec.servers = 2;
+  spec.clients = 2;
+  spec.ppn = 2;
+  spec.bench = std::move(bench);
+  spec.faults = std::move(faults);
+  spec.retry = retry;
+  return apps::run(spec, /*seed=*/7);
+}
+
+/// Checks both phases of a hand-wired run and of its apps::run twin.
+void expectRuns(const std::string& label, const apps::RunResult& wired,
+                const apps::RunResult& via_run, const PhaseExpect& write,
+                const PhaseExpect& read) {
+  expectPhase(label + ".write", wired.write(), write);
+  expectPhase(label + ".read", wired.read(), read);
+  expectPhase(label + ".run.write", via_run.write(), write);
+  expectPhase(label + ".run.read", via_run.read(), read);
+}
+
 struct IorCase {
   const char* api;
   bool shared;
@@ -240,8 +261,7 @@ TEST(IoFrozenNumbers, IorDaosApisMatchPreRefactorSeed) {
     apps::Ior bench(tb.ioEnv(), c.api, cfg);
     apps::RunResult r =
         apps::runSpmd(tb.sim(), tb.clientSubset(2), 2, bench);
-    expectPhase(label + ".write", r.write(), c.write);
-    expectPhase(label + ".read", r.read(), c.read);
+    expectRuns(label, r, runFrozen(c.api, cfg), c.write, c.read);
   }
 }
 
@@ -255,10 +275,9 @@ TEST(IoFrozenNumbers, IorLustreAndRadosMatchPreRefactorSeed) {
     apps::Ior bench(tb.ioEnv(), "lustre-posix", frozenIor());
     apps::RunResult r =
         apps::runSpmd(tb.sim(), tb.clientSubset(2), 2, bench);
-    expectPhase("ior.lustre.write", r.write(),
-                {20971520, 80, 4128296, 204380, 204589, 242483});
-    expectPhase("ior.lustre.read", r.read(),
-                {20971520, 80, 4028297, 200809, 204589, 240058});
+    expectRuns("ior.lustre", r, runFrozen("lustre-posix", frozenIor()),
+               {20971520, 80, 4128296, 204380, 204589, 242483},
+               {20971520, 80, 4028297, 200809, 204589, 240058});
   }
   {
     apps::CephTestbed::Options opt;
@@ -269,10 +288,9 @@ TEST(IoFrozenNumbers, IorLustreAndRadosMatchPreRefactorSeed) {
     apps::Ior bench(tb.ioEnv(), "rados", frozenIor());
     apps::RunResult r =
         apps::runSpmd(tb.sim(), tb.clientSubset(2), 2, bench);
-    expectPhase("ior.rados.write", r.write(),
-                {20971520, 80, 7421434, 368959, 376619, 445644});
-    expectPhase("ior.rados.read", r.read(),
-                {20971520, 80, 14999634, 746314, 752823, 819668});
+    expectRuns("ior.rados", r, runFrozen("rados", frozenIor()),
+               {20971520, 80, 7421434, 368959, 376619, 445644},
+               {20971520, 80, 14999634, 746314, 752823, 819668});
   }
 }
 
@@ -285,10 +303,9 @@ TEST(IoFrozenNumbers, FieldIoAndFdbMatchPreRefactorSeed) {
     apps::FieldIo bench(tb.ioEnv(), "daos-array", cfg);
     apps::RunResult r =
         apps::runSpmd(tb.sim(), tb.clientSubset(2), 2, bench);
-    expectPhase("fieldio.write", r.write(),
-                {15728640, 60, 8921608, 578901, 622592, 648806});
-    expectPhase("fieldio.read", r.read(),
-                {15728640, 60, 5439635, 355766, 409600, 445739});
+    expectRuns("fieldio", r, runFrozen("daos-array", cfg),
+               {15728640, 60, 8921608, 578901, 622592, 648806},
+               {15728640, 60, 5439635, 355766, 409600, 445739});
   }
   for (const bool async : {false, true}) {
     apps::DaosTestbed tb(frozenDaos());
@@ -299,16 +316,12 @@ TEST(IoFrozenNumbers, FieldIoAndFdbMatchPreRefactorSeed) {
     apps::Fdb bench(tb.ioEnv(), "daos-array", cfg);
     apps::RunResult r =
         apps::runSpmd(tb.sim(), tb.clientSubset(2), 2, bench);
-    if (async) {
-      expectPhase("fdb.async.write", r.write(),
-                  {20971520, 80, 4407792, 215598, 245760, 280504});
-    } else {
-      expectPhase("fdb.sync.write", r.write(),
-                  {20971520, 80, 10926950, 543283, 579993, 596377});
-    }
+    PhaseExpect write{20971520, 80, 10926950, 543283, 579993, 596377};
+    if (async) write = {20971520, 80, 4407792, 215598, 245760, 280504};
     // The retrieve path is identical in both modes.
-    expectPhase("fdb.read", r.read(),
-                {20971520, 80, 6082598, 298812, 352256, 362647});
+    expectRuns(async ? "fdb.async" : "fdb.sync", r,
+               runFrozen("daos-array", cfg), write,
+               {20971520, 80, 6082598, 298812, 352256, 362647});
   }
 }
 
@@ -376,7 +389,8 @@ struct FaultExpect {
 };
 
 /// Runs `bench` under `spec` with the chaos retry policy and checks the
-/// phases and fault counters; every exclusion's rebuild must complete.
+/// phases and fault counters; every exclusion's rebuild must complete. The
+/// apps::run twin must give the same phases.
 template <typename Bench, typename Config>
 void expectChaosRun(const std::string& label, const char* spec,
                     const Config& cfg, const PhaseExpect& write,
@@ -388,13 +402,15 @@ void expectChaosRun(const std::string& label, const char* spec,
   topo.engines = tb.daos().engineCount();
   topo.targets = tb.daos().totalTargets();
   topo.nodes = static_cast<int>(tb.cluster().nodeCount());
-  apps::FaultInjector inj(tb, sim::FaultPlan::parse(spec, topo));
+  const sim::FaultPlan plan = sim::FaultPlan::parse(spec, topo);
+  apps::FaultInjector inj(tb, plan);
   inj.install();
   Bench bench(tb.ioEnv(), "daos-array", cfg);
   apps::RunResult r = apps::runSpmd(tb.sim(), tb.clientSubset(2), 2, bench);
   inj.rethrowIfFailed();
-  expectPhase(label + ".write", r.write(), write);
-  expectPhase(label + ".read", r.read(), read);
+  const apps::RunResult via_run =
+      runFrozen("daos-array", cfg, plan, opt.daos.rpc_retry);
+  expectRuns(label, r, via_run, write, read);
   const apps::FaultStats& st = inj.stats();
   EXPECT_EQ(st.events_applied, inj.plan().size()) << label;
   EXPECT_EQ(st.rebuilds_completed, st.rebuilds_started) << label;

@@ -17,25 +17,22 @@
 //   daosim_run --bench ior --trace=trace.json --metrics=m.csv
 //   daosim_run --bench ior --telemetry=telem.csv --telemetry-interval=5ms
 //
-// The --api names come from the io::Backend registry (see io/backend.h);
-// --system is inferred from --api when omitted, and vice versa.
+// The --api names are the io::Backend names (see io/backend.h); --system is
+// inferred from --api when omitted, and vice versa. The flags fill one
+// apps::RunSpec, and every repetition runs it through apps::run.
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
-#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "apps/fault_injector.h"
-#include "apps/fdb.h"
-#include "apps/fieldio.h"
-#include "apps/ior.h"
+#include "apps/experiment.h"
 #include "apps/observe.h"
-#include "apps/runner.h"
 #include "apps/sweep.h"
-#include "apps/testbed.h"
+#include "daos/config.h"
 #include "io/backend.h"
 #include "sim/fault_plan.h"
 #include "sim/parallel.h"
@@ -49,16 +46,14 @@ struct Options {
   std::string bench = "ior";
   std::string api;  // empty = the system's default backend
   std::string oclass = "SX";
-  int servers = 16;
-  int clients = 16;
-  int ppn = 16;
+  // --servers, --clients, --ppn, --pgs and --replicas; the rest of the
+  // spec is filled in from the other flags once they are all parsed.
+  apps::RunSpec spec;
   std::uint64_t ops = 0;  // 0 = auto-scale
   std::uint64_t transfer = 1 << 20;
   int reps = 3;
   int jobs = 0;  // 0 = DAOSIM_JOBS / hardware concurrency (repetitions)
   std::uint64_t seed = 1;
-  int pgs = 1024;
-  int replicas = 1;
   int queue_depth = 1;
   bool shared = false;
   bool async_index = false;
@@ -70,6 +65,7 @@ struct Options {
   std::string faults;           // --faults: sim::FaultPlan spec (daos only)
   sim::Time rpc_timeout = 0;    // --rpc-timeout: per-attempt RPC timeout
   int rpc_retries = -1;         // --rpc-retries: retry budget (-1 = default)
+  std::set<std::string> given;  // every flag on the command line
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -91,13 +87,17 @@ struct Options {
       "          [--trace FILE] [--metrics FILE] [--exemplars K]\n"
       "          [--telemetry FILE] [--telemetry-interval DUR]\n"
       "          [--faults SPEC] [--rpc-timeout DUR] [--rpc-retries N]\n"
-      "Backends: --api picks an io::Backend by registry name; --system is\n"
-      "inferred from it (and vice versa: --system alone picks that system's\n"
-      "default backend). --queue-depth N keeps up to N IOR transfers in\n"
+      "Backends: --api picks an io::Backend by name; --system is inferred\n"
+      "from it (and vice versa: --system alone picks that system's default\n"
+      "backend). --queue-depth N keeps up to N IOR transfers in\n"
       "flight per process (1 = sequential issue, the paper's setup).\n"
       "--write-only / --read-only run just that IOR phase (reads hit the\n"
       "timing model whether or not data was written first).\n"
       "Numeric flags take a whole decimal integer; --transfer must be > 0.\n"
+      "Flags that only some runs read are refused elsewhere: --pgs and\n"
+      "--replicas need ceph; --faults, --rpc-timeout and --rpc-retries need\n"
+      "daos; --queue-depth, --shared, --write-only and --read-only need ior;\n"
+      "--async-index needs fdb; --oclass needs daos with ior or fdb.\n"
       "Parallelism: --jobs (or DAOSIM_JOBS) runs repetitions concurrently\n"
       "on that many threads. Each repetition is one self-contained\n"
       "simulation on one thread, so results are identical to --jobs 1 for\n"
@@ -201,6 +201,39 @@ std::string csvFile(const char* argv0, const std::string& flag,
   return text;
 }
 
+/// Refuses a flag that the selected system or benchmark would ignore: it
+/// prints usage and exits 2 before any run.
+void checkScope(const char* argv0, const Options& o) {
+  const bool daos = o.system == "daos";
+  const bool ceph = o.system == "ceph";
+  const bool ior = o.bench == "ior";
+  const bool fdb = o.bench == "fdb";
+  const struct {
+    const char* flag;
+    bool applies;
+    const char* needs;
+  } rules[] = {
+      {"--pgs", ceph, "--system ceph"},
+      {"--replicas", ceph, "--system ceph"},
+      {"--faults", daos, "--system daos"},
+      {"--rpc-timeout", daos, "--system daos"},
+      {"--rpc-retries", daos, "--system daos"},
+      {"--queue-depth", ior, "--bench ior"},
+      {"--shared", ior, "--bench ior"},
+      {"--write-only", ior, "--bench ior"},
+      {"--read-only", ior, "--bench ior"},
+      {"--async-index", fdb, "--bench fdb"},
+      {"--oclass", daos && (ior || fdb),
+       "--system daos with --bench ior or fdb"},
+  };
+  for (const auto& r : rules) {
+    if (!r.applies && o.given.count(r.flag) > 0) {
+      std::fprintf(stderr, "%s requires %s\n", r.flag, r.needs);
+      usage(argv0);
+    }
+  }
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -227,6 +260,7 @@ Options parse(int argc, char** argv) {
     auto u64 = [&](std::uint64_t lo) {
       return parseNumber<std::uint64_t>(argv[0], arg, value(), lo);
     };
+    o.given.insert(arg);
     if (arg == "--system") {
       o.system = value();
     } else if (arg == "--bench") {
@@ -236,11 +270,11 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--oclass") {
       o.oclass = value();
     } else if (arg == "--servers") {
-      o.servers = count(1);
+      o.spec.servers = count(1);
     } else if (arg == "--clients") {
-      o.clients = count(1);
+      o.spec.clients = count(1);
     } else if (arg == "--ppn") {
-      o.ppn = count(1);
+      o.spec.ppn = count(1);
     } else if (arg == "--ops") {
       o.ops = u64(0);
     } else if (arg == "--transfer") {
@@ -252,9 +286,9 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--seed") {
       o.seed = u64(0);
     } else if (arg == "--pgs") {
-      o.pgs = count(1);
+      o.spec.pgs = count(1);
     } else if (arg == "--replicas") {
-      o.replicas = count(1);
+      o.spec.replicas = count(1);
     } else if (arg == "--queue-depth") {
       o.queue_depth = count(1);
     } else if (arg == "--shared") {
@@ -290,142 +324,62 @@ Options parse(int argc, char** argv) {
   }
   if (o.read_only && o.write_only) usage(argv[0]);
   resolveApiAndSystem(o);
-  if (!o.faults.empty() && o.system != "daos") {
-    throw std::invalid_argument("--faults requires --system daos");
-  }
+  checkScope(argv[0], o);
   o.observe = apps::ObserveSpec::fromEnv(std::move(o.observe));
   return o;
 }
 
-std::uint64_t opCount(const Options& o) {
-  if (o.ops > 0) return o.ops;
-  return apps::scaledOps(o.clients * o.ppn, 1000, 40000);
-}
-
-apps::IorConfig iorConfig(const Options& o) {
-  apps::IorConfig cfg;
-  cfg.transfer = o.transfer;
-  // librados: the paper caps runs to stay within 132 MiB objects.
-  if (o.system == "ceph") {
-    cfg.ops = o.ops > 0 ? o.ops : 100;
-  } else {
-    cfg.ops = opCount(o);
-  }
-  cfg.oclass = placement::classFromName(o.oclass);
-  cfg.shared_file = o.shared;
-  cfg.queue_depth = o.queue_depth;
-  cfg.write_phase = !o.read_only;
-  cfg.read_phase = !o.write_only;
-  return cfg;
-}
-
-apps::FdbConfig fdbConfig(const Options& o) {
-  apps::FdbConfig cfg;
-  cfg.field_size = o.transfer;
-  cfg.fields = opCount(o);
-  cfg.async_index = o.async_index;
-  cfg.array_oclass =
-      placement::classFromName(o.oclass) == placement::ObjClass::SX
-          ? placement::ObjClass::S1
-          : placement::classFromName(o.oclass);
-  return cfg;
-}
-
-/// Runs the selected benchmark against the named backend on a deployed
-/// testbed; shared across the three systems now that the benchmarks are
-/// backend-neutral.
-template <typename Testbed>
-apps::RunResult runBench(const Options& o, Testbed& tb,
-                         const apps::RunSlot& slot,
-                         apps::FaultInjector* injector = nullptr) {
-  // Observed before the injector installs, so its fault events land in the
-  // trace; the run's telemetry also samples the injector's counters.
-  apps::ObservedRun observed(slot, tb);
-  if (injector != nullptr) {
-    if (obs::Telemetry* t = observed.telemetry()) {
-      injector->registerTelemetry(*t);
-    }
-    injector->install();
-  }
-  const auto run = [&](apps::SpmdBenchmark& bench) {
-    return apps::runSpmd(tb.sim(), tb.clientSubset(o.clients), o.ppn, bench);
-  };
-  apps::RunResult r;
-  if (o.bench == "ior") {
-    apps::Ior bench(tb.ioEnv(), o.api, iorConfig(o));
-    r = run(bench);
-  } else if (o.bench == "fieldio") {
-    apps::FieldIoConfig cfg;
-    cfg.field_size = o.transfer;
-    cfg.fields = opCount(o);
-    apps::FieldIo bench(tb.ioEnv(), o.api, cfg);
-    r = run(bench);
-  } else if (o.bench == "fdb") {
-    apps::Fdb bench(tb.ioEnv(), o.api, fdbConfig(o));
-    r = run(bench);
-  } else {
-    throw std::invalid_argument("unknown --bench: " + o.bench);
-  }
-  if (injector != nullptr) {
-    injector->rethrowIfFailed();
-    // The last repetition's summary precedes the --stats breakdown, which
-    // SweepObservation::finish prints after the sweep.
-    const bool last = slot.index + 1 == static_cast<std::size_t>(o.reps);
-    if (o.observe.stats && last) injector->writeSummary(std::cout);
-  }
-  return r;
-}
-
-apps::RunResult runDaos(const Options& o, std::uint64_t seed,
-                        const apps::RunSlot& slot) {
-  apps::DaosTestbed::Options opt;
-  opt.server_nodes = o.servers;
-  opt.client_nodes = o.clients;
-  opt.seed = seed;
-  sim::FaultPlan plan;
+/// The one RunSpec every repetition runs; throws on an unknown --bench,
+/// --oclass or --faults plan.
+apps::RunSpec runSpec(const Options& o) {
+  apps::RunSpec spec = o.spec;
+  spec.api = o.api;
   if (!o.faults.empty()) {
     sim::FaultTopology topo;
-    topo.engines = o.servers;
-    topo.targets = o.servers * opt.daos.targets_per_engine;
-    topo.nodes = o.servers + o.clients;
-    plan = sim::FaultPlan::parse(o.faults, topo);
+    topo.engines = spec.servers;
+    topo.targets = spec.servers * daos::DaosConfig{}.targets_per_engine;
+    topo.nodes = spec.servers + spec.clients;
+    spec.faults = sim::FaultPlan::parse(o.faults, topo);
   }
-  const bool chaos =
-      !plan.empty() || o.rpc_timeout > 0 || o.rpc_retries >= 0;
-  if (chaos) {
+  if (!spec.faults.empty() || o.rpc_timeout > 0 || o.rpc_retries >= 0) {
     // A non-empty plan (or explicit retry flags) switches the client data
     // path onto the retry policy; otherwise the disabled default keeps the
     // zero-retry fast path bit-identical to a plan-free run.
-    opt.daos.rpc_retry = net::RetryPolicy::chaosDefault();
-    if (o.rpc_timeout > 0) opt.daos.rpc_retry.timeout = o.rpc_timeout;
-    if (o.rpc_retries >= 0) opt.daos.rpc_retry.max_retries = o.rpc_retries;
+    spec.retry = net::RetryPolicy::chaosDefault();
+    if (o.rpc_timeout > 0) spec.retry.timeout = o.rpc_timeout;
+    if (o.rpc_retries >= 0) spec.retry.max_retries = o.rpc_retries;
   }
-  apps::DaosTestbed tb(opt);
-  std::optional<apps::FaultInjector> injector;
-  if (!plan.empty()) injector.emplace(tb, std::move(plan));
-  return runBench(o, tb, slot, injector ? &*injector : nullptr);
-}
-
-apps::RunResult runLustre(const Options& o, std::uint64_t seed,
-                          const apps::RunSlot& slot) {
-  apps::LustreTestbed::Options opt;
-  opt.oss_nodes = o.servers;
-  opt.client_nodes = o.clients;
-  opt.seed = seed;
-  apps::LustreTestbed tb(opt);
-  return runBench(o, tb, slot);
-}
-
-apps::RunResult runCeph(const Options& o, std::uint64_t seed,
-                        const apps::RunSlot& slot) {
-  apps::CephTestbed::Options opt;
-  opt.osd_nodes = o.servers;
-  opt.client_nodes = o.clients;
-  opt.seed = seed;
-  opt.ceph.pg_count = o.pgs;
-  opt.ceph.replica_count = o.replicas;
-  apps::CephTestbed tb(opt);
-  return runBench(o, tb, slot);
+  const std::uint64_t ops =
+      o.ops > 0 ? o.ops : apps::scaledOps(spec.clients * spec.ppn, 1000, 40000);
+  const placement::ObjClass oclass = placement::classFromName(o.oclass);
+  if (o.bench == "ior") {
+    apps::IorConfig cfg;
+    cfg.transfer = o.transfer;
+    // librados: the paper caps runs to stay within 132 MiB objects.
+    cfg.ops = o.system == "ceph" && o.ops == 0 ? 100 : ops;
+    cfg.oclass = oclass;
+    cfg.shared_file = o.shared;
+    cfg.queue_depth = o.queue_depth;
+    cfg.write_phase = !o.read_only;
+    cfg.read_phase = !o.write_only;
+    spec.bench = cfg;
+  } else if (o.bench == "fieldio") {
+    apps::FieldIoConfig cfg;
+    cfg.field_size = o.transfer;
+    cfg.fields = ops;
+    spec.bench = cfg;
+  } else if (o.bench == "fdb") {
+    apps::FdbConfig cfg;
+    cfg.field_size = o.transfer;
+    cfg.fields = ops;
+    cfg.async_index = o.async_index;
+    cfg.array_oclass =
+        oclass == placement::ObjClass::SX ? placement::ObjClass::S1 : oclass;
+    spec.bench = cfg;
+  } else {
+    throw std::invalid_argument("unknown --bench: " + o.bench);
+  }
+  return spec;
 }
 
 void printSummary(const Options& o, const apps::Measurement& m) {
@@ -433,9 +387,9 @@ void printSummary(const Options& o, const apps::Measurement& m) {
       "%s/%s servers=%d clients=%d ppn=%d procs=%d reps=%d\n"
       "  write %.2f +/- %.2f GiB/s (%.1f kIOPS) p50/p95/p99 %.1f/%.1f/%.1f us\n"
       "  read  %.2f +/- %.2f GiB/s (%.1f kIOPS) p50/p95/p99 %.1f/%.1f/%.1f us\n",
-      o.system.c_str(), o.bench.c_str(), o.servers, o.clients, o.ppn,
-      o.clients * o.ppn, o.reps, m.write_gibps.mean(), m.write_gibps.stddev(),
-      m.write_kiops.mean(),
+      o.system.c_str(), o.bench.c_str(), o.spec.servers, o.spec.clients,
+      o.spec.ppn, o.spec.clients * o.spec.ppn, o.reps, m.write_gibps.mean(),
+      m.write_gibps.stddev(), m.write_kiops.mean(),
       static_cast<double>(m.write_lat.percentile(50)) / 1e3,
       static_cast<double>(m.write_lat.percentile(95)) / 1e3,
       static_cast<double>(m.write_lat.percentile(99)) / 1e3,
@@ -451,23 +405,17 @@ int main(int argc, char** argv) {
   try {
     const Options o = parse(argc, argv);
     const int jobs = o.jobs > 0 ? o.jobs : apps::envJobs();
+    const apps::RunSpec spec = runSpec(o);
     const auto reps = static_cast<std::size_t>(o.reps);
     apps::SweepObservation observed(o.observe, reps);
     // Repetitions are independent simulations; run them on --jobs /
     // DAOSIM_JOBS threads. Aggregation stays in rep order, so the printed
     // numbers are identical to a serial run for a fixed --seed.
-    auto results = sim::parallelMap(
-        reps, jobs, [&](std::size_t rep) -> apps::RunResult {
-          const std::uint64_t seed = o.seed + static_cast<std::uint64_t>(rep);
-          const apps::RunSlot slot =
-              observed.slot(rep, "rep/" + std::to_string(rep));
-          if (o.system == "daos") return runDaos(o, seed, slot);
-          if (o.system == "lustre") return runLustre(o, seed, slot);
-          if (o.system == "ceph") return runCeph(o, seed, slot);
-          throw std::invalid_argument("unknown --system: " + o.system);
-        });
+    auto results = sim::parallelMap(reps, jobs, [&](std::size_t rep) {
+      return apps::run(spec, o.seed + static_cast<std::uint64_t>(rep),
+                       observed.slot(rep, "rep/" + std::to_string(rep)));
+    });
     apps::Measurement m;
-    m.point = apps::SweepPoint{o.clients, o.ppn};
     for (const auto& r : results) m.add(r);
     observed.finish(std::cout);
     printSummary(o, m);
