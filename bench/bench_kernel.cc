@@ -1,16 +1,20 @@
 // Kernel microbenchmarks: raw event-loop throughput, independent of any
-// storage model. These are the numbers the pooled frame allocator and the
-// event queue (a now-FIFO plus one heap) move (see DESIGN.md "Kernel
-// performance"); before/after results live in BENCH_kernel.json.
+// storage model, plus the one placement call every object handle makes.
+// These are the numbers the pooled frame allocator, the event queue (a
+// now-FIFO plus one heap) and computed layouts move (see DESIGN.md "Kernel
+// performance" and "Implementation notes"); before/after results live in
+// BENCH_kernel.json.
 //
 //   events_per_sec  — delay-driven ping-pong through the event heap
 //   spawn_per_sec   — spawn/join churn (frame + join-state allocation path)
 //   timer_churn     — wide-range random timers (stresses heap ordering)
 //   handoff_per_sec — semaphore hand-offs at equal timestamps (now-FIFO)
+//   compute_layout  — one SX layout over a healthy pool of N targets
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
+#include "placement/layout.h"
 #include "sim/queue_station.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
@@ -116,6 +120,21 @@ void BM_HandoffPerSec(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_HandoffPerSec);
+
+// The layout an object handle gets on a healthy pool: the two-argument
+// call, since DaosSystem::layout passes no alive map while nothing is
+// excluded. A layout that stored every target would cost O(N) here.
+void BM_ComputeLayout(benchmark::State& state) {
+  const int targets = static_cast<int>(state.range(0));
+  std::uint64_t id = 0;
+  for (auto _ : state) {
+    placement::Layout layout = placement::computeLayout(
+        placement::makeOid(placement::ObjClass::SX, ++id), targets);
+    benchmark::DoNotOptimize(layout);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ComputeLayout)->Arg(2048);
 
 }  // namespace
 

@@ -112,7 +112,7 @@ Task<void> run(daos::DaosSystem& system, std::vector<Client>& clients,
 
   // Fail the device behind the first field's first data shard and retrieve
   // everything again: EC reconstruction + KV replica failover take over.
-  const int victim = system.layout(oids[0][0]).targets.front();
+  const int victim = system.layout(oids[0][0]).target(0, 0);
   system.failTarget(victim);
   std::printf("injected failure on target %d\n", victim);
   verified = 0;

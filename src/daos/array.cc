@@ -125,12 +125,13 @@ sim::Task<void> fetchInto(Client* client, vos::ContId cont, ObjectId oid,
 
 }  // namespace
 
-Array::Array(Client& client, Container cont, ObjectId oid, Attrs attrs)
+Array::Array(Client& client, Container cont, ObjectId oid, Attrs attrs,
+             placement::Layout layout)
     : client_(&client),
       cont_(std::move(cont)),
       oid_(oid),
       attrs_(attrs),
-      layout_(client.system().layout(oid)) {
+      layout_(std::move(layout)) {
   if (attrs_.chunk_size == 0) {
     throw std::invalid_argument("Array: chunk_size must be positive");
   }
@@ -161,7 +162,7 @@ sim::Task<void> metaPutOp(Client* client, vos::ContId cont, ObjectId oid,
 
 sim::Task<Array> Array::create(Client& client, Container cont, ObjectId oid,
                                Attrs attrs) {
-  Array a(client, cont, oid, attrs);
+  Array a(client, cont, oid, attrs, client.system().layout(oid));
   // Register attrs in object metadata. Single-value records of protected
   // objects are replicated across the whole redundancy group (as in DAOS,
   // where akey singles are never erasure-coded), so metadata survives any
@@ -201,7 +202,8 @@ sim::Task<Array> Array::open(Client& client, Container cont, ObjectId oid) {
       continue;
     }
     if (r.found) {
-      co_return Array(client, std::move(cont), oid, decodeAttrs(r.value));
+      co_return Array(client, std::move(cont), oid, decodeAttrs(r.value),
+                      std::move(layout));
     }
   }
   throw std::runtime_error("Array::open: no such array");
@@ -209,7 +211,8 @@ sim::Task<Array> Array::open(Client& client, Container cont, ObjectId oid) {
 
 Array Array::openWithAttrs(Client& client, Container cont, ObjectId oid,
                            Attrs attrs) {
-  return Array(client, std::move(cont), oid, attrs);
+  return Array(client, std::move(cont), oid, attrs,
+               client.system().layout(oid));
 }
 
 // --- write path -----------------------------------------------------------
@@ -517,9 +520,9 @@ sim::Task<void> Array::setSize(std::uint64_t size) {
 
   // Trim every shard, in parallel.
   std::vector<sim::Task<void>> ops;
-  for (int target : layout_.targets) {
-    ops.push_back(truncateShardOp(client_, cont, oid, target, chunk_size,
-                                  size, span.id()));
+  for (std::size_t j = 0; j < layout_.targets.size(); ++j) {
+    ops.push_back(truncateShardOp(client_, cont, oid, layout_.targets[j],
+                                  chunk_size, size, span.id()));
   }
   co_await sim::whenAll(client_->sim(), std::move(ops));
   if (size == 0) co_return;

@@ -52,7 +52,8 @@ class Array {
   const placement::Layout& layout() const noexcept { return layout_; }
 
  private:
-  Array(Client& client, Container cont, ObjectId oid, Attrs attrs);
+  Array(Client& client, Container cont, ObjectId oid, Attrs attrs,
+        placement::Layout layout);
 
   // One chunk-local piece of a larger op.
   sim::Task<void> writePiece(std::uint64_t chunk, std::uint64_t in_chunk,

@@ -112,8 +112,8 @@ sim::Task<void> Client::objPunch(const Container& cont, const ObjectId& oid) {
   auto layout = system_->layout(oid);
   std::vector<sim::Task<void>> ops;
   ops.reserve(layout.targets.size());
-  for (int target : layout.targets) {
-    ops.push_back(punchShardOp(this, cont.id, oid, target));
+  for (std::size_t j = 0; j < layout.targets.size(); ++j) {
+    ops.push_back(punchShardOp(this, cont.id, oid, layout.targets[j]));
   }
   co_await sim::whenAll(sim(), std::move(ops));
 }

@@ -38,8 +38,11 @@ class DaosSystem {
             global % cfg_.targets_per_engine};
   }
 
+  /// The object's layout under the current pool map. A map with nothing
+  /// excluded re-points no slot, so it is not scanned.
   placement::Layout layout(const placement::ObjectId& oid) const {
-    return placement::computeLayout(oid, totalTargets(), &alive_);
+    return placement::computeLayout(
+        oid, totalTargets(), excluded_targets_ > 0 ? &alive_ : nullptr);
   }
   /// The layout the object had under a previous pool map (all targets in
   /// `was_alive` considered alive) — used by rebuild to locate old shards.

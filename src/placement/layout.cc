@@ -21,7 +21,6 @@ Layout computeLayout(const ObjectId& oid, int total_targets,
   Layout layout;
   layout.oclass = oidClass(oid);
   layout.spec = classSpec(layout.oclass);
-  layout.total_targets = total_targets;
   layout.group_size = layout.spec.groupSize();
   if (layout.group_size > total_targets) {
     throw std::invalid_argument(
@@ -50,31 +49,24 @@ Layout computeLayout(const ObjectId& oid, int total_targets,
     while (std::gcd(stride, total_targets) != 1) ++stride;
   }
 
-  auto walk = [&](int j) {
-    return static_cast<int>((start + static_cast<long long>(j) * stride) %
-                            total_targets);
-  };
-
-  // Base layout: the first `entries` steps of the permutation. Group count
-  // and surviving slot assignments are *stable* under exclusion — only dead
+  // The walk's first `entries` steps are the layout. Group count and
+  // surviving slot assignments are *stable* under exclusion — only dead
   // slots are re-pointed at spares (as DAOS pool-map rebuild does), so dkey
   // to group mappings never change and data movement is minimal.
-  layout.targets.reserve(static_cast<std::size_t>(entries));
-  for (int j = 0; j < entries; ++j) layout.targets.push_back(walk(j));
+  layout.targets = {start, stride, entries, total_targets, {}};
   if (alive == nullptr) return layout;
 
+  const TargetWalk& walk = layout.targets;
   int spare = entries;  // shared cursor into the permutation's remainder
   for (int j = 0; j < entries; ++j) {
-    if ((*alive)[static_cast<std::size_t>(layout.targets[static_cast<std::size_t>(j)])] != 0) {
-      continue;
-    }
+    if ((*alive)[static_cast<std::size_t>(walk.step(j))] != 0) continue;
     const int group = j / layout.group_size;
     // Pick the next alive spare not already serving this group. Unprotected
     // (group-size 1) classes may reuse an alive target after a full cycle;
     // protected classes must keep group members distinct or fail.
     int chosen = -1;
     for (int probe = 0; probe < 2 * total_targets; ++probe) {
-      const int t = walk(spare + probe);
+      const int t = walk.step(spare + probe);
       if ((*alive)[static_cast<std::size_t>(t)] == 0) continue;
       bool in_group = false;
       for (int m = 0; m < layout.group_size; ++m) {
@@ -92,7 +84,7 @@ Layout computeLayout(const ObjectId& oid, int total_targets,
       throw std::invalid_argument(
           "computeLayout: not enough alive targets for the object class");
     }
-    layout.targets[static_cast<std::size_t>(j)] = chosen;
+    layout.targets.spares.emplace_back(j, chosen);
   }
   return layout;
 }

@@ -41,7 +41,7 @@ TEST(ExclusionPlacement, SurvivingSlotsNeverMove) {
       auto oid = makeOid(oc, id);
       auto healthy = computeLayout(oid, T, &all);
       // Exclude one target that appears in the layout.
-      const int victim = healthy.targets.front();
+      const int victim = healthy.targets[0];
       std::vector<std::uint8_t> degraded = all;
       degraded[static_cast<std::size_t>(victim)] = 0;
       auto after = computeLayout(oid, T, &degraded);
@@ -129,7 +129,10 @@ TEST_F(RebuildTest, ReplicatedArrayIsReprotectedOntoSpare) {
     // The NEW layout avoids the victim; reads go through the normal path
     // (both replicas healthy again) even though the device stays dead.
     Array reopened = co_await Array::open(c, cont, a.oid());
-    for (int t : reopened.layout().targets) EXPECT_NE(t, victim);
+    const placement::Layout& now = reopened.layout();
+    for (std::size_t j = 0; j < now.targets.size(); ++j) {
+      EXPECT_NE(now.targets[j], victim);
+    }
     Payload back = co_await reopened.read(0, 2 * kMiB);
     EXPECT_EQ(back, data);
 
@@ -225,7 +228,7 @@ TEST_F(RebuildTest, UnprotectedShardsAreReportedLost) {
                                      {.cell_size = 1, .chunk_size = 1 << 16});
     co_await a.write(0, Payload::synthetic(1 << 20));  // 16 chunks over SX
 
-    const int victim = a.layout().targets.front();
+    const int victim = a.layout().targets[0];
     c.system().excludeTarget(victim);
     daos::RebuildStats stats = co_await daos::rebuild(c.system(), victim);
     EXPECT_GE(stats.objects_lost, 1u);
