@@ -109,8 +109,10 @@ void SweepObservation::finish(std::ostream& out) {
               [&](std::ostream& f) { writeDump(f, hub); });
   }
   if (spec_.stats) {
+    // Telemetry rows only: the breakdown table above already printed the
+    // op rows' category split.
     std::stringstream ss;
-    writeDump(ss, hub);
+    hub.writeCsv(ss);
     out << "\n-- telemetry bottleneck report --\n";
     obs::writeReport(out, obs::analyze(obs::parseTelemetryCsv(ss)));
   }

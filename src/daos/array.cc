@@ -69,7 +69,7 @@ sim::Task<void> extentWriteOp(Client* client, vos::ContId cont, ObjectId oid,
   hw::Cluster& cluster = client->system().cluster();
   const net::RetryPolicy& rp = client->system().config().rpc_retry;
   // Structural leg grouping this shard's request/work/response legs in the
-  // op's causal tree (the children carry the aggregate charges).
+  // op's causal tree.
   auto rpc = client->beginLeg(op, "rpc.extent_write");
   const obs::OpId rop = rpc.ctx();
   co_await net::request(cluster, client->node(), engine->node(),

@@ -13,9 +13,12 @@ sim::Task<void> punchShardOp(Client* client, vos::ContId cont, ObjectId oid,
                              int target) {
   auto [engine, local] = client->system().locateTarget(target);
   hw::Cluster& cluster = client->system().cluster();
-  co_await net::request(cluster, client->node(), engine->node(), 0);
+  const net::RetryPolicy& rp = client->system().config().rpc_retry;
+  co_await net::request(cluster, client->node(), engine->node(), 0,
+                        /*op=*/0, rp);
   co_await engine->punchObject(local, cont, oid);
-  co_await net::respond(cluster, engine->node(), client->node(), 0);
+  co_await net::respond(cluster, engine->node(), client->node(), 0,
+                        /*op=*/0, rp);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 namespace daosim::daos {
 
 Engine::Engine(hw::Cluster& cluster, hw::NodeId node, const DaosConfig& cfg)
-    : cluster_(&cluster), node_(node), cfg_(&cfg) {
+    : node_(node), cfg_(&cfg) {
   hw::Node& n = cluster.node(node);
   if (static_cast<int>(n.driveCount()) < cfg.targets_per_engine) {
     throw std::invalid_argument(
@@ -24,9 +24,9 @@ Engine::Engine(hw::Cluster& cluster, hw::NodeId node, const DaosConfig& cfg)
   }
 }
 
-sim::Task<std::uint64_t> Engine::valuePut(int tgt, ContId c, const ObjectId& o,
-                                          std::string dkey, std::string akey,
-                                          Payload value, obs::OpId op) {
+sim::Task<void> Engine::valuePut(int tgt, ContId c, const ObjectId& o,
+                                 std::string dkey, std::string akey,
+                                 Payload value, obs::OpId op) {
   Target& t = target(tgt);
   co_await t.xstream().exec(cfg_->engine.rpc_cpu + cfg_->engine.kv_cpu, op);
   // Metadata lands in DRAM (VOS tree) but is made durable via a WAL record
@@ -34,7 +34,6 @@ sim::Task<std::uint64_t> Engine::valuePut(int tgt, ContId c, const ObjectId& o,
   co_await t.device().write(std::max<std::uint64_t>(
       cfg_->engine.wal_bytes, value.size()), op);
   t.store().valuePut(c, o, dkey, akey, std::move(value));
-  co_return 0;
 }
 
 sim::Task<Engine::GetResult> Engine::valueGet(int tgt, ContId c,
@@ -52,28 +51,23 @@ sim::Task<Engine::GetResult> Engine::valueGet(int tgt, ContId c,
   co_return r;
 }
 
-sim::Task<std::uint64_t> Engine::valueRemove(int tgt, ContId c,
-                                             const ObjectId& o,
-                                             std::string dkey,
-                                             std::string akey, obs::OpId op) {
+sim::Task<void> Engine::valueRemove(int tgt, ContId c, const ObjectId& o,
+                                    std::string dkey, std::string akey,
+                                    obs::OpId op) {
   Target& t = target(tgt);
   co_await t.xstream().exec(cfg_->engine.rpc_cpu + cfg_->engine.kv_cpu, op);
   co_await t.device().write(cfg_->engine.wal_bytes, op);
   t.store().valueRemove(c, o, dkey, akey);
-  co_return 0;
 }
 
-sim::Task<std::uint64_t> Engine::extentWrite(int tgt, ContId c,
-                                             const ObjectId& o,
-                                             std::string dkey,
-                                             std::string akey,
-                                             std::uint64_t offset,
-                                             Payload data, obs::OpId op) {
+sim::Task<void> Engine::extentWrite(int tgt, ContId c, const ObjectId& o,
+                                    std::string dkey, std::string akey,
+                                    std::uint64_t offset, Payload data,
+                                    obs::OpId op) {
   Target& t = target(tgt);
   co_await t.xstream().exec(cfg_->engine.rpc_cpu, op);
   co_await t.device().write(data.size(), op);
   t.store().extentWrite(c, o, dkey, akey, offset, std::move(data));
-  co_return 0;
 }
 
 sim::Task<Payload> Engine::extentRead(int tgt, ContId c, const ObjectId& o,
@@ -107,11 +101,11 @@ sim::Task<std::uint64_t> Engine::arrayShardEnd(int tgt, ContId c,
   co_return end;
 }
 
-sim::Task<std::uint64_t> Engine::arrayShardTruncate(int tgt, ContId c,
-                                                    const ObjectId& o,
-                                                    std::uint64_t chunk_size,
-                                                    std::uint64_t new_size,
-                                                    obs::OpId op) {
+sim::Task<void> Engine::arrayShardTruncate(int tgt, ContId c,
+                                           const ObjectId& o,
+                                           std::uint64_t chunk_size,
+                                           std::uint64_t new_size,
+                                           obs::OpId op) {
   Target& t = target(tgt);
   co_await t.xstream().exec(cfg_->engine.rpc_cpu + 2 * cfg_->engine.kv_cpu,
                             op);
@@ -125,7 +119,6 @@ sim::Task<std::uint64_t> Engine::arrayShardTruncate(int tgt, ContId c,
       t.store().extentTruncate(c, o, dkey, "0", new_size - base);
     }
   }
-  co_return 0;
 }
 
 sim::Task<std::vector<std::string>> Engine::listDkeys(int tgt, ContId c,
@@ -137,23 +130,12 @@ sim::Task<std::vector<std::string>> Engine::listDkeys(int tgt, ContId c,
   co_return t.store().listDkeys(c, o);
 }
 
-sim::Task<std::uint64_t> Engine::punchObject(int tgt, ContId c,
-                                             const ObjectId& o, obs::OpId op) {
+sim::Task<void> Engine::punchObject(int tgt, ContId c, const ObjectId& o,
+                                    obs::OpId op) {
   Target& t = target(tgt);
   co_await t.xstream().exec(cfg_->engine.rpc_cpu + cfg_->engine.kv_cpu, op);
   co_await t.device().write(cfg_->engine.wal_bytes, op);
   t.store().punchObject(c, o);
-  co_return 0;
-}
-
-sim::Task<std::uint64_t> Engine::punchDkey(int tgt, ContId c,
-                                           const ObjectId& o,
-                                           std::string dkey, obs::OpId op) {
-  Target& t = target(tgt);
-  co_await t.xstream().exec(cfg_->engine.rpc_cpu + cfg_->engine.kv_cpu, op);
-  co_await t.device().write(cfg_->engine.wal_bytes, op);
-  t.store().punchDkey(c, o, dkey);
-  co_return 0;
 }
 
 }  // namespace daosim::daos

@@ -52,12 +52,11 @@ class Engine {
   }
 
   // ---- server-side operations (run inside an RPC, on this engine) ----
-  // Each returns the response payload size to charge on the return path.
 
   /// Persists a single value (KV record / metadata akey).
-  sim::Task<std::uint64_t> valuePut(int tgt, ContId c, const ObjectId& o,
-                                    std::string dkey, std::string akey,
-                                    Payload value, obs::OpId op = 0);
+  sim::Task<void> valuePut(int tgt, ContId c, const ObjectId& o,
+                           std::string dkey, std::string akey, Payload value,
+                           obs::OpId op = 0);
 
   /// Fetches a single value; found=false leaves `out` empty.
   struct GetResult {
@@ -68,15 +67,15 @@ class Engine {
                                 std::string dkey, std::string akey,
                                 obs::OpId op = 0);
 
-  sim::Task<std::uint64_t> valueRemove(int tgt, ContId c, const ObjectId& o,
-                                       std::string dkey, std::string akey,
-                                       obs::OpId op = 0);
+  sim::Task<void> valueRemove(int tgt, ContId c, const ObjectId& o,
+                              std::string dkey, std::string akey,
+                              obs::OpId op = 0);
 
   /// Writes an array extent (bulk data path).
-  sim::Task<std::uint64_t> extentWrite(int tgt, ContId c, const ObjectId& o,
-                                       std::string dkey, std::string akey,
-                                       std::uint64_t offset, Payload data,
-                                       obs::OpId op = 0);
+  sim::Task<void> extentWrite(int tgt, ContId c, const ObjectId& o,
+                              std::string dkey, std::string akey,
+                              std::uint64_t offset, Payload data,
+                              obs::OpId op = 0);
 
   /// Reads an array extent; reads only the bytes actually present from the
   /// device, returns a payload of the requested length (holes zeroed).
@@ -93,26 +92,21 @@ class Engine {
 
   /// Truncates this target's shard of an array to `new_size` total bytes:
   /// punches chunks entirely beyond and trims the straddling chunk.
-  sim::Task<std::uint64_t> arrayShardTruncate(int tgt, ContId c,
-                                              const ObjectId& o,
-                                              std::uint64_t chunk_size,
-                                              std::uint64_t new_size,
-                                              obs::OpId op = 0);
+  sim::Task<void> arrayShardTruncate(int tgt, ContId c, const ObjectId& o,
+                                     std::uint64_t chunk_size,
+                                     std::uint64_t new_size, obs::OpId op = 0);
 
   /// Enumerates dkeys (used by KV list and DFS readdir).
   sim::Task<std::vector<std::string>> listDkeys(int tgt, ContId c,
                                                 const ObjectId& o,
                                                 obs::OpId op = 0);
 
-  sim::Task<std::uint64_t> punchObject(int tgt, ContId c, const ObjectId& o,
-                                       obs::OpId op = 0);
-  sim::Task<std::uint64_t> punchDkey(int tgt, ContId c, const ObjectId& o,
-                                     std::string dkey, obs::OpId op = 0);
+  sim::Task<void> punchObject(int tgt, ContId c, const ObjectId& o,
+                              obs::OpId op = 0);
 
   const DaosConfig& config() const noexcept { return *cfg_; }
 
  private:
-  hw::Cluster* cluster_;
   hw::NodeId node_;
   const DaosConfig* cfg_;
   std::vector<std::unique_ptr<Target>> targets_;

@@ -12,15 +12,9 @@ sim::Task<void> PoolService::commit() {
 
 sim::Task<void> PoolService::query() { co_await svc_.exec(cost_.query_cpu); }
 
-sim::Task<std::uint64_t> PoolService::handleConnect() {
-  co_await query();
-  co_return 0;
-}
+sim::Task<void> PoolService::handleConnect() { co_await query(); }
 
-sim::Task<std::uint64_t> PoolService::handleContQuery() {
-  co_await query();
-  co_return 64;
-}
+sim::Task<void> PoolService::handleContQuery() { co_await query(); }
 
 sim::Task<vos::ContId> PoolService::handleContCreate(std::string name) {
   co_await commit();

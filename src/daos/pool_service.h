@@ -44,12 +44,12 @@ class PoolService {
 
   // Server-side handlers (run on the leader, inside an RPC).
 
-  sim::Task<std::uint64_t> handleConnect();
+  sim::Task<void> handleConnect();
 
   /// Container handle/epoch query (serialized read-side op on the leader).
   /// Used by middleware that verifies container state per operation — e.g.
   /// the HDF5 DAOS adaptor's per-open checks.
-  sim::Task<std::uint64_t> handleContQuery();
+  sim::Task<void> handleContQuery();
 
   /// Creates a container; fails (returns 0) if the name exists.
   sim::Task<vos::ContId> handleContCreate(std::string name);

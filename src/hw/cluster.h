@@ -110,7 +110,8 @@ class Cluster {
   /// fabric latency, so a single stream achieves full NIC bandwidth while
   /// both endpoints still contend at their NICs. Same-node messages skip the
   /// NIC (loopback). A nonzero `op` records the whole transfer as one leg of
-  /// category `cat` on the sender's "net" track.
+  /// category `cat` on the sender's "net" track, parent of the NIC tx/rx
+  /// legs.
   sim::Task<void> send(NodeId src, NodeId dst, std::uint64_t bytes,
                        obs::OpId op = 0, obs::Cat cat = obs::Cat::kOther) {
     // A flapped NIC drops the message after one fabric latency (loopback
@@ -155,12 +156,11 @@ class Cluster {
                       sim::Time lat, sim::Time ser, obs::OpId op,
                       obs::Cat cat) -> sim::Task<void> {
       co_await sm.delay(lat);
-      // Structure-only: the parent "send" leg carries the aggregate charge.
-      co_await rx.exec(ser, op, cat, /*nested=*/true);
+      co_await rx.exec(ser, op, cat);
     };
     auto delivery = sim_->spawn(
         receive(*sim_, d.rx(), fabric_.latency, rx_time, ctx, cat));
-    co_await s.tx().exec(tx_time, ctx, cat, /*nested=*/true);
+    co_await s.tx().exec(tx_time, ctx, cat);
     co_await delivery.join();
     finishSend(src, op, cat, started, send_leg);
   }
@@ -208,8 +208,7 @@ class Cluster {
     send_ns_ += sim_->now() - started;
     if (op == 0) return;
     if (obs::Observer* o = sim_->observer()) {
-      o->leg(op, cat, o->track(src, "net"), "send", started, 0,
-             obs::Cat::kServerQueue, leg);
+      o->leg(op, cat, o->track(src, "net"), "send", started, 0, leg);
     }
   }
 

@@ -130,13 +130,11 @@ class NvmeDevice {
           track_ = o->track(trace_pid_, name_);
           track_epoch_ = o->epoch();
         }
-        // Backlog stall beyond the intrinsic completion latency counts as
-        // queue-wait in the causal tree; it still charges to kDevice so
-        // the aggregate category split is unchanged.
+        // Backlog stall beyond the intrinsic completion latency is the
+        // leg's queue wait.
         const sim::Time stall =
             wait > completion_latency ? wait - completion_latency : 0;
-        o->leg(op, obs::Cat::kDevice, track_, "io", now, stall,
-               obs::Cat::kDevice);
+        o->leg(op, obs::Cat::kDevice, track_, "io", now, stall);
       }
     }
   }

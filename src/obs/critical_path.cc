@@ -59,82 +59,100 @@ std::vector<std::string> stationNames(const std::vector<TrackDesc>& tracks) {
   return names;
 }
 
-namespace {
-
-// Walks the op span slice by slice and reports each slice's owner: the
-// deepest leg active at that instant (ties: latest start, then highest leg
-// id, then latest record order), or -1 for the uncovered client residual.
-// Slices never straddle a leg boundary or a leg's wait/service split, so
-// the callback sees each (owner, kind) run with exact integer bounds.
-template <typename Fn>
-void forEachSlice(const OpRecord& op, Fn&& fn) {
-  const sim::Time lo = op.start;
-  const sim::Time hi = op.start + op.dur;
-  const auto& legs = op.legs;
-  const std::size_t n = legs.size();
-
-  // Depth via the parent chain; unknown parents count as roots (a parent
-  // leg may be missing when an op was cut off mid-flight).
-  std::map<LegId, std::size_t> by_id;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (legs[i].leg != 0) by_id.emplace(legs[i].leg, i);
+std::ptrdiff_t CriticalPath::indexOf(LegId id) const noexcept {
+  if (id == 0) return -1;
+  if (id < by_id_.size()) return by_id_[id];
+  // Ids past the dense table, sparser than any the observer allocates,
+  // can only come from an edited trace.
+  for (std::size_t i = 0; i < legs_->size(); ++i) {
+    if ((*legs_)[i].leg == id) return static_cast<std::ptrdiff_t>(i);
   }
-  std::vector<int> depth(n, 1);
+  return -1;
+}
+
+const std::vector<PathSlice>& CriticalPath::walk(
+    const std::vector<TraceEvent>& legs, sim::Time lo, sim::Time hi) {
+  legs_ = &legs;
+  const std::size_t n = legs.size();
+  LegId max_id = 0;
+  for (const TraceEvent& e : legs) max_id = std::max(max_id, e.leg);
+  by_id_.assign(std::min<std::size_t>(max_id, 2 * n + 16) + 1, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const LegId id = legs[i].leg;
+    if (id != 0 && id < by_id_.size() && by_id_[id] < 0) {
+      by_id_[id] = static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  // Depth via the parent chain. Bounded walk: a malformed trace cannot
+  // loop more than n steps.
+  depth_.assign(n, 1);
   for (std::size_t i = 0; i < n; ++i) {
     LegId p = legs[i].parent;
-    int d = 1;
-    // Bounded walk: a malformed trace cannot loop more than n steps.
     for (std::size_t steps = 0; p != 0 && steps < n; ++steps) {
-      auto it = by_id.find(p);
-      if (it == by_id.end()) break;
-      ++d;
-      p = legs[it->second].parent;
+      const std::ptrdiff_t j = indexOf(p);
+      if (j < 0) break;
+      ++depth_[i];
+      p = legs[static_cast<std::size_t>(j)].parent;
     }
-    depth[i] = d;
   }
 
-  std::vector<sim::Time> cuts;
-  cuts.reserve(2 + 3 * n);
-  cuts.push_back(lo);
-  cuts.push_back(hi);
-  const auto clip = [&](sim::Time t) {
-    if (t > lo && t < hi) cuts.push_back(t);
+  // Sweep the span in time order, keeping the set of active legs: a slice
+  // ends where the next leg starts or where its owner ends or stops waiting.
+  order_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const TraceEvent& e = legs[i];
+    if (e.dur > 0 && e.ts < hi && e.ts + e.dur > lo) order_.push_back(i);
+  }
+  const auto from = [&](std::size_t i) { return std::max(legs[i].ts, lo); };
+  std::sort(order_.begin(), order_.end(),
+            [&](std::size_t a, std::size_t b) { return from(a) < from(b); });
+  // The owner is the maximum of (depth, start, leg id, record index).
+  const auto beats = [&](std::size_t i, std::size_t o) {
+    if (depth_[i] != depth_[o]) return depth_[i] > depth_[o];
+    if (legs[i].ts != legs[o].ts) return legs[i].ts > legs[o].ts;
+    if (legs[i].leg != legs[o].leg) return legs[i].leg > legs[o].leg;
+    return i > o;
   };
-  for (const TraceEvent& e : legs) {
-    clip(e.ts);
-    clip(e.ts + e.wait);
-    clip(e.ts + e.dur);
-  }
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-
-  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
-    const sim::Time a = cuts[k];
-    const sim::Time b = cuts[k + 1];
+  slices_.clear();
+  active_.clear();
+  std::size_t next = 0;
+  for (sim::Time a = lo; a < hi;) {
+    while (next < order_.size() && from(order_[next]) <= a) {
+      active_.push_back(order_[next++]);
+    }
     std::ptrdiff_t owner = -1;
-    for (std::size_t i = 0; i < n; ++i) {
-      const TraceEvent& e = legs[i];
-      if (e.ts > a || a >= e.ts + e.dur) continue;
-      if (owner < 0) {
-        owner = static_cast<std::ptrdiff_t>(i);
+    for (std::size_t j = 0; j < active_.size();) {
+      const std::size_t i = active_[j];
+      if (legs[i].ts + legs[i].dur <= a) {  // ended: drop it
+        active_[j] = active_.back();
+        active_.pop_back();
         continue;
       }
-      const TraceEvent& o = legs[static_cast<std::size_t>(owner)];
-      const int od = depth[static_cast<std::size_t>(owner)];
-      if (depth[i] > od ||
-          (depth[i] == od &&
-           (e.ts > o.ts || (e.ts == o.ts && e.leg >= o.leg)))) {
+      if (owner < 0 || beats(i, static_cast<std::size_t>(owner))) {
         owner = static_cast<std::ptrdiff_t>(i);
       }
+      ++j;
     }
-    bool is_wait = false;
+    sim::Time b = next < order_.size() ? from(order_[next]) : hi;
+    bool wait = false;
     if (owner >= 0) {
       const TraceEvent& o = legs[static_cast<std::size_t>(owner)];
-      is_wait = a < o.ts + o.wait;
+      b = std::min(b, o.ts + o.dur);
+      wait = a < o.ts + o.wait;
+      if (wait) b = std::min(b, o.ts + o.wait);
     }
-    fn(owner, is_wait, b - a);
+    if (!slices_.empty() && slices_.back().owner == owner &&
+        slices_.back().wait == wait) {
+      slices_.back().dur += b - a;
+    } else {
+      slices_.push_back(PathSlice{owner, wait, b - a});
+    }
+    a = b;
   }
+  return slices_;
 }
+
+namespace {
 
 double us(sim::Time ns) { return static_cast<double>(ns) / 1000.0; }
 
@@ -152,14 +170,15 @@ struct WaitService {
 std::map<std::string, WaitService> shareMap(
     const OpRecord& op, const std::vector<std::string>& stations) {
   std::map<std::string, WaitService> acc;
-  forEachSlice(op, [&](std::ptrdiff_t owner, bool is_wait, sim::Time dur) {
-    const std::string& station =
-        owner < 0 ? trackStation(stations, op.track)  // residual: client CPU
-                  : trackStation(stations,
-                                 op.legs[static_cast<std::size_t>(owner)].track);
-    WaitService& ws = acc[owner < 0 ? "client" : station];
-    (is_wait ? ws.wait : ws.service) += dur;
-  });
+  CriticalPath walker;
+  for (const PathSlice& s :
+       walker.walk(op.legs, op.start, op.start + op.dur)) {
+    // The residual (owner -1) is client CPU.
+    const std::size_t i = static_cast<std::size_t>(s.owner);
+    WaitService& ws =
+        acc[s.owner < 0 ? "client" : trackStation(stations, op.legs[i].track)];
+    (s.wait ? ws.wait : ws.service) += s.dur;
+  }
   return acc;
 }
 
@@ -252,6 +271,7 @@ void writeExemplars(std::ostream& os, const std::vector<OpRecord>& ops,
     os << "(no ops recorded)\n";
     return;
   }
+  CriticalPath walker;
   for (const auto& [type, v] : groupByType(ops)) {
     os << "== " << type << " ==\n";
     // groupByType sorts fastest-first; walk from the back for the tail.
@@ -261,13 +281,8 @@ void writeExemplars(std::ostream& os, const std::vector<OpRecord>& ops,
       os << std::fixed << std::setprecision(3) << "  #" << (i + 1) << "  op "
          << ex.seq << " rep " << ex.rep << "  latency " << us(ex.dur)
          << " us  [" << trackStation(stations, ex.track) << "]\n";
-      // Leg tree: indent by causal depth (full parent-chain walk — legs
-      // record when they end, so a parent always follows its children in
-      // record order), printed in start-time order.
-      std::map<LegId, std::size_t> by_id;
-      for (std::size_t j = 0; j < ex.legs.size(); ++j) {
-        if (ex.legs[j].leg != 0) by_id.emplace(ex.legs[j].leg, j);
-      }
+      // Leg tree: indent by causal depth, printed in start-time order.
+      walker.walk(ex.legs, ex.start, ex.start + ex.dur);
       std::vector<std::size_t> order(ex.legs.size());
       for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
       std::sort(order.begin(), order.end(),
@@ -279,15 +294,7 @@ void writeExemplars(std::ostream& os, const std::vector<OpRecord>& ops,
                 });
       for (std::size_t j : order) {
         const TraceEvent& e = ex.legs[j];
-        int d = 1;
-        LegId p = e.parent;
-        for (std::size_t steps = 0; p != 0 && steps < ex.legs.size();
-             ++steps) {
-          auto it = by_id.find(p);
-          if (it == by_id.end()) break;
-          ++d;
-          p = ex.legs[it->second].parent;
-        }
+        const int d = walker.depth(j);
         os << "    " << std::string(static_cast<std::size_t>(2 * d), ' ')
            << std::left << std::setw(std::max(1, 24 - 2 * d)) << e.name
            << std::right << " @" << std::setw(11) << us(e.ts - ex.start)
@@ -305,27 +312,19 @@ void writeFoldedStacks(std::ostream& os, const std::vector<OpRecord>& ops,
                        const std::vector<std::string>& stations) {
   std::map<std::string, sim::Time> folded;
   std::vector<std::size_t> chain;
+  CriticalPath walker;
   for (const OpRecord& op : ops) {
-    // Map leg id -> index once per op for parent-chain walks.
-    std::map<LegId, std::size_t> by_id;
-    for (std::size_t i = 0; i < op.legs.size(); ++i) {
-      if (op.legs[i].leg != 0) by_id.emplace(op.legs[i].leg, i);
-    }
-    forEachSlice(op, [&](std::ptrdiff_t owner, bool is_wait, sim::Time dur) {
+    for (const PathSlice& s :
+         walker.walk(op.legs, op.start, op.start + op.dur)) {
       std::string path = op.type;
-      if (owner < 0) {
+      if (s.owner < 0) {
         path += ";client";
       } else {
         chain.clear();
-        std::size_t i = static_cast<std::size_t>(owner);
-        chain.push_back(i);
-        LegId p = op.legs[i].parent;
-        for (std::size_t steps = 0; p != 0 && steps < op.legs.size();
-             ++steps) {
-          auto it = by_id.find(p);
-          if (it == by_id.end()) break;
-          chain.push_back(it->second);
-          p = op.legs[it->second].parent;
+        std::ptrdiff_t i = s.owner;
+        for (int d = walker.depth(static_cast<std::size_t>(i)); d > 0; --d) {
+          chain.push_back(static_cast<std::size_t>(i));
+          i = walker.indexOf(op.legs[static_cast<std::size_t>(i)].parent);
         }
         for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
           const TraceEvent& e = op.legs[*it];
@@ -334,10 +333,10 @@ void writeFoldedStacks(std::ostream& os, const std::vector<OpRecord>& ops,
           path += ':';
           path += e.name;
         }
-        if (is_wait) path += ";[wait]";
+        if (s.wait) path += ";[wait]";
       }
-      folded[path] += dur;
-    });
+      folded[path] += s.dur;
+    }
   }
   for (const auto& [path, ns] : folded) os << path << ' ' << ns << "\n";
 }

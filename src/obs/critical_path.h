@@ -7,16 +7,19 @@
 //     reservoirs in any order yields the same result — the analogue of
 //     TelemetryHub's label-sorted dump, and what makes `--jobs N` runs
 //     byte-identical to serial ones.
-//   * decomposeOp — exact per-op wait-vs-service split: every nanosecond of
-//     the op span is attributed to the deepest leg active at that instant
-//     (its queue-wait prefix or its service remainder), or to the "client"
-//     residual when no leg is active. Integer arithmetic throughout, so the
-//     per-op station sums equal the span duration exactly.
+//   * CriticalPath / decomposeOp — exact per-op wait-vs-service split:
+//     every nanosecond of the op span is attributed to the deepest leg
+//     active at that instant (its queue-wait prefix or its service
+//     remainder), or to the "client" residual when no leg is active.
+//     Integer arithmetic throughout, so the per-op station sums equal the
+//     span duration exactly. The observer's per-category split is the same
+//     walk.
 //   * writers — p50/p95/p99 breakdown tables, exemplar leg-tree dumps,
 //     folded-stack flamegraph lines, and a per-station A/B diff. Shared by
 //     tools/daosim_trace and the in-process reservoir printers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -100,6 +103,41 @@ struct StationShare {
 
 /// Strips digit runs from a track name to get its station class.
 std::string trackStationClass(std::string_view track_name);
+
+/// `dur` ns of an op owned by legs[owner] (-1: the uncovered client
+/// residual), inside that leg's queue-wait prefix when `wait` is set.
+struct PathSlice {
+  std::ptrdiff_t owner = -1;
+  bool wait = false;
+  sim::Time dur = 0;
+};
+
+/// The slice walker behind every critical-path output and the observer's
+/// per-category split. Reuse one instance across ops: its buffers keep
+/// their capacity.
+class CriticalPath {
+ public:
+  /// Splits [start, end) into slices: each instant belongs to the deepest
+  /// leg active then (ties: latest start, then highest leg id, then latest
+  /// record order), or to the residual. The slice durations sum to
+  /// end - start. Valid until the next walk.
+  const std::vector<PathSlice>& walk(const std::vector<TraceEvent>& legs,
+                                     sim::Time start, sim::Time end);
+  /// Causal depth of leg `i` of the last walk (1: directly under the op;
+  /// a parent missing from the legs counts as the op).
+  int depth(std::size_t i) const noexcept { return depth_[i]; }
+  /// Index of the first leg with id `id` in the last walk, or -1. The legs
+  /// the last walk read must still be alive.
+  std::ptrdiff_t indexOf(LegId id) const noexcept;
+
+ private:
+  const std::vector<TraceEvent>* legs_ = nullptr;
+  std::vector<std::ptrdiff_t> by_id_;  // dense per-op leg id -> index
+  std::vector<int> depth_;
+  std::vector<std::size_t> order_;   // legs that overlap the span, by start
+  std::vector<std::size_t> active_;  // legs active at the sweep position
+  std::vector<PathSlice> slices_;
+};
 
 /// Exact critical-path decomposition of one op (see file comment). The
 /// returned shares are sorted by station name and their wait+service sums

@@ -63,7 +63,11 @@ TrackId Observer::reservoirTrack(TrackId t) {
 
 OpId Observer::beginOp(const char* /*type*/, TrackId /*track*/) {
   const OpId op = next_op_++;
-  open_.emplace(op, OpenOp{});
+  OpenOp& o = open_[op];
+  if (!spare_legs_.empty()) {
+    o.legs = std::move(spare_legs_.back());
+    spare_legs_.pop_back();
+  }
   return op;
 }
 
@@ -77,12 +81,13 @@ void Observer::endOp(OpId op, const char* type, TrackId track,
   ++agg.count;
   agg.latency.add(total);
   if (open_it != open_.end()) {
-    sim::Time covered = 0;
-    for (int c = 1; c < kCatCount; ++c) {  // skip kClient: it is the residual
-      agg.cat_ns[c] += open_it->second.cat_ns[c];
-      covered += open_it->second.cat_ns[c];
+    std::vector<TraceEvent>& legs = open_it->second.legs;
+    for (const PathSlice& s : path_.walk(legs, start, end)) {
+      const Cat c = s.owner < 0 ? Cat::kClient
+                    : s.wait    ? Cat::kServerQueue
+                                : legs[static_cast<std::size_t>(s.owner)].cat;
+      agg.cat_ns[static_cast<int>(c)] += s.dur;
     }
-    agg.cat_ns[0] += total > covered ? total - covered : 0;
     if (reservoir_ != nullptr && tracer_ != nullptr) {
       OpRecord rec;
       rec.type = type;
@@ -91,62 +96,43 @@ void Observer::endOp(OpId op, const char* type, TrackId track,
       rec.track = reservoirTrack(track);
       rec.start = start;
       rec.dur = total;
-      rec.legs = std::move(open_it->second.legs);
+      rec.legs = std::move(legs);
       for (TraceEvent& e : rec.legs) e.track = reservoirTrack(e.track);
       reservoir_->offer(std::move(rec));
+    } else {
+      legs.clear();
+      spare_legs_.push_back(std::move(legs));
     }
     open_.erase(open_it);
   } else {
-    agg.cat_ns[0] += total;
+    agg.cat_ns[static_cast<int>(Cat::kClient)] += total;
   }
 
   if (tracing_) tracer_->span(track, seq, type, start, end);
 }
 
-LegId Observer::recordLeg(OpId op, Cat cat, TrackId track, const char* name,
-                          sim::Time start, sim::Time wait, Cat wait_cat,
-                          LegId id, bool charge) {
+LegId Observer::leg(OpId op, Cat cat, TrackId track, const char* name,
+                    sim::Time start, sim::Time wait, LegId id) {
   const OpId seq = opSeq(op);
   if (seq == 0) return 0;
   const sim::Time dur = now() - start;
   if (wait > dur) wait = dur;
   auto it = open_.find(seq);
   LegId lid = id;
-  if (it != open_.end()) {
-    if (lid == 0) lid = ++it->second.next_leg;
-    if (charge) {
-      it->second.cat_ns[static_cast<int>(wait_cat)] += wait;
-      it->second.cat_ns[static_cast<int>(cat)] += dur - wait;
-    }
-  }
-  const bool retain = it != open_.end() && reservoir_ != nullptr;
-  if (tracing_ || retain) {
-    const TraceEvent e{.ts = start,
-                       .dur = dur,
-                       .op = seq,
-                       .track = track,
-                       .name = name,
-                       .cat = cat,
-                       .is_span = false,
-                       .leg = lid,
-                       .parent = opParent(op),
-                       .wait = wait};
-    if (tracing_) tracer_->push(e);
-    if (retain) it->second.legs.push_back(e);
-  }
+  if (it != open_.end() && lid == 0) lid = ++it->second.next_leg;
+  const TraceEvent e{.ts = start,
+                     .dur = dur,
+                     .op = seq,
+                     .track = track,
+                     .name = name,
+                     .cat = cat,
+                     .is_span = false,
+                     .leg = lid,
+                     .parent = opParent(op),
+                     .wait = wait};
+  if (tracing_) tracer_->push(e);
+  if (it != open_.end()) it->second.legs.push_back(e);
   return lid;
-}
-
-LegId Observer::leg(OpId op, Cat cat, TrackId track, const char* name,
-                    sim::Time start, sim::Time wait, Cat wait_cat, LegId id) {
-  return recordLeg(op, cat, track, name, start, wait, wait_cat, id,
-                   /*charge=*/true);
-}
-
-LegId Observer::structLeg(OpId op, Cat cat, TrackId track, const char* name,
-                          sim::Time start, sim::Time wait, LegId id) {
-  return recordLeg(op, cat, track, name, start, wait, Cat::kServerQueue, id,
-                   /*charge=*/false);
 }
 
 LegId Observer::openLeg(OpId op) {
@@ -201,8 +187,7 @@ void Observer::writeBreakdown(std::ostream& os) const {
      << std::setw(9) << "p95_us" << std::setw(9) << "p99_us" << std::setw(9)
      << "max_us";
   for (int c = 0; c < kCatCount; ++c) {
-    if (static_cast<Cat>(c) == Cat::kOther) continue;
-    os << std::setw(13) << (std::string(catName(static_cast<Cat>(c))) + "%");
+    os << std::setw(14) << (std::string(catName(static_cast<Cat>(c))) + "%");
   }
   os << "\n";
   const auto us = [](double ns) { return ns / 1000.0; };
@@ -217,12 +202,11 @@ void Observer::writeBreakdown(std::ostream& os) const {
     std::uint64_t total = 0;
     for (int c = 0; c < kCatCount; ++c) total += agg.cat_ns[c];
     for (int c = 0; c < kCatCount; ++c) {
-      if (static_cast<Cat>(c) == Cat::kOther) continue;
       const double pct =
           total > 0 ? 100.0 * static_cast<double>(agg.cat_ns[c]) /
                           static_cast<double>(total)
                     : 0.0;
-      os << std::setw(12) << std::setprecision(1) << pct << " ";
+      os << std::setw(14) << std::setprecision(1) << pct;
     }
     os << "\n";
     os.unsetf(std::ios::fixed);

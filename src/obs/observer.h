@@ -6,7 +6,8 @@
 // disabled cost is a pointer load and compare. When attached, the observer
 //   * assigns op ids and aggregates per-op-type latency histograms plus a
 //     category breakdown (client CPU / net request / server queue / service /
-//     device / net response) — always on, allocation-free per event;
+//     device / net response) — always on. Each op keeps its legs until it
+//     ends, and the breakdown is the op's critical path (CriticalPath);
 //   * optionally records every span and leg into a Tracer for chrome://tracing
 //     export (enableTracing(); off by default since event storage grows with
 //     the run).
@@ -83,33 +84,26 @@ class Observer {
   void endOp(OpId op, const char* type, TrackId track, sim::Time start);
 
   /// Records that `op` occupied `track` from `start` to now(): queue-wait
-  /// for the first `wait` ns (charged to `wait_cat` in the aggregate),
-  /// service for the rest (charged to `cat`). `id` 0 allocates a fresh leg
-  /// id; a nonzero `id` must come from openLeg() on the same op. Returns
-  /// the leg id (0 for op 0 or an op that already ended).
+  /// for the first `wait` ns, service of category `cat` for the rest. `id`
+  /// 0 allocates a fresh leg id; a nonzero `id` must come from openLeg() on
+  /// the same op. Returns the leg id (0 for op 0 or an op that already
+  /// ended).
   LegId leg(OpId op, Cat cat, TrackId track, const char* name,
-            sim::Time start, sim::Time wait = 0,
-            Cat wait_cat = Cat::kServerQueue, LegId id = 0);
-
-  /// Trace/exemplar-only leg: shows up in the causal tree but charges
-  /// nothing to the per-category aggregate. Used for structural parents
-  /// (per-shard RPC scopes, NIC tx/rx under the charging "send" leg) whose
-  /// time is already covered by other legs.
-  LegId structLeg(OpId op, Cat cat, TrackId track, const char* name,
-                  sim::Time start, sim::Time wait = 0, LegId id = 0);
+            sim::Time start, sim::Time wait = 0, LegId id = 0);
 
   /// Pre-allocates the id of a forthcoming leg of `op`, so children created
   /// while the leg is still running can name it as parent via
-  /// withParent(op, id). Record the leg later by passing the id to leg() or
-  /// structLeg().
+  /// withParent(op, id). Record the leg later by passing the id to leg().
   LegId openLeg(OpId op);
 
-  /// Per-op-type aggregate: latency histogram plus summed per-category leg
-  /// time. kClient is the residual latency not covered by recorded legs.
+  /// Per-op-type aggregate: latency histogram plus the ops' summed
+  /// critical-path split. Each instant of an op goes to the deepest leg
+  /// active then: kServerQueue inside its wait prefix, its category after;
+  /// kClient when no leg is active. The categories sum to latency.sum().
   struct OpTypeAgg {
     std::uint64_t count = 0;
     Histogram latency;                      // ns per op
-    std::uint64_t cat_ns[kCatCount] = {};  // summed leg time per category
+    std::uint64_t cat_ns[kCatCount] = {};  // summed split per category
   };
 
   /// Keyed by string literal identity-by-content (op types are literals).
@@ -134,14 +128,10 @@ class Observer {
 
  private:
   struct OpenOp {
-    sim::Time cat_ns[kCatCount] = {};
-    LegId next_leg = 0;            // per-op leg id allocator
-    std::vector<TraceEvent> legs;  // retained only while exemplars are on
+    LegId next_leg = 0;  // per-op leg id allocator
+    std::vector<TraceEvent> legs;
   };
 
-  LegId recordLeg(OpId op, Cat cat, TrackId track, const char* name,
-                  sim::Time start, sim::Time wait, Cat wait_cat, LegId id,
-                  bool charge);
   /// Interns a tracer track into the reservoir's own table (cached).
   TrackId reservoirTrack(TrackId t);
 
@@ -154,6 +144,8 @@ class Observer {
   std::vector<TrackId> reservoir_track_;  // tracer TrackId -> reservoir id
   OpId next_op_ = 1;
   std::map<OpId, OpenOp> open_;  // keyed by op sequence number
+  std::vector<std::vector<TraceEvent>> spare_legs_;  // cleared, kept capacity
+  CriticalPath path_;
   std::map<std::string, OpTypeAgg> op_types_;
 };
 
@@ -209,7 +201,7 @@ class OpScope {
 };
 
 /// RAII structural leg: groups child legs under one node of the op's causal
-/// tree without charging the aggregate (the children carry the charges).
+/// tree; it owns the instants none of its children covers.
 /// ctx() is the OpId to thread into child work — it names this leg as the
 /// children's parent. Default-constructed scopes are inert and ctx() passes
 /// the original op through unchanged. Like OpScope, it records nothing once
@@ -244,7 +236,7 @@ class LegScope {
 
   void end() noexcept {
     if (o_ != nullptr && id_ != 0 && sim_->observer() == o_) {
-      o_->structLeg(op_, cat_, track_, name_, start_, 0, id_);
+      o_->leg(op_, cat_, track_, name_, start_, 0, id_);
     }
     o_ = nullptr;
     id_ = 0;

@@ -26,13 +26,10 @@ class QueueStation {
       : sim_(&sim), name_(std::move(name)), sem_(sim, servers) {}
 
   /// Occupies one server for `service` time, FIFO-queued. `op` (if nonzero
-  /// and an observer is attached) gets one station leg recorded whose
-  /// queue-wait/service split is explicit; the wait charges to
-  /// Cat::kServerQueue and the service to `cat`. `nested` records the leg
-  /// as structure-only (no aggregate charge) for stations that run under a
-  /// charging parent leg, e.g. NIC tx/rx inside Cluster::send's "send".
+  /// and an observer is attached) gets one station leg of category `cat`
+  /// recorded, with its queue wait as the leg's wait prefix.
   Task<void> exec(Time service, obs::OpId op = 0,
-                  obs::Cat cat = obs::Cat::kService, bool nested = false) {
+                  obs::Cat cat = obs::Cat::kService) {
     const Time queued_at = sim_->now();
     co_await sem_.acquire();
     const Time acquired_at = sim_->now();
@@ -43,12 +40,8 @@ class QueueStation {
     ++ops_;
     if (op != 0) {
       if (obs::Observer* o = sim_->observer()) {
-        const Time wait = acquired_at - queued_at;
-        if (nested) {
-          o->structLeg(op, cat, obsTrack(o), "service", queued_at, wait);
-        } else {
-          o->leg(op, cat, obsTrack(o), "service", queued_at, wait);
-        }
+        o->leg(op, cat, obsTrack(o), "service", queued_at,
+               acquired_at - queued_at);
       }
     }
   }

@@ -236,6 +236,25 @@ sim::Task<void> linkRestore(hw::Cluster* c, hw::NodeId node, Time at) {
   c->setLinkDown(node, false);
 }
 
+/// Writes an S1 array, then punches it while `server`'s NIC is down for
+/// 2 ms.
+sim::Task<void> punchThroughFlap(daos::Client* c, hw::NodeId server,
+                                 std::shared_ptr<std::exception_ptr> err) {
+  try {
+    co_await c->poolConnect();
+    daos::Container cont = co_await c->contCreate("punch");
+    daos::Array arr = co_await daos::Array::create(
+        *c, cont, c->nextOid(placement::ObjClass::S1), daos::Array::Attrs{});
+    co_await arr.write(0, vos::Payload::synthetic(4096));
+    hw::Cluster& cluster = c->system().cluster();
+    cluster.setLinkDown(server, true);
+    c->sim().spawn(linkRestore(&cluster, server, 2_ms));
+    co_await c->objPunch(cont, arr.oid());
+  } catch (...) {
+    *err = std::current_exception();
+  }
+}
+
 }  // namespace retrytest
 
 TEST(Retry, DisabledPolicyIsScheduleIdenticalToPlainRequest) {
@@ -315,6 +334,22 @@ TEST(Retry, RidesThroughTransientFlap) {
   EXPECT_GT(cluster.rpcRetries(), 0u);
   EXPECT_EQ(cluster.messages(), 1u);  // exactly one attempt went through
   EXPECT_GE(sim.now(), 10_ms);
+}
+
+TEST(Retry, PunchRidesThroughTransientFlap) {
+  sim::Simulation sim;
+  hw::Cluster cluster(sim);
+  const auto servers = cluster.addNodes(hw::NodeSpec::server(), 1);
+  const hw::NodeId client_node = cluster.addNode(hw::NodeSpec::client());
+  daos::DaosConfig cfg;
+  cfg.rpc_retry = net::RetryPolicy::chaosDefault();  // what --faults enables
+  daos::DaosSystem system(cluster, servers, cfg);
+  daos::Client client(system, client_node, /*id=*/1);
+  auto err = std::make_shared<std::exception_ptr>();
+  sim.spawn(retrytest::punchThroughFlap(&client, servers[0], err));
+  sim.run();
+  EXPECT_EQ(*err, nullptr) << "the punch should outlast a 2ms flap";
+  EXPECT_GT(cluster.rpcRetries(), 0u);
 }
 
 TEST(Retry, TimesOutBehindBackloggedReceiver) {

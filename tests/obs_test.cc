@@ -1,11 +1,13 @@
 // Observability subsystem tests: histogram binning and percentiles, the
 // exact op rows of metrics dumps, tracer event structure, queue-station busy accounting under
-// enter/leave, and an end-to-end Chrome-trace round trip that parses the
-// exported JSON back and validates the span tree.
+// enter/leave, an end-to-end Chrome-trace round trip that parses the
+// exported JSON back and validates the span tree, and the per-category op
+// split: exact, and equal to the exemplars' critical-path decomposition.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -385,6 +387,115 @@ TEST(TraceRoundTrip, MetricsExportAggregatesOps) {
   std::ostringstream bd;
   obs.writeBreakdown(bd);
   EXPECT_NE(bd.str().find("array.write"), std::string::npos);
+}
+
+// --- the category split is each op's critical path -------------------------
+
+TEST(CategorySplit, OverlappingLegsCountOnce) {
+  sim::Simulation sim;
+  obs::Observer o;
+  o.attach(sim);
+  const obs::TrackId t = o.track(0, "client0");
+  const obs::OpId op = o.beginOp("overlap", t);
+  // Two depth-1 legs overlap on [200, 600]; the later-starting one owns
+  // the overlap, and its 100 ns wait prefix is queueing.
+  sim.runUntil(600);
+  o.leg(op, obs::Cat::kDevice, t, "a", 100);
+  sim.runUntil(900);
+  o.leg(op, obs::Cat::kNetRequest, t, "b", 200, 100);
+  sim.runUntil(1000);
+  o.endOp(op, "overlap", t, 0);
+
+  const auto& agg = o.opTypes().at("overlap");
+  const auto ns = [&](obs::Cat c) { return agg.cat_ns[static_cast<int>(c)]; };
+  EXPECT_EQ(ns(obs::Cat::kClient), 200u);
+  EXPECT_EQ(ns(obs::Cat::kDevice), 100u);
+  EXPECT_EQ(ns(obs::Cat::kServerQueue), 100u);
+  EXPECT_EQ(ns(obs::Cat::kNetRequest), 600u);
+  EXPECT_EQ(ns(obs::Cat::kService) + ns(obs::Cat::kNetResponse) +
+                ns(obs::Cat::kOther),
+            0u);
+}
+
+sim::Task<void> classWorkload(daos::Client* c, placement::ObjClass oc,
+                              std::string cont_name) {
+  co_await c->poolConnect();
+  daos::Container cont = co_await c->contCreate(cont_name);
+  daos::Array arr = co_await daos::Array::create(*c, cont, c->nextOid(oc),
+                                                 daos::Array::Attrs{});
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    co_await arr.write(i << 20, vos::Payload::synthetic(1 << 20));
+  }
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    vos::Payload p = co_await arr.read(i << 20, 1 << 20);
+    (void)p;
+  }
+}
+
+/// Two clients per class, EC_2P1G1 and RP_2G1, write then read at once, so
+/// their fan-out legs overlap and queue at the NICs and devices.
+void runRedundantArrays(obs::Observer& o) {
+  sim::Simulation sim;
+  hw::Cluster cluster(sim);
+  auto servers = cluster.addNodes(hw::NodeSpec::server(), 2);
+  auto client_nodes = cluster.addNodes(hw::NodeSpec::client(), 2);
+  daos::DaosSystem system(cluster, servers);
+  std::vector<std::unique_ptr<daos::Client>> clients;
+  std::vector<sim::ProcHandle> procs;
+  o.attach(sim);
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(std::make_unique<daos::Client>(
+        system, client_nodes[static_cast<std::size_t>(i % 2)],
+        static_cast<std::uint32_t>(i + 1)));
+    procs.push_back(sim.spawn(classWorkload(
+        clients.back().get(),
+        i < 2 ? placement::ObjClass::EC_2P1G1 : placement::ObjClass::RP_2G1,
+        "split" + std::to_string(i))));
+  }
+  sim.run();
+  o.detach();
+  for (const sim::ProcHandle& h : procs) EXPECT_FALSE(h.failed());
+}
+
+std::uint64_t catSum(const obs::Observer::OpTypeAgg& agg) {
+  std::uint64_t sum = 0;
+  for (std::uint64_t ns : agg.cat_ns) sum += ns;
+  return sum;
+}
+
+TEST(CategorySplit, RedundantArrayOpsSumToTheirLatency) {
+  obs::Observer o;
+  runRedundantArrays(o);
+  ASSERT_TRUE(o.opTypes().count("array.write"));
+  ASSERT_TRUE(o.opTypes().count("array.read"));
+  for (const auto& [type, agg] : o.opTypes()) {
+    EXPECT_EQ(static_cast<double>(catSum(agg)), agg.latency.sum()) << type;
+  }
+}
+
+TEST(CategorySplit, AgreesWithTheExemplarDecomposition) {
+  obs::Observer o;
+  o.enableExemplars(1000);  // more than the run's ops: every op is kept
+  runRedundantArrays(o);
+  const obs::ExemplarReservoir* r = o.exemplars();
+  ASSERT_NE(r, nullptr);
+  const auto stations = obs::stationNames(r->tracks());
+  for (const auto& [type, agg] : o.opTypes()) {
+    ASSERT_TRUE(r->byType().count(type)) << type;
+    const auto& ops = r->byType().at(type);
+    ASSERT_EQ(ops.size(), agg.count) << type;
+    std::uint64_t wait = 0;
+    std::uint64_t total = 0;
+    for (const obs::OpRecord& op : ops) {
+      for (const obs::StationShare& s : obs::decomposeOp(op, stations)) {
+        wait += s.wait;
+        total += s.wait + s.service;
+      }
+    }
+    EXPECT_EQ(wait, agg.cat_ns[static_cast<int>(obs::Cat::kServerQueue)])
+        << type;
+    EXPECT_EQ(total, catSum(agg)) << type;
+  }
 }
 
 }  // namespace
