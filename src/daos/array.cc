@@ -34,30 +34,6 @@ Array::Attrs decodeAttrs(const vos::Payload& p) {
 
 using vos::xorPayloads;
 
-struct Piece {
-  std::uint64_t rel = 0;  // offset of the piece within the op
-  vos::Payload data;
-};
-
-/// Concatenates pieces (already length-exact and ordered by rel) into one
-/// payload; synthetic if any piece lacks bytes.
-vos::Payload assemble(std::vector<Piece> pieces, std::uint64_t total) {
-  if (pieces.size() == 1 && pieces.front().data.size() == total) {
-    return std::move(pieces.front().data);
-  }
-  bool all_real = true;
-  for (const auto& p : pieces) {
-    if (!p.data.hasBytes()) all_real = false;
-  }
-  if (!all_real) return vos::Payload::synthetic(total);
-  std::vector<std::byte> out(total);
-  for (const auto& p : pieces) {
-    auto b = p.data.bytes();
-    std::memcpy(out.data() + p.rel, b.data(), b.size());
-  }
-  return vos::Payload::fromBytes(std::move(out));
-}
-
 // ---- per-shard RPC operations (inline request/work/response legs) --------
 
 /// One extent-write RPC to a pool-global target.
@@ -66,17 +42,14 @@ sim::Task<void> extentWriteOp(Client* client, vos::ContId cont, ObjectId oid,
                               std::uint64_t offset, vos::Payload data,
                               obs::OpId op) {
   auto [engine, local] = client->system().locateTarget(target);
-  hw::Cluster& cluster = client->system().cluster();
-  const net::RetryPolicy& rp = client->system().config().rpc_retry;
   // Structural leg grouping this shard's request/work/response legs in the
   // op's causal tree.
   auto rpc = client->beginLeg(op, "rpc.extent_write");
   const obs::OpId rop = rpc.ctx();
-  co_await net::request(cluster, client->node(), engine->node(),
-                        data.size(), rop, rp);
+  co_await client->request(*engine, data.size(), rop);
   co_await engine->extentWrite(local, cont, oid, dkey, akey, offset,
                                std::move(data), rop);
-  co_await net::respond(cluster, engine->node(), client->node(), 0, rop, rp);
+  co_await client->respond(*engine, 0, rop);
 }
 
 /// One extent-read RPC to a pool-global target.
@@ -85,16 +58,12 @@ sim::Task<vos::Payload> fetchOp(Client* client, vos::ContId cont,
                                 std::string akey, std::uint64_t offset,
                                 std::uint64_t length, obs::OpId op) {
   auto [engine, local] = client->system().locateTarget(target);
-  hw::Cluster& cluster = client->system().cluster();
-  const net::RetryPolicy& rp = client->system().config().rpc_retry;
   auto rpc = client->beginLeg(op, "rpc.fetch");
   const obs::OpId rop = rpc.ctx();
-  co_await net::request(cluster, client->node(), engine->node(),
-                        0, rop, rp);
+  co_await client->request(*engine, 0, rop);
   vos::Payload p = co_await engine->extentRead(local, cont, oid, dkey, akey,
                                                offset, length, rop);
-  co_await net::respond(cluster, engine->node(), client->node(), p.size(), rop,
-                        rp);
+  co_await client->respond(*engine, p.size(), rop);
   co_return p;
 }
 
@@ -104,23 +73,12 @@ sim::Task<void> truncateShardOp(Client* client, vos::ContId cont,
                                 std::uint64_t chunk_size,
                                 std::uint64_t new_size, obs::OpId op) {
   auto [engine, local] = client->system().locateTarget(target);
-  hw::Cluster& cluster = client->system().cluster();
-  const net::RetryPolicy& rp = client->system().config().rpc_retry;
   auto rpc = client->beginLeg(op, "rpc.truncate");
   const obs::OpId rop = rpc.ctx();
-  co_await net::request(cluster, client->node(), engine->node(),
-                        0, rop, rp);
+  co_await client->request(*engine, 0, rop);
   co_await engine->arrayShardTruncate(local, cont, oid, chunk_size, new_size,
                                       rop);
-  co_await net::respond(cluster, engine->node(), client->node(), 0, rop, rp);
-}
-
-sim::Task<void> fetchInto(Client* client, vos::ContId cont, ObjectId oid,
-                          int target, std::string dkey, std::string akey,
-                          std::uint64_t off, std::uint64_t len,
-                          vos::Payload* out, obs::OpId op) {
-  *out = co_await fetchOp(client, cont, oid, target, std::move(dkey),
-                          std::move(akey), off, len, op);
+  co_await client->respond(*engine, 0, rop);
 }
 
 }  // namespace
@@ -149,13 +107,9 @@ namespace {
 sim::Task<void> metaPutOp(Client* client, vos::ContId cont, ObjectId oid,
                           int target, vos::Payload meta) {
   auto [engine, local] = client->system().locateTarget(target);
-  hw::Cluster& cluster = client->system().cluster();
-  const net::RetryPolicy& rp = client->system().config().rpc_retry;
-  co_await net::request(cluster, client->node(), engine->node(),
-                        meta.size(), /*op=*/0, rp);
+  co_await client->request(*engine, meta.size());
   co_await engine->valuePut(local, cont, oid, kMetaDkey, "0", std::move(meta));
-  co_await net::respond(cluster, engine->node(), client->node(), 0,
-                        /*op=*/0, rp);
+  co_await client->respond(*engine, 0);
 }
 
 }  // namespace
@@ -183,19 +137,15 @@ sim::Task<Array> Array::create(Client& client, Container cont, ObjectId oid,
 
 sim::Task<Array> Array::open(Client& client, Container cont, ObjectId oid) {
   placement::Layout layout = client.system().layout(oid);
-  hw::Cluster& cluster = client.system().cluster();
-  const net::RetryPolicy& rp = client.system().config().rpc_retry;
   // Try the group-0 members in order (metadata is replicated across them).
   for (int m = 0; m < layout.group_size; ++m) {
     auto [engine, local] =
         client.system().locateTarget(layout.target(0, m));
-    co_await net::request(cluster, client.node(), engine->node(),
-                          0, /*op=*/0, rp);
+    co_await client.request(*engine, 0);
     Engine::GetResult r;
     try {
       r = co_await engine->valueGet(local, cont.id, oid, kMetaDkey, "0");
-      co_await net::respond(cluster, engine->node(), client.node(),
-                            r.value.size(), /*op=*/0, rp);
+      co_await client.respond(*engine, r.value.size());
     } catch (const hw::DeviceFailed&) {
       if (m + 1 == layout.group_size) throw;
       client.system().noteDegradedRead();
@@ -310,63 +260,38 @@ sim::Task<vos::Payload> Array::readCellDegraded(std::uint64_t chunk,
   const std::string dkey = vos::u64Dkey(chunk);
 
   // Gather every surviving data cell plus the XOR parity, in parallel.
-  std::vector<vos::Payload> gathered(static_cast<std::size_t>(k));
-  std::vector<sim::Task<void>> ops;
+  std::vector<sim::Task<vos::Payload>> ops;
   for (int j = 0; j < k; ++j) {
     if (j == failed_cell) continue;
-    ops.push_back(fetchInto(client_, cont_.id, oid_,
-                            layout_.target(group, j), dkey, "0",
-                            static_cast<std::uint64_t>(j) * cell, cell,
-                            &gathered[static_cast<std::size_t>(j)], op));
+    ops.push_back(fetchOp(client_, cont_.id, oid_, layout_.target(group, j),
+                          dkey, "0", static_cast<std::uint64_t>(j) * cell,
+                          cell, op));
   }
-  vos::Payload parity;
-  ops.push_back(fetchInto(client_, cont_.id, oid_, layout_.target(group, k),
-                          dkey, "p", 0, cell, &parity, op));
-  co_await sim::whenAll(client_->sim(), std::move(ops));
+  ops.push_back(fetchOp(client_, cont_.id, oid_, layout_.target(group, k),
+                        dkey, "p", 0, cell, op));
+  auto survivors = co_await sim::whenAll(client_->sim(), std::move(ops));
 
   // Client-side XOR reconstruction.
   co_await client_->sim().delay(
       client_->system().config().engine.ec_reconstruct_cpu);
-  std::vector<vos::Payload> xs;
-  for (int j = 0; j < k; ++j) {
-    if (j != failed_cell) xs.push_back(gathered[static_cast<std::size_t>(j)]);
-  }
-  xs.push_back(std::move(parity));
-  co_return xorPayloads(xs, cell);
+  co_return xorPayloads(survivors, cell);
 }
 
-namespace {
-
-struct Seg {
-  int cell_idx;
-  std::uint64_t lo;  // in-chunk
-  std::uint64_t hi;
-};
-
-}  // namespace
-
-sim::Task<void> Array::readSegInto(std::uint64_t chunk, int group,
-                                   int cell_idx, std::uint64_t lo,
-                                   std::uint64_t hi, std::uint64_t in_chunk,
-                                   void* out_piece, obs::OpId op) {
-  auto* out = static_cast<Piece*>(out_piece);
-  out->rel = lo - in_chunk;
-  const std::string dkey = vos::u64Dkey(chunk);
-  bool degraded = false;
+sim::Task<vos::Payload> Array::readSeg(std::uint64_t chunk, int group,
+                                       int cell_idx, std::uint64_t lo,
+                                       std::uint64_t hi, obs::OpId op) {
   try {
-    out->data = co_await fetchOp(client_, cont_.id, oid_,
-                                 layout_.target(group, cell_idx), dkey, "0",
-                                 lo, hi - lo, op);
+    co_return co_await fetchOp(client_, cont_.id, oid_,
+                               layout_.target(group, cell_idx),
+                               vos::u64Dkey(chunk), "0", lo, hi - lo, op);
   } catch (const hw::DeviceFailed&) {
-    degraded = true;  // co_await is not allowed inside a handler
+    // co_await is not allowed inside a handler: reconstruct below.
   }
-  if (degraded) {
-    client_->system().noteDegradedRead();
-    vos::Payload full = co_await readCellDegraded(chunk, group, cell_idx, op);
-    const std::uint64_t cell = ecCellLen();
-    out->data =
-        full.slice(lo - static_cast<std::uint64_t>(cell_idx) * cell, hi - lo);
-  }
+  client_->system().noteDegradedRead();
+  vos::Payload full = co_await readCellDegraded(chunk, group, cell_idx, op);
+  const std::uint64_t cell = ecCellLen();
+  co_return full.slice(lo - static_cast<std::uint64_t>(cell_idx) * cell,
+                       hi - lo);
 }
 
 sim::Task<vos::Payload> Array::readPiece(std::uint64_t chunk,
@@ -393,42 +318,21 @@ sim::Task<vos::Payload> Array::readPiece(std::uint64_t chunk,
   // Erasure coded: read the overlapped data cells in parallel; a failed
   // cell is reconstructed from the survivors + parity.
   const std::uint64_t cell = ecCellLen();
-  const int k = spec.ec_data;
-  std::vector<Seg> segs;
-  for (int j = 0; j < k; ++j) {
+  std::vector<sim::Task<vos::Payload>> segs;
+  for (int j = 0; j < spec.ec_data; ++j) {
     const std::uint64_t cs = static_cast<std::uint64_t>(j) * cell;
-    const std::uint64_t ce = cs + cell;
     const std::uint64_t lo = std::max(in_chunk, cs);
-    const std::uint64_t hi = std::min(in_chunk + length, ce);
-    if (lo < hi) segs.push_back({j, lo, hi});
+    const std::uint64_t hi = std::min(in_chunk + length, cs + cell);
+    if (lo < hi) segs.push_back(readSeg(chunk, group, j, lo, hi, op));
   }
-
-  std::vector<Piece> pieces(segs.size());
-  std::vector<sim::Task<void>> ops;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    ops.push_back(readSegInto(chunk, group, segs[i].cell_idx, segs[i].lo,
-                              segs[i].hi, in_chunk, &pieces[i], op));
-  }
-  co_await sim::whenAll(client_->sim(), std::move(ops));
-  co_return assemble(std::move(pieces), length);
-}
-
-sim::Task<void> Array::readPieceInto(std::uint64_t chunk,
-                                     std::uint64_t in_chunk,
-                                     std::uint64_t length, std::uint64_t rel,
-                                     void* out_piece, obs::OpId op) {
-  auto* out = static_cast<Piece*>(out_piece);
-  out->rel = rel;
-  out->data = co_await readPiece(chunk, in_chunk, length, op);
+  auto pieces = co_await sim::whenAll(client_->sim(), std::move(segs));
+  co_return vos::concat(std::move(pieces));
 }
 
 sim::Task<vos::Payload> Array::read(std::uint64_t offset,
                                     std::uint64_t length) {
   auto span = client_->beginOp("array.read");
-  struct Sub {
-    std::uint64_t chunk, in_chunk, len, rel;
-  };
-  std::vector<Sub> subs;
+  std::vector<sim::Task<vos::Payload>> pieces;
   std::uint64_t pos = 0;
   while (pos < length) {
     const std::uint64_t abs = offset + pos;
@@ -436,77 +340,58 @@ sim::Task<vos::Payload> Array::read(std::uint64_t offset,
     const std::uint64_t in_chunk = abs % attrs_.chunk_size;
     const std::uint64_t len =
         std::min(length - pos, attrs_.chunk_size - in_chunk);
-    subs.push_back({chunk, in_chunk, len, pos});
+    pieces.push_back(readPiece(chunk, in_chunk, len, span.id()));
     pos += len;
   }
-  if (subs.empty()) co_return vos::Payload{};
-  if (subs.size() == 1) {
-    co_return co_await readPiece(subs[0].chunk, subs[0].in_chunk, subs[0].len,
-                                 span.id());
-  }
-  std::vector<Piece> pieces(subs.size());
-  std::vector<sim::Task<void>> ops;
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    ops.push_back(readPieceInto(subs[i].chunk, subs[i].in_chunk, subs[i].len,
-                                subs[i].rel, &pieces[i], span.id()));
-  }
-  co_await sim::whenAll(client_->sim(), std::move(ops));
-  co_return assemble(std::move(pieces), length);
+  if (pieces.empty()) co_return vos::Payload{};
+  if (pieces.size() == 1) co_return co_await std::move(pieces.front());
+  auto parts = co_await sim::whenAll(client_->sim(), std::move(pieces));
+  co_return vos::concat(std::move(parts));
 }
 
 // --- size -------------------------------------------------------------
 
-sim::Task<void> Array::probeShardEnd(int target, std::uint64_t* out,
-                                     obs::OpId op) {
+sim::Task<std::uint64_t> Array::probeShardEnd(int target, obs::OpId op) {
   auto [engine, local] = client_->system().locateTarget(target);
-  hw::Cluster& cluster = client_->system().cluster();
-  const net::RetryPolicy& rp = client_->system().config().rpc_retry;
   auto rpc = client_->beginLeg(op, "rpc.probe");
   const obs::OpId rop = rpc.ctx();
-  co_await net::request(cluster, client_->node(), engine->node(),
-                        0, rop, rp);
-  *out = co_await engine->arrayShardEnd(local, cont_.id, oid_,
-                                        attrs_.chunk_size, rop);
-  co_await net::respond(cluster, engine->node(), client_->node(), 16, rop, rp);
+  co_await client_->request(*engine, 0, rop);
+  const std::uint64_t end = co_await engine->arrayShardEnd(
+      local, cont_.id, oid_, attrs_.chunk_size, rop);
+  co_await client_->respond(*engine, 16, rop);
+  co_return end;
 }
 
-sim::Task<void> Array::probeShardEndReplicated(std::vector<int> replicas,
-                                               std::uint64_t* out,
-                                               obs::OpId op) {
+sim::Task<std::uint64_t> Array::probeShardEndReplicated(
+    std::vector<int> replicas, obs::OpId op) {
   for (std::size_t r = 0; r < replicas.size(); ++r) {
     try {
-      co_await probeShardEnd(replicas[r], out, op);
-      co_return;
+      co_return co_await probeShardEnd(replicas[r], op);
     } catch (const hw::DeviceFailed&) {
       if (r + 1 == replicas.size()) throw;
       client_->system().noteDegradedRead();
     }
   }
+  co_return 0;
 }
 
 sim::Task<std::uint64_t> Array::getSize() {
   auto span = client_->beginOp("array.get_size");
   const auto& spec = layout_.spec;
-  const int probes_per_group = spec.erasureCoded() ? spec.ec_data : 1;
-  std::vector<std::uint64_t> ends(
-      static_cast<std::size_t>(layout_.groups * probes_per_group), 0);
-  std::vector<sim::Task<void>> ops;
-  std::size_t slot = 0;
+  std::vector<sim::Task<std::uint64_t>> ops;
   for (int g = 0; g < layout_.groups; ++g) {
     if (spec.replicated()) {
-      ops.push_back(probeShardEndReplicated(layout_.groupTargets(g),
-                                            &ends[slot++], span.id()));
+      ops.push_back(
+          probeShardEndReplicated(layout_.groupTargets(g), span.id()));
     } else if (spec.erasureCoded()) {
       for (int j = 0; j < spec.ec_data; ++j) {
-        ops.push_back(
-            probeShardEnd(layout_.target(g, j), &ends[slot++], span.id()));
+        ops.push_back(probeShardEnd(layout_.target(g, j), span.id()));
       }
     } else {
-      ops.push_back(
-          probeShardEnd(layout_.target(g, 0), &ends[slot++], span.id()));
+      ops.push_back(probeShardEnd(layout_.target(g, 0), span.id()));
     }
   }
-  co_await sim::whenAll(client_->sim(), std::move(ops));
+  auto ends = co_await sim::whenAll(client_->sim(), std::move(ops));
   std::uint64_t size = 0;
   for (std::uint64_t e : ends) size = std::max(size, e);
   co_return size;
@@ -539,16 +424,12 @@ sim::Task<void> Array::setSize(std::uint64_t size) {
   }
   const int target = layout_.target(group, member);
   auto [engine, local] = client_->system().locateTarget(target);
-  hw::Cluster& cluster = client_->system().cluster();
-  const net::RetryPolicy& rp = client_->system().config().rpc_retry;
-  co_await net::request(cluster, client_->node(), engine->node(),
-                        0, /*op=*/0, rp);
+  co_await client_->request(*engine, 0);
   Target& t = engine->target(local);
   co_await t.xstream().exec(engine->config().engine.rpc_cpu);
   co_await t.device().write(engine->config().engine.wal_bytes);
   t.store().extentTruncate(cont, oid, dkey, "0", in_chunk_end);
-  co_await net::respond(cluster, engine->node(), client_->node(), 0,
-                        /*op=*/0, rp);
+  co_await client_->respond(*engine, 0);
 }
 
 }  // namespace daosim::daos

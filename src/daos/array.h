@@ -63,18 +63,14 @@ class Array {
                                     std::uint64_t length, obs::OpId op);
   sim::Task<vos::Payload> readCellDegraded(std::uint64_t chunk, int group,
                                            int failed_cell, obs::OpId op);
-  // Scatter helpers writing results through out-pointers so the tasks can
-  // be gathered with whenAll (out_piece is an internal Piece*).
-  sim::Task<void> readSegInto(std::uint64_t chunk, int group, int cell_idx,
-                              std::uint64_t lo, std::uint64_t hi,
-                              std::uint64_t in_chunk, void* out_piece,
-                              obs::OpId op);
-  sim::Task<void> readPieceInto(std::uint64_t chunk, std::uint64_t in_chunk,
-                                std::uint64_t length, std::uint64_t rel,
-                                void* out_piece, obs::OpId op);
-  sim::Task<void> probeShardEnd(int target, std::uint64_t* out, obs::OpId op);
-  sim::Task<void> probeShardEndReplicated(std::vector<int> replicas,
-                                          std::uint64_t* out, obs::OpId op);
+  /// Bytes [lo, hi) of EC data cell `cell_idx` (in-chunk offsets),
+  /// reconstructed from the survivors if its target's device failed.
+  sim::Task<vos::Payload> readSeg(std::uint64_t chunk, int group,
+                                  int cell_idx, std::uint64_t lo,
+                                  std::uint64_t hi, obs::OpId op);
+  sim::Task<std::uint64_t> probeShardEnd(int target, obs::OpId op);
+  sim::Task<std::uint64_t> probeShardEndReplicated(std::vector<int> replicas,
+                                                   obs::OpId op);
 
   std::uint64_t ecCellLen() const noexcept {
     return attrs_.chunk_size /

@@ -12,31 +12,25 @@ namespace {
 sim::Task<void> punchShardOp(Client* client, vos::ContId cont, ObjectId oid,
                              int target) {
   auto [engine, local] = client->system().locateTarget(target);
-  hw::Cluster& cluster = client->system().cluster();
-  const net::RetryPolicy& rp = client->system().config().rpc_retry;
-  co_await net::request(cluster, client->node(), engine->node(), 0,
-                        /*op=*/0, rp);
+  co_await client->request(*engine, 0);
   co_await engine->punchObject(local, cont, oid);
-  co_await net::respond(cluster, engine->node(), client->node(), 0,
-                        /*op=*/0, rp);
+  co_await client->respond(*engine, 0);
 }
 
 }  // namespace
 
 sim::Task<void> Client::poolConnect() {
   PoolService& ps = system_->poolService();
-  co_await net::request(system_->cluster(), node_, ps.leaderNode(),
-                        0);
+  co_await requestPoolService(0);
   co_await ps.handleConnect();
-  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 0);
+  co_await respondPoolService(0);
 }
 
 sim::Task<Client::PoolInfo> Client::poolQuery() {
   PoolService& ps = system_->poolService();
-  co_await net::request(system_->cluster(), node_, ps.leaderNode(),
-                        0);
+  co_await requestPoolService(0);
   co_await ps.handleContQuery();  // same leader-side query cost
-  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 256);
+  co_await respondPoolService(256);
   PoolInfo info;
   info.engines = system_->engineCount();
   info.targets = system_->totalTargets();
@@ -52,10 +46,9 @@ sim::Task<Client::PoolInfo> Client::poolQuery() {
 
 sim::Task<Container> Client::contCreate(std::string name) {
   PoolService& ps = system_->poolService();
-  co_await net::request(system_->cluster(), node_, ps.leaderNode(),
-                        name.size());
+  co_await requestPoolService(name.size());
   const vos::ContId id = co_await ps.handleContCreate(name);
-  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 64);
+  co_await respondPoolService(64);
   if (id == 0) {
     throw std::runtime_error("contCreate: container exists: " + name);
   }
@@ -64,10 +57,9 @@ sim::Task<Container> Client::contCreate(std::string name) {
 
 sim::Task<Container> Client::contOpen(std::string name) {
   PoolService& ps = system_->poolService();
-  co_await net::request(system_->cluster(), node_, ps.leaderNode(),
-                        name.size());
+  co_await requestPoolService(name.size());
   const vos::ContId id = co_await ps.handleContOpen(name);
-  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 64);
+  co_await respondPoolService(64);
   if (id == 0) {
     throw std::runtime_error("contOpen: no such container: " + name);
   }
@@ -76,10 +68,9 @@ sim::Task<Container> Client::contOpen(std::string name) {
 
 sim::Task<void> Client::contDestroy(std::string name) {
   PoolService& ps = system_->poolService();
-  co_await net::request(system_->cluster(), node_, ps.leaderNode(),
-                        name.size());
+  co_await requestPoolService(name.size());
   const vos::ContId id = co_await ps.handleContDestroy(name);
-  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 16);
+  co_await respondPoolService(16);
   if (id == 0) {
     throw std::runtime_error("contDestroy: no such container: " + name);
   }
@@ -96,10 +87,9 @@ sim::Task<void> Client::contDestroy(std::string name) {
 sim::Task<ObjectId> Client::allocOids(const Container& cont,
                                       std::uint64_t count, ObjClass oc) {
   PoolService& ps = system_->poolService();
-  co_await net::request(system_->cluster(), node_, ps.leaderNode(),
-                        0);
+  co_await requestPoolService(0);
   const std::uint64_t first = co_await ps.handleAllocOids(cont.id, count);
-  co_await net::respond(system_->cluster(), ps.leaderNode(), node_, 32);
+  co_await respondPoolService(32);
   if (first == 0) throw std::runtime_error("allocOids: bad container");
   // Server-allocated ranges live in a reserved user-hi namespace (so they
   // cannot collide with client-stamped OIDs) scoped by the container id:

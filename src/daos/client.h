@@ -11,7 +11,6 @@
 #include <string>
 
 #include "daos/system.h"
-#include "io/submit_queue.h"
 #include "net/rpc.h"
 #include "obs/observer.h"
 #include "placement/layout.h"
@@ -82,6 +81,30 @@ class Client {
   // inline as request leg -> engine work -> response leg; every coroutine
   // takes only plain data parameters.
 
+  /// The two legs of an RPC to `engine`, under the pool's rpc_retry policy.
+  /// Each returns net::request/respond's task, adding no coroutine frame.
+  sim::Task<void> request(const Engine& engine, std::uint64_t bytes,
+                          obs::OpId op = 0) {
+    return net::request(system_->cluster(), node_, engine.node(), bytes, op,
+                        system_->config().rpc_retry);
+  }
+  sim::Task<void> respond(const Engine& engine, std::uint64_t bytes,
+                          obs::OpId op = 0) {
+    return net::respond(system_->cluster(), engine.node(), node_, bytes, op,
+                        system_->config().rpc_retry);
+  }
+
+  /// The two legs of an RPC to the pool service leader (connect, query,
+  /// container ops, OID allocation), under the disabled retry policy.
+  sim::Task<void> requestPoolService(std::uint64_t bytes) {
+    return net::request(system_->cluster(), node_,
+                        system_->poolService().leaderNode(), bytes);
+  }
+  sim::Task<void> respondPoolService(std::uint64_t bytes) {
+    return net::respond(system_->cluster(),
+                        system_->poolService().leaderNode(), node_, bytes);
+  }
+
   /// Opens an observability span for a client-API op on this client's
   /// track; inert (id 0) when no observer is attached.
   obs::OpScope beginOp(const char* type) {
@@ -115,10 +138,5 @@ class Client {
   obs::TrackId track_ = 0;
   std::uint64_t track_epoch_ = 0;
 };
-
-/// Tracks asynchronously launched operations (daos event queue analogue).
-/// The generalized, depth-bounded implementation lives in io::SubmitQueue;
-/// an EventQueue is one with unbounded depth (launch + waitAll).
-using EventQueue = io::SubmitQueue;
 
 }  // namespace daosim::daos

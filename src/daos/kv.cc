@@ -17,41 +17,33 @@ sim::Task<void> putReplicaOp(Client* client, vos::ContId cont, ObjectId oid,
                              int target, std::string key, vos::Payload value,
                              obs::OpId op) {
   auto [engine, local] = client->system().locateTarget(target);
-  hw::Cluster& cluster = client->system().cluster();
-  const net::RetryPolicy& rp = client->system().config().rpc_retry;
-  co_await net::request(cluster, client->node(), engine->node(),
-                        key.size() + value.size(), op, rp);
+  co_await client->request(*engine, key.size() + value.size(), op);
   co_await engine->valuePut(local, cont, oid, std::move(key), kValueAkey,
                             std::move(value), op);
-  co_await net::respond(cluster, engine->node(), client->node(), 0, op, rp);
+  co_await client->respond(*engine, 0, op);
 }
 
 /// Remove the key from one replica target.
 sim::Task<void> removeReplicaOp(Client* client, vos::ContId cont,
                                 ObjectId oid, int target, std::string key) {
   auto [engine, local] = client->system().locateTarget(target);
-  hw::Cluster& cluster = client->system().cluster();
-  const net::RetryPolicy& rp = client->system().config().rpc_retry;
-  co_await net::request(cluster, client->node(), engine->node(),
-                        key.size(), /*op=*/0, rp);
+  co_await client->request(*engine, key.size());
   co_await engine->valueRemove(local, cont, oid, std::move(key), kValueAkey);
-  co_await net::respond(cluster, engine->node(), client->node(), 0,
-                        /*op=*/0, rp);
+  co_await client->respond(*engine, 0);
 }
 
-/// Enumerate one group's keys into *out.
-sim::Task<void> listGroupOp(Client* client, vos::ContId cont, ObjectId oid,
-                            int target, std::vector<std::string>* out) {
+/// Enumerate one group's keys.
+sim::Task<std::vector<std::string>> listGroupOp(Client* client,
+                                                vos::ContId cont,
+                                                ObjectId oid, int target) {
   auto [engine, local] = client->system().locateTarget(target);
-  hw::Cluster& cluster = client->system().cluster();
-  const net::RetryPolicy& rp = client->system().config().rpc_retry;
-  co_await net::request(cluster, client->node(), engine->node(),
-                        0, /*op=*/0, rp);
-  *out = co_await engine->listDkeys(local, cont, oid);
+  co_await client->request(*engine, 0);
+  std::vector<std::string> keys =
+      co_await engine->listDkeys(local, cont, oid);
   std::uint64_t bytes = 0;
-  for (const auto& k : *out) bytes += k.size() + 16;
-  co_await net::respond(cluster, engine->node(), client->node(), bytes,
-                        /*op=*/0, rp);
+  for (const auto& k : keys) bytes += k.size() + 16;
+  co_await client->respond(*engine, bytes);
+  co_return keys;
 }
 
 }  // namespace
@@ -76,21 +68,17 @@ sim::Task<void> KeyValue::put(std::string key, vos::Payload value) {
 sim::Task<std::optional<vos::Payload>> KeyValue::get(std::string key) {
   auto span = client_->beginOp("kv.get");
   const int group = placement::dkeyGroup(layout_, key);
-  hw::Cluster& cluster = client_->system().cluster();
-  const net::RetryPolicy& rp = client_->system().config().rpc_retry;
 
   // Replica walk: a failed device moves on to the next replica.
   for (int r = 0; r < layout_.group_size; ++r) {
     auto [engine, local] =
         client_->system().locateTarget(layout_.target(group, r));
-    co_await net::request(cluster, client_->node(), engine->node(),
-                          key.size(), span.id(), rp);
+    co_await client_->request(*engine, key.size(), span.id());
     Engine::GetResult g;
     try {
       g = co_await engine->valueGet(local, cont_.id, oid_, key, kValueAkey,
                                     span.id());
-      co_await net::respond(cluster, engine->node(), client_->node(),
-                            g.value.size(), span.id(), rp);
+      co_await client_->respond(*engine, g.value.size(), span.id());
     } catch (const hw::DeviceFailed&) {
       if (r + 1 == layout_.group_size) throw;
       client_->system().noteDegradedRead();
@@ -127,14 +115,11 @@ sim::Task<bool> KeyValue::remove(std::string key) {
 }
 
 sim::Task<std::vector<std::string>> KeyValue::list() {
-  std::vector<std::vector<std::string>> per_group(
-      static_cast<std::size_t>(layout_.groups));
-  std::vector<sim::Task<void>> ops;
+  std::vector<sim::Task<std::vector<std::string>>> ops;
   for (int g = 0; g < layout_.groups; ++g) {
-    ops.push_back(listGroupOp(client_, cont_.id, oid_, layout_.target(g, 0),
-                              &per_group[static_cast<std::size_t>(g)]));
+    ops.push_back(listGroupOp(client_, cont_.id, oid_, layout_.target(g, 0)));
   }
-  co_await sim::whenAll(client_->sim(), std::move(ops));
+  auto per_group = co_await sim::whenAll(client_->sim(), std::move(ops));
 
   std::set<std::string> merged;
   for (auto& keys : per_group) {

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "hw/spec.h"
-#include "net/rpc.h"
 
 namespace daosim::hdf5 {
 
@@ -207,12 +206,9 @@ daos::KeyValue H5DaosFile::rootKv() {
 }
 
 sim::Task<void> H5DaosFile::leaderQuery() {
-  daos::PoolService& ps = client_->system().poolService();
-  co_await net::request(client_->system().cluster(), client_->node(),
-                        ps.leaderNode(), 0);
-  co_await ps.handleContQuery();
-  co_await net::respond(client_->system().cluster(), ps.leaderNode(),
-                        client_->node(), 64);
+  co_await client_->requestPoolService(0);
+  co_await client_->system().poolService().handleContQuery();
+  co_await client_->respondPoolService(64);
 }
 
 sim::Task<std::unique_ptr<H5DaosFile>> H5DaosFile::create(

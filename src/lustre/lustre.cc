@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include <cstring>
-
 #include "dfs/dfs.h"
 #include "placement/oid.h"
 #include "sim/sync.h"
@@ -235,15 +233,7 @@ sim::Task<vos::Payload> LustreVfs::pread(posix::Fd fd, std::uint64_t offset,
                            "lustre");
   Inode* inode = files_.at(fd);
   const auto& layout = inode->layout;
-  struct Piece {
-    std::uint64_t rel;
-    vos::Payload data;
-  };
-  struct Sub {
-    int ost;
-    std::uint64_t abs, len, rel;
-  };
-  std::vector<Sub> subs;
+  std::vector<sim::Task<vos::Payload>> reads;
   std::uint64_t pos = 0;
   while (pos < length) {
     const std::uint64_t abs = offset + pos;
@@ -253,37 +243,13 @@ sim::Task<vos::Payload> LustreVfs::pread(posix::Fd fd, std::uint64_t offset,
         std::min(length - pos, layout.stripe_size - in_stripe);
     const int ost = layout.osts[static_cast<std::size_t>(
         stripe_no % static_cast<std::uint64_t>(layout.stripe_count))];
-    subs.push_back({ost, abs, len, pos});
+    reads.push_back(readStripe(inode->fid, ost, abs, len, span.id()));
     pos += len;
   }
-  if (subs.size() == 1) {
-    co_return co_await readStripe(inode->fid, subs[0].ost, subs[0].abs,
-                                  subs[0].len, span.id());
-  }
-  std::vector<Piece> pieces(subs.size());
-  std::vector<sim::Task<void>> ops;
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    ops.push_back(
-        [](LustreVfs* self, std::uint64_t fid, Sub sub, Piece* out,
-           obs::OpId op) -> sim::Task<void> {
-          out->rel = sub.rel;
-          out->data =
-              co_await self->readStripe(fid, sub.ost, sub.abs, sub.len, op);
-        }(this, inode->fid, subs[i], &pieces[i], span.id()));
-  }
-  co_await sim::whenAll(system_->cluster().sim(), std::move(ops));
-
-  bool all_real = true;
-  for (const auto& p : pieces) {
-    if (!p.data.hasBytes()) all_real = false;
-  }
-  if (!all_real) co_return vos::Payload::synthetic(length);
-  std::vector<std::byte> out(length);
-  for (const auto& p : pieces) {
-    auto b = p.data.bytes();
-    std::memcpy(out.data() + p.rel, b.data(), b.size());
-  }
-  co_return vos::Payload::fromBytes(std::move(out));
+  if (reads.size() == 1) co_return co_await std::move(reads.front());
+  auto parts =
+      co_await sim::whenAll(system_->cluster().sim(), std::move(reads));
+  co_return vos::concat(std::move(parts));
 }
 
 sim::Task<posix::FileStat> LustreVfs::stat(std::string path) {

@@ -79,12 +79,19 @@ Telemetry::Node* Telemetry::instrument(const std::string& path, Kind kind) {
 
 void Telemetry::addProbe(const std::string& path, Kind kind,
                          std::function<double()> fn) {
-  instrument(path, kind)->probe = std::move(fn);
+  Node* n = instrument(path, kind);
+  n->probe = std::move(fn);
+  if (sim_ != nullptr) startRate(*n);
+}
+
+void Telemetry::startRate(Node& n) {
+  if (n.kind == Kind::kRate && n.probe) n.prev = n.probe();
 }
 
 void Telemetry::attach(sim::Simulation& sim) {
   if (sim_ != nullptr) detach();
   sim_ = &sim;
+  for (auto& up : nodes_) startRate(*up);
   t0_ = sim.now();
   last_sample_ = t0_;
   next_due_ = t0_ + interval_;

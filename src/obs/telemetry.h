@@ -116,7 +116,8 @@ class Telemetry {
     return Handle(instrument(path, Kind::kRate));
   }
   /// Pull-style metric: `fn` is invoked at every sample point (and never
-  /// after finish(), so it may reference run-scoped objects).
+  /// after finish(), so it may reference run-scoped objects). A rate
+  /// probe added while attached starts from its value at registration.
   void addProbe(const std::string& path, Kind kind, std::function<double()> fn);
 
   // --- lifecycle --------------------------------------------------------
@@ -158,6 +159,9 @@ class Telemetry {
 
  private:
   Node* instrument(const std::string& path, Kind kind);
+  /// A rate's first bin counts only what happens after sampling starts,
+  /// not what its probe accumulated before (testbed deployment).
+  void startRate(Node& n);
   void sampleAt(sim::Time t);
 
   sim::Time interval_;

@@ -1,7 +1,10 @@
 // DFUSE: the DAOS FUSE daemon, its cost model, and the three POSIX access
 // paths the paper compares:
 //
-//   * DfsVfs        — direct libdfs calls from the process (IOR "DFS" API);
+//   * DfsVfs        — direct libdfs calls from the process behind the POSIX
+//                     interface (examples and tests; the io:: "dfs" backend
+//                     that IOR's DFS API runs on calls dfs::FileSystem
+//                     itself);
 //   * DfuseVfs      — every operation crosses into the kernel, queues on the
 //                     node's FUSE daemon thread pool (the thread is held for
 //                     the full backend operation, as in synchronous FUSE

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <stdexcept>
 
@@ -29,6 +31,20 @@ std::vector<std::string> split(const std::string& s, char sep) {
     }
   }
   return out;
+}
+
+/// Parses all of `s` as a number in [lo, hi] (a whole decimal number for
+/// integral T): no sign, blank or trailing character is accepted. Throws
+/// std::invalid_argument(`err`) otherwise.
+template <typename T>
+T parseNumber(const std::string& s, T lo, T hi, const std::string& err) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || p != end || !(v >= lo && v <= hi)) {
+    throw std::invalid_argument(err);
+  }
+  return v;
 }
 
 FaultKind kindFromName(const std::string& name) {
@@ -60,17 +76,8 @@ int parseSubject(const std::string& tok, FaultKind kind) {
                                 faultKindName(kind) + " takes a '" + want +
                                 "N' subject, got: " + tok);
   }
-  std::size_t pos = 0;
-  int v = 0;
-  try {
-    v = std::stoi(tok.substr(1), &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultPlan: bad subject: " + tok);
-  }
-  if (pos + 1 != tok.size() || v < 0) {
-    throw std::invalid_argument("FaultPlan: bad subject: " + tok);
-  }
-  return v;
+  return parseNumber<int>(tok.substr(1), 0, INT_MAX,
+                         "FaultPlan: bad subject: " + tok);
 }
 
 void checkRange(FaultKind kind, int subject, const FaultTopology& topo) {
@@ -123,15 +130,9 @@ FaultEvent parseEvent(const std::string& raw, const FaultTopology& topo) {
       if (f.size() < 2 || f[0] != 'x') {
         throw std::invalid_argument("FaultPlan: slow factor must be xF: " + s);
       }
-      try {
-        e.factor = std::stod(f.substr(1));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("FaultPlan: bad slow factor: " + s);
-      }
-      if (!(e.factor >= 1.0)) {
-        throw std::invalid_argument("FaultPlan: slow factor must be >= 1: " +
-                                    s);
-      }
+      e.factor = parseNumber<double>(
+          f.substr(1), 1.0, 1e6,
+          "FaultPlan: slow factor must be a number in [1, 1e6]: " + s);
       break;
     }
     case FaultKind::kNicFlap:
@@ -154,29 +155,20 @@ FaultEvent parseEvent(const std::string& raw, const FaultTopology& topo) {
   return e;
 }
 
-std::uint64_t parseRandomField(const std::string& spec, const std::string& kv,
-                               const std::string& key, bool duration) {
-  const std::string v = trim(kv.substr(key.size() + 1));
-  if (duration) return parseDuration(v);
-  try {
-    return std::stoull(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultPlan: bad random field in: " + spec);
-  }
-}
-
 FaultPlan parseRandom(const std::string& spec, const FaultTopology& topo) {
   std::uint64_t seed = 1;
   int events = 4;
   Time horizon = 500 * kMillisecond;
+  const std::string err = "FaultPlan: bad random field in: " + spec;
   for (const std::string& raw : split(spec.substr(7), ',')) {
     const std::string kv = trim(raw);
+    const std::string value = trim(kv.substr(kv.find('=') + 1));
     if (kv.rfind("seed=", 0) == 0) {
-      seed = parseRandomField(spec, kv, "seed", false);
+      seed = parseNumber<std::uint64_t>(value, 0, UINT64_MAX, err);
     } else if (kv.rfind("events=", 0) == 0) {
-      events = static_cast<int>(parseRandomField(spec, kv, "events", false));
+      events = parseNumber<int>(value, 1, 1000000, err);
     } else if (kv.rfind("horizon=", 0) == 0) {
-      horizon = parseRandomField(spec, kv, "horizon", true);
+      horizon = parseDuration(value);
     } else {
       throw std::invalid_argument("FaultPlan: unknown random field in: " +
                                   spec);
@@ -363,6 +355,11 @@ Time parseDuration(const std::string& s) {
   const double ns = v * scale;
   if (!(ns >= 1)) {
     throw std::invalid_argument("duration must be >= 1ns: " + s);
+  }
+  // Anything from 2^63 ns (~292 years) up, inf included, would overflow
+  // the cast to Time or a later sum of times.
+  if (!(ns < 9223372036854775808.0)) {
+    throw std::invalid_argument("duration must be below 2^63 ns: " + s);
   }
   return static_cast<Time>(ns);
 }

@@ -34,9 +34,10 @@ class QueueStation {
     co_await sem_.acquire();
     const Time acquired_at = sim_->now();
     wait_ns_ += acquired_at - queued_at;
+    startService(acquired_at);
     co_await sim_->delay(service);
     sem_.release();
-    busy_ns_ += service;
+    endService(acquired_at);
     ++ops_;
     if (op != 0) {
       if (obs::Observer* o = sim_->observer()) {
@@ -55,6 +56,7 @@ class QueueStation {
     co_await sem_.acquire();
     const Time acquired_at = sim_->now();
     wait_ns_ += acquired_at - queued_at;
+    startService(acquired_at);
     ++ops_;
     if (op != 0) {
       if (obs::Observer* o = sim_->observer()) {
@@ -70,7 +72,7 @@ class QueueStation {
   /// into busy time (`acquired_at` is enter()'s return value).
   void leave(Time acquired_at, obs::OpId op = 0) {
     sem_.release();
-    busy_ns_ += sim_->now() - acquired_at;
+    endService(acquired_at);
     if (op != 0) {
       if (obs::Observer* o = sim_->observer()) {
         o->leg(op, obs::Cat::kService, obsTrack(o), "service", acquired_at);
@@ -85,7 +87,11 @@ class QueueStation {
 
   const std::string& name() const noexcept { return name_; }
   std::uint64_t ops() const noexcept { return ops_; }
-  Time busyTime() const noexcept { return busy_ns_; }
+  /// Server time spent so far, including the elapsed part of services
+  /// still running (so a busy fraction sampled mid-service stays <= 1).
+  Time busyTime() const noexcept {
+    return busy_ns_ + in_service_ * sim_->now() - start_sum_;
+  }
   Time totalWait() const noexcept { return wait_ns_; }
   std::size_t queueLength() const noexcept { return sem_.waiting(); }
 
@@ -100,12 +106,22 @@ class QueueStation {
 
   /// Busy fraction of one server-equivalent over [0, horizon].
   double utilization(Time horizon) const noexcept {
-    return horizon ? static_cast<double>(busy_ns_) /
+    return horizon ? static_cast<double>(busyTime()) /
                          static_cast<double>(horizon)
                    : 0.0;
   }
 
  private:
+  void startService(Time at) noexcept {
+    ++in_service_;
+    start_sum_ += at;
+  }
+  void endService(Time started_at) noexcept {
+    --in_service_;
+    start_sum_ -= started_at;
+    busy_ns_ += sim_->now() - started_at;
+  }
+
   /// Track id for this station, cached per observer epoch so a fresh
   /// observer (e.g. a new rep) never sees a stale id.
   obs::TrackId obsTrack(obs::Observer* o) {
@@ -120,7 +136,9 @@ class QueueStation {
   std::string name_;
   Semaphore sem_;
   std::uint64_t ops_ = 0;
-  Time busy_ns_ = 0;
+  Time busy_ns_ = 0;               // completed services
+  std::uint64_t in_service_ = 0;   // services running now
+  Time start_sum_ = 0;             // sum of their start times
   Time wait_ns_ = 0;
   std::uint64_t bytes_ = 0;
   int trace_pid_ = 0;

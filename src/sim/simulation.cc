@@ -1,6 +1,11 @@
 #include "sim/simulation.h"
 
+#include <cstddef>
 #include <stdexcept>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "obs/telemetry.h"
 
@@ -24,6 +29,16 @@ Simulation::~Simulation() {
     std::coroutine_handle<detail::Root::promise_type>::from_promise(*roots_)
         .destroy();
   }
+#if defined(__GLIBC__)
+  // A testbed's members die before its Simulation and free ~10^5 small
+  // blocks, which glibc parks in fastbins until some later free or request
+  // is large. Whether teardown happens to make one depends on the heap
+  // layout; if it does not, the free heap stays in pieces and every later
+  // deploy in the process slows down (a perfbench fdb_kv deploy ~2x, an
+  // ior_scale deploy ~4x). mallopt merges the main arena's fastbins before
+  // it sets anything, and the value it sets is glibc's default.
+  mallopt(M_MXFAST, static_cast<int>(64 * sizeof(std::size_t) / 4));
+#endif
 }
 
 detail::Root Simulation::runRoot(detail::JoinRef state, Task<void> task) {

@@ -12,6 +12,8 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -143,8 +145,35 @@ class Barrier {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
-/// Runs tasks concurrently and completes when all finish. If any task fails,
-/// the first failure (in completion order) is rethrown after all complete.
+/// Runs tasks concurrently, one spawned process each (even for a single
+/// task: running it inline would reorder same-instant events), and
+/// completes when all finish. If any task fails, the failure of the lowest
+/// index is rethrown after all complete.
 Task<void> whenAll(Simulation& sim, std::vector<Task<void>> tasks);
+
+namespace detail {
+
+template <typename T>
+Task<void> storeResult(Task<T> task, T* out) {
+  *out = co_await std::move(task);
+}
+
+}  // namespace detail
+
+/// As above, returning each task's result in task order; the lowest-index
+/// failure is rethrown after all complete.
+template <typename T>
+  requires(!std::is_void_v<T>)
+Task<std::vector<T>> whenAll(Simulation& sim, std::vector<Task<T>> tasks) {
+  std::vector<T> results(tasks.size());
+  std::vector<Task<void>> stores;
+  stores.reserve(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    stores.push_back(detail::storeResult(std::move(tasks[i]), &results[i]));
+  }
+  tasks.clear();
+  co_await whenAll(sim, std::move(stores));
+  co_return results;
+}
 
 }  // namespace daosim::sim

@@ -20,6 +20,24 @@ Payload patternPayload(std::uint64_t size, std::uint64_t seed) {
   return Payload::fromBytes(std::move(data));
 }
 
+Payload concat(std::vector<Payload> parts) {
+  if (parts.size() == 1) return std::move(parts.front());
+  std::uint64_t total = 0;
+  bool all_real = true;
+  for (const auto& p : parts) {
+    total += p.size();
+    if (!p.hasBytes()) all_real = false;
+  }
+  if (!all_real) return Payload::synthetic(total);
+  std::vector<std::byte> out;
+  out.reserve(total);
+  for (const auto& p : parts) {
+    auto b = p.bytes();
+    out.insert(out.end(), b.begin(), b.end());
+  }
+  return Payload::fromBytes(std::move(out));
+}
+
 Payload xorPayloads(const std::vector<Payload>& parts,
                     std::uint64_t length) {
   bool all_real = !parts.empty();

@@ -108,6 +108,10 @@ class Payload {
 /// `seed` (used by tests and examples to generate verifiable data).
 Payload patternPayload(std::uint64_t size, std::uint64_t seed);
 
+/// The parts joined in order (the pieces of a fan-out read). Real iff every
+/// part carries bytes; a single part is returned as is.
+Payload concat(std::vector<Payload> parts);
+
 /// XOR of payloads, zero-padded to `length`. Real iff every input carries
 /// bytes (used for erasure-code parity and reconstruction).
 Payload xorPayloads(const std::vector<Payload>& parts, std::uint64_t length);

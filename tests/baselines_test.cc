@@ -93,6 +93,24 @@ TEST_F(LustreTest, StripingSpreadsAcrossOsts) {
   });
 }
 
+TEST_F(LustreTest, StripedReadReassemblesRealBytes) {
+  run([](lustre::LustreSystem& ls, lustre::LustreVfs&) -> Task<void> {
+    lustre::LustreVfs striped(ls, 3, /*stripe_count=*/8, 1 * kMiB);
+    const Payload data = vos::patternPayload(7 * kMiB / 2, 42);
+    posix::Fd fd = co_await striped.open("/real", OpenFlags::writeCreate());
+    co_await striped.pwrite(fd, 0, data);
+    // Unaligned on both ends, across stripes 0-3 on four OSTs.
+    const std::uint64_t off = kMiB / 2 + 123;
+    const std::uint64_t len = data.size() - off - 77;
+    Payload back = co_await striped.pread(fd, off, len);
+    EXPECT_TRUE(back.hasBytes());
+    EXPECT_EQ(back, data.slice(off, len));
+    back = co_await striped.pread(fd, 0, data.size());
+    EXPECT_EQ(back, data);
+    co_await striped.close(fd);
+  });
+}
+
 TEST_F(LustreTest, OpenCloseAndStatGoThroughMds) {
   run([](lustre::LustreSystem&, lustre::LustreVfs& vfs) -> Task<void> {
     posix::Fd fd = co_await vfs.open("/f", OpenFlags::writeCreate());

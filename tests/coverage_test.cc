@@ -20,6 +20,7 @@
 #include "dfs/dfs.h"
 #include "hdf5/h5.h"
 #include "hw/cluster.h"
+#include "io/submit_queue.h"
 #include "lustre/lustre.h"
 #include "placement/objclass.h"
 #include "posix/dfuse.h"
@@ -214,7 +215,7 @@ TEST_F(DaosCorners, EcPartialWriteReadsBackThroughHealthyPath) {
 
 TEST_F(DaosCorners, EventQueueWaitAllOnEmptyQueue) {
   run([](Client& c, Container) -> Task<void> {
-    daos::EventQueue eq(c.sim());
+    io::SubmitQueue eq(c.sim());
     EXPECT_EQ(eq.inFlight(), 0u);
     co_await eq.waitAll();  // must not hang
   });

@@ -13,6 +13,7 @@
 #include "daos/kv.h"
 #include "daos/system.h"
 #include "hw/cluster.h"
+#include "io/submit_queue.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "vos/payload.h"
@@ -25,7 +26,6 @@ using daos::Client;
 using daos::Container;
 using daos::DaosConfig;
 using daos::DaosSystem;
-using daos::EventQueue;
 using daos::KeyValue;
 using placement::ObjClass;
 using sim::Task;
@@ -361,7 +361,7 @@ TEST_F(DaosTest, EventQueueOverlapsOperations) {
     const sim::Time serial = c.sim().now() - t0;
 
     // Async via event queue: same work, overlapping.
-    EventQueue eq(c.sim());
+    io::SubmitQueue eq(c.sim());
     const sim::Time t1 = c.sim().now();
     for (int i = 4; i < 8; ++i) {
       eq.launch(a.write(static_cast<std::uint64_t>(i) << 20,

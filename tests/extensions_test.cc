@@ -10,6 +10,7 @@
 #include "apps/runner.h"
 #include "apps/testbed.h"
 #include "daos/client.h"
+#include "io/submit_queue.h"
 #include "lustre/lustre.h"
 #include "posix/dfuse.h"
 #include "rados/rados.h"
@@ -143,7 +144,7 @@ TEST(EventQueue, PropagatesFailuresOnWaitAll) {
   sim::Simulation sim;
   bool caught = false;
   sim.spawn([](sim::Simulation& s, bool& caught) -> Task<void> {
-    daos::EventQueue eq(s);
+    io::SubmitQueue eq(s);
     eq.launch([](sim::Simulation& s) -> Task<void> {
       co_await s.delay(sim::kMicrosecond);
     }(s));

@@ -103,12 +103,38 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("fail@0ns:t0", topo), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("random:seed=1,bogus=2", topo),
                std::invalid_argument);
+  // Every number is all of its token: no sign, blank or trailing junk, and
+  // no value outside its range.
+  for (const char* bad :
+       {"fail@1ms:t+5", "fail@1ms:t 5", "fail@1ms:t5x", "fail@1ms:t-1",
+        "fail@1ms:t99999999999", "slow@1ms:t0,x2junk", "slow@1ms:t0,xinf",
+        "slow@1ms:t0,xnan", "slow@1ms:t0,x1e7", "slow@1ms:t0,x 2",
+        "fail@inf:t0", "flap@1ms:n0,1e30", "random:seed=1,events=-5",
+        "random:seed=1,events=3x", "random:seed=-1", "random:events=0",
+        "random:events=1000001", "random:seed=1,horizon=inf"}) {
+    EXPECT_THROW(FaultPlan::parse(bad, topo), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(FaultPlan::parse("slow@1ms:t0,x1e6", topo).events()[0].factor,
+            1e6);
+  EXPECT_FALSE(
+      FaultPlan::parse("random:seed=18446744073709551615,events=6", topo)
+          .empty());
   // Subjects outside the topology are out_of_range (zero fields skip the
   // check, for parse-only use).
   EXPECT_THROW(FaultPlan::parse("fail@1ms:t12", topo), std::out_of_range);
   EXPECT_THROW(FaultPlan::parse("stall@1ms:e3", topo), std::out_of_range);
   EXPECT_THROW(FaultPlan::parse("flap@1ms:n4", topo), std::out_of_range);
   EXPECT_NO_THROW(FaultPlan::parse("fail@1ms:t12", {}));
+}
+
+TEST(FaultPlanParse, DurationsAreFiniteAndBelowTwoToThe63Ns) {
+  for (const char* bad : {"inf", "nan", "1e30", "18446744073709551616",
+                          "9223372036854775808", "-5ms", "0.5"}) {
+    EXPECT_THROW(sim::parseDuration(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(sim::parseDuration("5ms"), 5_ms);
+  EXPECT_EQ(sim::parseDuration("1.5us"), 1500u);
+  EXPECT_EQ(sim::parseDuration("9223372036854774784"), 9223372036854774784u);
 }
 
 TEST(FaultPlanParse, RandomSpecIsSeedDeterministic) {

@@ -298,6 +298,78 @@ TEST(WhenAll, PropagatesFirstError) {
   EXPECT_TRUE(caught);
 }
 
+/// Returns `v` after `d`, or throws "task <v>" if `fail`.
+Task<int> valueAfter(Simulation& s, Time d, int v, bool fail = false) {
+  co_await s.delay(d);
+  if (fail) throw std::runtime_error("task " + std::to_string(v));
+  co_return v;
+}
+
+Task<void> sleepFor(Simulation& s, Time d) { co_await s.delay(d); }
+
+TEST(WhenAll, ReturnsResultsInTaskOrder) {
+  Simulation sim;
+  std::vector<int> got;
+  sim.spawn([](Simulation& s, std::vector<int>& out) -> Task<void> {
+    std::vector<Task<int>> tasks;
+    // Later tasks finish first.
+    for (int i = 0; i < 4; ++i) {
+      tasks.push_back(valueAfter(s, static_cast<Time>(4 - i) * 1_us, i));
+    }
+    auto results = co_await whenAll(s, std::move(tasks));
+    out = std::move(results);
+  }(sim, got));
+  sim.run();
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.now(), 4_us);
+}
+
+TEST(WhenAll, RethrowsLowestIndexFailureAfterEveryTaskFinishes) {
+  Simulation sim;
+  std::string error;
+  Time failed_at = 0;
+  sim.spawn([](Simulation& s, std::string& err, Time& at) -> Task<void> {
+    std::vector<Task<int>> tasks;
+    tasks.push_back(valueAfter(s, 2_us, 0, /*fail=*/true));
+    tasks.push_back(valueAfter(s, 1_us, 1, /*fail=*/true));
+    tasks.push_back(valueAfter(s, 3_us, 2));
+    try {
+      co_await whenAll(s, std::move(tasks));
+    } catch (const std::runtime_error& e) {
+      err = e.what();
+    }
+    at = s.now();
+  }(sim, error, failed_at));
+  sim.run();
+  EXPECT_EQ(error, "task 0");  // index order, not completion order
+  EXPECT_EQ(failed_at, 3_us);  // only once index 2 has completed
+}
+
+TEST(WhenAll, SingleTaskStillSpawns) {
+  // 0: awaited inline; 1: void overload; 2: typed overload.
+  auto events = [](int how) {
+    Simulation sim;
+    sim.spawn([](Simulation& s, int how) -> Task<void> {
+      if (how == 0) {
+        co_await valueAfter(s, 1_us, 7);
+      } else if (how == 1) {
+        std::vector<Task<void>> one;
+        one.push_back(sleepFor(s, 1_us));
+        co_await whenAll(s, std::move(one));
+      } else {
+        std::vector<Task<int>> one;
+        one.push_back(valueAfter(s, 1_us, 7));
+        auto results = co_await whenAll(s, std::move(one));
+        EXPECT_EQ(results, std::vector<int>{7});
+      }
+    }(sim, how));
+    sim.run();
+    return sim.processedEvents();
+  };
+  EXPECT_EQ(events(2), events(1));
+  EXPECT_GT(events(2), events(0));  // the join is an event of its own
+}
+
 TEST(QueueStation, SingleServerSerializes) {
   Simulation sim;
   QueueStation st(sim, "dev", 1);
@@ -314,6 +386,26 @@ TEST(QueueStation, SingleServerSerializes) {
   EXPECT_EQ(st.totalWait(), 600_us);
   EXPECT_DOUBLE_EQ(st.meanWait(), 150e3);
   EXPECT_DOUBLE_EQ(st.utilization(400_us), 1.0);
+}
+
+TEST(QueueStation, BusyTimeCountsServicesInProgress) {
+  Simulation sim;
+  QueueStation st(sim, "xs", 2);
+  sim.spawn([](QueueStation& s) -> Task<void> {
+    co_await s.exec(100_us);
+  }(st));
+  sim.spawn([](Simulation& sm, QueueStation& s) -> Task<void> {
+    co_await sm.delay(20_us);
+    const Time acquired_at = co_await s.enter();
+    co_await sm.delay(50_us);
+    s.leave(acquired_at);
+  }(sim, st));
+  sim.runUntil(40_us);
+  EXPECT_EQ(st.busyTime(), 40_us + 20_us);  // both services are running
+  sim.runUntil(80_us);
+  EXPECT_EQ(st.busyTime(), 80_us + 50_us);  // the hold ended at 70us
+  sim.run();
+  EXPECT_EQ(st.busyTime(), 150_us);
 }
 
 TEST(QueueStation, MultiServerParallelism) {

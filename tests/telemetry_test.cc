@@ -185,6 +185,31 @@ TEST(TelemetryRate, ProbeBusySecondsSampleAsUtilization) {
   EXPECT_NEAR(n->samples[1].second, 0.4, 1e-12);
 }
 
+TEST(TelemetryRate, FirstBinCountsOnlyWhatFollowsAttach) {
+  Simulation sim;
+  Telemetry t(10_ms);
+  double total = 0;
+  t.addProbe("before", Telemetry::Kind::kRate, [&total] { return total; });
+  sim.spawn(idleUntil(&sim, 7_ms));
+  sim.run();
+  total = 5000;  // accrued before sampling starts, like testbed deployment
+  t.attach(sim);
+  t.addProbe("after", Telemetry::Kind::kRate, [&total] { return total; });
+  sim.spawn([](Simulation* s, double* v) -> Task<void> {
+    for (int i = 0; i < 10; ++i) {
+      co_await s->delay(1_ms);
+      *v += 1000;
+    }
+  }(&sim, &total));
+  sim.run();
+  t.finish();
+  for (const char* path : {"before", "after"}) {
+    const Telemetry::Node* n = t.find(path);
+    ASSERT_EQ(n->samples.size(), 1u) << path;
+    EXPECT_DOUBLE_EQ(n->samples[0].second, 1e6) << path;
+  }
+}
+
 // --- registration ----------------------------------------------------------
 
 TEST(TelemetryTree, KindConflictAndNewlineRejected) {
@@ -500,6 +525,41 @@ TEST(TelemetryProbes, SaturatedNvmeBusyFracNeverExceedsOne) {
   }
   EXPECT_LE(peak, 1.0 + 1e-9) << hottest;
   EXPECT_GT(peak, 0.99) << "the target never saturated";
+}
+
+/// 16 MiB IOR reads on 4 servers x 4 clients x 8 processes keep the NICs
+/// saturated. A station that books a service only when it completes, or a
+/// rate probe whose first bin counts the deployment before attach, pushes
+/// busy fractions above 1 (NIC tx to 1.38 at 1 ms bins).
+TEST(TelemetryProbes, EveryBusyFracBinIsAtMostOne) {
+  apps::DaosTestbed::Options opt;
+  opt.server_nodes = 4;
+  opt.client_nodes = 4;
+  opt.with_dfuse = false;
+  apps::DaosTestbed tb(opt);
+  Telemetry t(1_ms);
+  t.attach(tb.sim());  // then the probes, as apps::ObservedRun does
+  apps::registerProbes(t, tb);
+  apps::IorConfig cfg;
+  cfg.transfer = 16 * hw::kMiB;
+  cfg.ops = 20;
+  cfg.write_phase = false;
+  apps::Ior ior(tb.ioEnv(), "daos-array", cfg);
+  apps::runSpmd(tb.sim(), tb.clients(), 8, ior);
+  t.finish();
+  double peak = 0;
+  std::string hottest;
+  for (const auto& n : t.nodes()) {
+    if (!n->path.ends_with("/busy_frac")) continue;
+    for (const auto& [at, v] : n->samples) {
+      if (v > peak) {
+        peak = v;
+        hottest = n->path + " at " + std::to_string(at) + " ns";
+      }
+    }
+  }
+  EXPECT_LE(peak, 1.0 + 1e-9) << hottest;
+  EXPECT_GT(peak, 0.99) << "no station saturated";
 }
 
 }  // namespace
