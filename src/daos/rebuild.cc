@@ -30,18 +30,10 @@ struct RecordCopy {
 std::vector<RecordCopy> captureRecords(vos::TargetStore& store, ContId cont,
                                        const ObjectId& oid) {
   std::vector<RecordCopy> out;
-  store.forEachRecord(cont, oid, [&](const vos::TargetStore::RecordView& v) {
-    RecordCopy rc;
-    rc.dkey = *v.dkey;
-    rc.akey = *v.akey;
-    if (v.value != nullptr) {
-      rc.value = *v.value;
-    } else if (v.tree != nullptr) {
-      for (const auto& [off, p] : v.tree->extents()) {
-        rc.extents.emplace_back(off, p);
-      }
-    }
-    out.push_back(std::move(rc));
+  store.forEachRecord(cont, oid, [&](vos::TargetStore::RecordView v) {
+    out.push_back({std::string(v.dkey), std::string(v.akey),
+                   v.value != nullptr ? std::optional(*v.value) : std::nullopt,
+                   std::move(v.extents)});
   });
   return out;
 }
@@ -145,22 +137,13 @@ sim::Task<void> repairEcSlot(DaosSystem& sys, ContId cont, ObjectId oid,
       if (m2 == m) continue;
       const int src = old_layout.target(group, m2);
       auto [e, l] = sys.locateTarget(src);
-      const auto* tree = [&]() -> const vos::ExtentTree* {
-        const vos::ExtentTree* found = nullptr;
-        e->target(l).store().forEachRecord(
-            cont, oid, [&](const vos::TargetStore::RecordView& v) {
-              if (*v.dkey == dkey && *v.akey == "0" && v.tree != nullptr) {
-                found = v.tree;
-              }
-            });
-        return found;
-      }();
-      if (tree == nullptr || tree->extentCount() != 1) {
+      // A regular cell is the member's (dkey, "0") record with one extent.
+      const auto cell = e->target(l).store().extents(cont, oid, dkey, "0");
+      if (cell.size() != 1) {
         regular = false;
         break;
       }
-      const auto& [off, p] = *tree->extents().begin();
-      (void)off;
+      const Payload& p = cell.front().second;
       if (cell_len == 0) cell_len = p.size();
       if (p.size() != cell_len) regular = false;
       parts.push_back(p);

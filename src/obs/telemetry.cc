@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sim/simulation.h"
 
@@ -100,6 +101,13 @@ void Telemetry::attach(sim::Simulation& sim) {
 }
 
 sim::Time Telemetry::sampleDue() {
+  // Only here, never in finish(): a destructor calls finish().
+  if (samples_ + nodes_.size() > kMaxSamples) {
+    throw std::runtime_error(
+        "telemetry: the run would hold more than " +
+        std::to_string(kMaxSamples) +
+        " samples; raise --telemetry-interval (DAOSIM_TELEMETRY_INTERVAL)");
+  }
   sampleAt(next_due_);
   next_due_ += interval_;
   return next_due_;
@@ -118,6 +126,7 @@ void Telemetry::sampleAt(sim::Time t) {
     n.value = cur;  // summary rows show the final cumulative/instant value
     n.samples.emplace_back(t - t0_, v);
   }
+  samples_ += nodes_.size();
   last_sample_ = t;
 }
 

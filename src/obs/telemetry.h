@@ -139,7 +139,14 @@ class Telemetry {
   // --- kernel interface -------------------------------------------------
   /// Samples the due boundary and returns the next one (absolute); called
   /// by the simulation kernel once its clock stands at the due boundary.
+  /// Throws std::runtime_error, out of the simulation's run, once the
+  /// run's samples would pass kMaxSamples.
   sim::Time sampleDue();
+
+  /// The most samples (series points over all nodes) one run may hold;
+  /// an interval too fine for the run fails it instead of exhausting
+  /// memory.
+  static constexpr std::size_t kMaxSamples = std::size_t{1} << 24;
 
   // --- inspection / export ---------------------------------------------
   const std::vector<std::unique_ptr<Node>>& nodes() const noexcept {
@@ -169,6 +176,7 @@ class Telemetry {
   sim::Time next_due_ = 0;     // absolute next boundary
   sim::Time last_sample_ = 0;  // absolute time of the previous sample
   bool finished_ = false;
+  std::size_t samples_ = 0;  // series points taken, over all nodes
   sim::Simulation* sim_ = nullptr;
   std::uint64_t epoch_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -211,6 +211,12 @@ void FaultPlan::add(const FaultEvent& e) {
   events_.insert(it, e);
 }
 
+void FaultPlan::sortByTime() {
+  std::stable_sort(
+      events_.begin(), events_.end(),
+      [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
+}
+
 FaultPlan FaultPlan::parse(const std::string& spec,
                            const FaultTopology& topo) {
   FaultPlan plan;
@@ -219,8 +225,9 @@ FaultPlan FaultPlan::parse(const std::string& spec,
   if (trimmed.rfind("random:", 0) == 0) return parseRandom(trimmed, topo);
   for (const std::string& ev : split(trimmed, ';')) {
     if (trim(ev).empty()) continue;
-    plan.add(parseEvent(ev, topo));
+    plan.events_.push_back(parseEvent(ev, topo));
   }
+  plan.sortByTime();
   return plan;
 }
 
@@ -254,11 +261,11 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const FaultTopology& topo,
                               0, static_cast<std::uint64_t>(topo.targets) - 1))
                         : 0;
         e.factor = 2.0 + static_cast<double>(rng.uniform(0, 6));
-        plan.add(e);
+        plan.events_.push_back(e);
         FaultEvent restore = e;
         restore.at = e.at + rng.uniform(horizon / 16 + 1, horizon / 4 + 1);
         restore.factor = 1.0;
-        plan.add(restore);
+        plan.events_.push_back(restore);
         break;
       }
       case 1: {  // NIC flap
@@ -268,7 +275,7 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const FaultTopology& topo,
                               0, static_cast<std::uint64_t>(topo.nodes) - 1))
                         : 0;
         e.duration = rng.uniform(horizon / 32 + 1, horizon / 8 + 1);
-        plan.add(e);
+        plan.events_.push_back(e);
         break;
       }
       case 2: {  // engine stall
@@ -278,7 +285,7 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const FaultTopology& topo,
                               0, static_cast<std::uint64_t>(topo.engines) - 1))
                         : 0;
         e.duration = rng.uniform(horizon / 64 + 1, horizon / 16 + 1);
-        plan.add(e);
+        plan.events_.push_back(e);
         break;
       }
       default: {  // victim fail window, or a one-time exclusion
@@ -289,15 +296,15 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const FaultTopology& topo,
           // An exclusion never recovers; pin it after every fail window so
           // the single-dead-target invariant holds trivially.
           e.at = horizon + rng.uniform(1, horizon / 4 + 1);
-          plan.add(e);
+          plan.events_.push_back(e);
         } else if (!excluded) {
           e.kind = FaultKind::kTargetFail;
           e.subject = pickVictim();
-          plan.add(e);
+          plan.events_.push_back(e);
           FaultEvent rec = e;
           rec.kind = FaultKind::kTargetRecover;
           rec.at = e.at + rng.uniform(horizon / 32 + 1, horizon / 8 + 1);
-          plan.add(rec);
+          plan.events_.push_back(rec);
         }
         break;
       }
@@ -306,6 +313,7 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const FaultTopology& topo,
   // Overlapping fail/recover windows on the victim could recover it early;
   // sort guarantees ordering, and a trailing recover restores the device
   // before any exclusion-triggered rebuild reads survivors.
+  plan.sortByTime();
   return plan;
 }
 

@@ -100,6 +100,10 @@ class FaultPlan {
   std::string describe() const;
 
  private:
+  /// Sorts appended events by time, equal times in append order: the
+  /// order add() would have built, in one O(n log n) pass.
+  void sortByTime();
+
   std::vector<FaultEvent> events_;
 };
 

@@ -4,6 +4,10 @@
 // trim older extents they overlap (last-writer-wins, as in VOS where newer
 // epochs shadow older ones). Reads assemble bytes across extents; gaps read
 // as zeros, matching DAOS array hole semantics.
+//
+// TargetStore keeps a record's single size-only extent inline and builds a
+// tree only for records with several extents, real bytes or an explicit
+// size (truncate).
 #pragma once
 
 #include <cstdint>

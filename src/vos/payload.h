@@ -29,13 +29,12 @@ class Payload {
     Payload p;
     p.size_ = bytes.size();
     p.data_ = std::make_shared<const std::vector<std::byte>>(std::move(bytes));
-    p.len_ = p.size_;
     return p;
   }
 
   static Payload fromString(std::string_view s) {
     std::vector<std::byte> b(s.size());
-    std::memcpy(b.data(), s.data(), s.size());
+    if (!s.empty()) std::memcpy(b.data(), s.data(), s.size());
     return fromBytes(std::move(b));
   }
 
@@ -55,7 +54,7 @@ class Payload {
 
   std::span<const std::byte> bytes() const noexcept {
     if (!data_) return {};
-    return std::span<const std::byte>(data_->data() + off_, len_);
+    return std::span<const std::byte>(data_->data() + off_, size_);
   }
 
   std::string toString() const {
@@ -74,7 +73,6 @@ class Payload {
     if (data_) {
       p.data_ = data_;
       p.off_ = off_ + off;
-      p.len_ = len;
     }
     return p;
   }
@@ -99,10 +97,13 @@ class Payload {
  private:
   std::uint64_t size_ = 0;
   std::uint64_t tag_ = 0;
+  // Real payloads view bytes [off_, off_ + size_) of data_.
   std::shared_ptr<const std::vector<std::byte>> data_;
   std::size_t off_ = 0;
-  std::size_t len_ = 0;
 };
+
+// Payloads sit in every VOS record, RPC frame and rebuild copy.
+static_assert(sizeof(Payload) == 40);
 
 /// Helper: a payload filled with a deterministic byte pattern derived from
 /// `seed` (used by tests and examples to generate verifiable data).

@@ -4,6 +4,7 @@
 // acknowledged write is lost while the redundancy bound holds.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <set>
@@ -148,6 +149,130 @@ TEST(FaultPlanParse, RandomSpecIsSeedDeterministic) {
   FaultPlan other = FaultPlan::parse("random:seed=8,events=6,horizon=200ms",
                                      topo);
   EXPECT_NE(a.describe(), other.describe());
+}
+
+// FaultPlan::random as it was when it inserted each event with add(): the
+// reference for building a plan by appending and sorting once.
+FaultPlan referenceRandom(std::uint64_t seed, const FaultTopology& topo,
+                          int events, Time horizon) {
+  FaultPlan plan;
+  if (events <= 0 || horizon == 0) return plan;
+  sim::Rng rng(seed);
+  const Time lo = std::max<Time>(1, horizon / 8);
+  // The single target that is ever allowed to die (fail or exclude): this
+  // is what keeps generated plans within a one-failure redundancy bound.
+  int victim = -1;
+  bool excluded = false;
+  auto pickVictim = [&]() {
+    if (victim < 0) {
+      victim = topo.targets > 0
+                   ? static_cast<int>(rng.uniform(
+                         0, static_cast<std::uint64_t>(topo.targets) - 1))
+                   : 0;
+    }
+    return victim;
+  };
+  for (int i = 0; i < events; ++i) {
+    FaultEvent e;
+    e.at = rng.uniform(lo, horizon);
+    switch (rng.uniform(0, 3)) {
+      case 0: {  // slowdown window with restore
+        e.kind = FaultKind::kTargetSlow;
+        e.subject = topo.targets > 1
+                        ? static_cast<int>(rng.uniform(
+                              0, static_cast<std::uint64_t>(topo.targets) - 1))
+                        : 0;
+        e.factor = 2.0 + static_cast<double>(rng.uniform(0, 6));
+        plan.add(e);
+        FaultEvent restore = e;
+        restore.at = e.at + rng.uniform(horizon / 16 + 1, horizon / 4 + 1);
+        restore.factor = 1.0;
+        plan.add(restore);
+        break;
+      }
+      case 1: {  // NIC flap
+        e.kind = FaultKind::kNicFlap;
+        e.subject = topo.nodes > 1
+                        ? static_cast<int>(rng.uniform(
+                              0, static_cast<std::uint64_t>(topo.nodes) - 1))
+                        : 0;
+        e.duration = rng.uniform(horizon / 32 + 1, horizon / 8 + 1);
+        plan.add(e);
+        break;
+      }
+      case 2: {  // engine stall
+        e.kind = FaultKind::kEngineStall;
+        e.subject = topo.engines > 1
+                        ? static_cast<int>(rng.uniform(
+                              0, static_cast<std::uint64_t>(topo.engines) - 1))
+                        : 0;
+        e.duration = rng.uniform(horizon / 64 + 1, horizon / 16 + 1);
+        plan.add(e);
+        break;
+      }
+      default: {  // victim fail window, or a one-time exclusion
+        if (!excluded && rng.uniform(0, 1) == 0) {
+          excluded = true;
+          e.kind = FaultKind::kTargetExclude;
+          e.subject = pickVictim();
+          // An exclusion never recovers; pin it after every fail window so
+          // the single-dead-target invariant holds trivially.
+          e.at = horizon + rng.uniform(1, horizon / 4 + 1);
+          plan.add(e);
+        } else if (!excluded) {
+          e.kind = FaultKind::kTargetFail;
+          e.subject = pickVictim();
+          plan.add(e);
+          FaultEvent rec = e;
+          rec.kind = FaultKind::kTargetRecover;
+          rec.at = e.at + rng.uniform(horizon / 32 + 1, horizon / 8 + 1);
+          plan.add(rec);
+        }
+        break;
+      }
+    }
+  }
+  // Overlapping fail/recover windows on the victim could recover it early;
+  // sort guarantees ordering, and a trailing recover restores the device
+  // before any exclusion-triggered rebuild reads survivors.
+  return plan;
+}
+
+TEST(FaultPlanRandom, SortedBuildMatchesPerEventInsert) {
+  const FaultTopology topo{.targets = 12, .engines = 3, .nodes = 4};
+  // A 64 ns horizon makes equal times common; they keep generation order.
+  for (const Time horizon : {Time{64}, 20_ms}) {
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      for (const int events : {1, 7, 500, 5000}) {
+        ASSERT_EQ(FaultPlan::random(seed, topo, events, horizon).describe(),
+                  referenceRandom(seed, topo, events, horizon).describe())
+            << "seed " << seed << ", " << events << " events";
+      }
+    }
+  }
+  // Parsed plans too: equal times stay in spec order.
+  const std::string spec =
+      "slow@2ms:t1,x2;fail@1ms:t0;flap@1ms:n1,1ms;recover@2ms:t0;"
+      "stall@1ms:e2,1ms;slow@1ms:t1,x1";
+  FaultPlan by_add;
+  for (const char* ev :
+       {"slow@2ms:t1,x2", "fail@1ms:t0", "flap@1ms:n1,1ms", "recover@2ms:t0",
+        "stall@1ms:e2,1ms", "slow@1ms:t1,x1"}) {
+    by_add.add(FaultPlan::parse(ev, topo).events()[0]);
+  }
+  EXPECT_EQ(FaultPlan::parse(spec, topo).describe(), by_add.describe());
+}
+
+TEST(FaultPlanRandom, MillionEventPlanBuildsInSeconds) {
+  const FaultTopology topo{.targets = 12, .engines = 3, .nodes = 4};
+  const auto t0 = std::chrono::steady_clock::now();
+  const FaultPlan p =
+      FaultPlan::parse("random:seed=3,events=1000000,horizon=20ms", topo);
+  const double s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+  EXPECT_GT(p.size(), 900000u);  // after an exclusion a draw may add none
+  EXPECT_LT(s, 10.0);
 }
 
 TEST(FaultPlanRandom, RespectsTopologyAndSingleVictimInvariant) {

@@ -1,10 +1,22 @@
 // Tests for the VOS-like target store: payload semantics, extent-tree
-// overlap handling, KV records, enumeration, punch, and space accounting.
+// overlap handling, KV records, enumeration, punch, and space accounting,
+// plus a model test against the former map-of-maps store and a guard on
+// the bytes one size-only extent record costs.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "placement/oid.h"
+#include "sim/rng.h"
 #include "vos/extent_tree.h"
 #include "vos/payload.h"
 #include "vos/target_store.h"
@@ -14,6 +26,7 @@ namespace {
 
 using placement::makeOid;
 using placement::ObjClass;
+using placement::ObjectId;
 
 TEST(Payload, RealBytesRoundTrip) {
   auto p = Payload::fromString("hello world");
@@ -239,7 +252,8 @@ TEST_F(TargetStoreTest, DestroyContainer) {
   EXPECT_EQ(store_.valueGet(1, oid_, "k", "v"), nullptr);
   ASSERT_NE(store_.valueGet(2, oid_, "k", "v"), nullptr);
   EXPECT_EQ(store_.bytesStored(), 2u);
-  EXPECT_EQ(store_.containerCount(), 1u);
+  EXPECT_EQ(store_.listObjects(),
+            (std::vector<std::pair<ContId, placement::ObjectId>>{{2, oid_}}));
 }
 
 TEST_F(TargetStoreTest, NoRetainModeStripsExtentBytesButKeepsKvRecords) {
@@ -274,6 +288,757 @@ TEST_F(TargetStoreTest, ObjectCountAcrossContainers) {
   store_.valuePut(1, makeOid(ObjClass::S1, 2), "k", "v", Payload::fromString("x"));
   store_.valuePut(2, makeOid(ObjClass::S1, 3), "k", "v", Payload::fromString("x"));
   EXPECT_EQ(store_.objectCount(), 3u);
+}
+
+// --- model test against the former store ------------------------------
+//
+// ReferenceExtentTree and ReferenceStore are the map-of-maps TargetStore
+// and the ExtentTree it used, bodies unchanged apart from the names.
+
+class ReferenceExtentTree {
+ public:
+  struct ReadResult {
+    Payload data;                ///< assembled payload of the requested length
+    std::uint64_t bytes_found = 0;  ///< bytes actually backed by extents
+  };
+
+  void write(std::uint64_t offset, Payload payload);
+
+  /// Reads [offset, offset+length). If every byte in range is backed by
+  /// real-bytes extents (or is a hole), `data` is a real payload with holes
+  /// zero-filled; otherwise it is synthetic of the requested length.
+  ReadResult read(std::uint64_t offset, std::uint64_t length) const;
+
+  /// One past the last stored byte (the array "size" VOS reports).
+  std::uint64_t end() const noexcept { return end_; }
+
+  /// Sets the logical size to exactly `size` (ftruncate / set_size
+  /// semantics): extents beyond are removed, shrinking or extending end().
+  void truncate(std::uint64_t size);
+
+  std::uint64_t extentCount() const noexcept { return extents_.size(); }
+  /// Raw extent map (offset -> payload), for migration/rebuild.
+  const std::map<std::uint64_t, Payload>& extents() const noexcept {
+    return extents_;
+  }
+  std::uint64_t bytesStored() const noexcept { return stored_; }
+  bool empty() const noexcept { return extents_.empty(); }
+
+ private:
+  // Removes/trims extents overlapping [off, off+len); keeps accounting.
+  void carve(std::uint64_t off, std::uint64_t len);
+
+  std::map<std::uint64_t, Payload> extents_;
+  std::uint64_t end_ = 0;
+  std::uint64_t stored_ = 0;
+};
+
+void ReferenceExtentTree::carve(std::uint64_t off, std::uint64_t len) {
+  if (len == 0) return;
+  const std::uint64_t hi = off + len;
+
+  // Predecessor extent overlapping the range start: split it.
+  auto it = extents_.upper_bound(off);
+  if (it != extents_.begin()) {
+    auto prev = std::prev(it);
+    const std::uint64_t p_start = prev->first;
+    const std::uint64_t p_end = p_start + prev->second.size();
+    if (p_end > off) {
+      Payload whole = prev->second;
+      stored_ -= whole.size();
+      extents_.erase(prev);
+      if (p_start < off) {
+        Payload left = whole.slice(0, off - p_start);
+        stored_ += left.size();
+        extents_.emplace(p_start, std::move(left));
+      }
+      if (p_end > hi) {
+        Payload right = whole.slice(hi - p_start, p_end - hi);
+        stored_ += right.size();
+        extents_.emplace(hi, std::move(right));
+      }
+    }
+  }
+
+  // Extents starting inside the range: erase; trim the one crossing `hi`.
+  it = extents_.lower_bound(off);
+  while (it != extents_.end() && it->first < hi) {
+    const std::uint64_t e_start = it->first;
+    const std::uint64_t e_end = e_start + it->second.size();
+    Payload whole = it->second;
+    stored_ -= whole.size();
+    it = extents_.erase(it);
+    if (e_end > hi) {
+      Payload right = whole.slice(hi - e_start, e_end - hi);
+      stored_ += right.size();
+      extents_.emplace(hi, std::move(right));
+      break;
+    }
+  }
+}
+
+void ReferenceExtentTree::write(std::uint64_t offset, Payload payload) {
+  if (payload.empty()) return;
+  carve(offset, payload.size());
+  end_ = std::max(end_, offset + payload.size());
+  stored_ += payload.size();
+  extents_.emplace(offset, std::move(payload));
+}
+
+ReferenceExtentTree::ReadResult ReferenceExtentTree::read(
+    std::uint64_t offset, std::uint64_t length) const {
+  ReadResult r;
+  if (length == 0) return r;
+
+  // First pass: find overlapping extents and whether all carry real bytes.
+  bool all_real = true;
+  std::uint64_t found = 0;
+  const std::uint64_t hi = offset + length;
+
+  auto first = extents_.upper_bound(offset);
+  if (first != extents_.begin()) {
+    auto prev = std::prev(first);
+    if (prev->first + prev->second.size() > offset) first = prev;
+  }
+  for (auto it = first; it != extents_.end() && it->first < hi; ++it) {
+    const std::uint64_t lo = std::max(offset, it->first);
+    const std::uint64_t e_hi = std::min(hi, it->first + it->second.size());
+    found += e_hi - lo;
+    if (!it->second.hasBytes()) all_real = false;
+  }
+  r.bytes_found = found;
+
+  if (!all_real) {
+    r.data = Payload::synthetic(length);
+    return r;
+  }
+
+  // Assemble real bytes, zero-filling holes.
+  std::vector<std::byte> out(length);  // zero-initialized
+  for (auto it = first; it != extents_.end() && it->first < hi; ++it) {
+    const std::uint64_t lo = std::max(offset, it->first);
+    const std::uint64_t e_hi = std::min(hi, it->first + it->second.size());
+    auto piece = it->second.slice(lo - it->first, e_hi - lo).bytes();
+    std::memcpy(out.data() + (lo - offset), piece.data(), piece.size());
+  }
+  r.data = Payload::fromBytes(std::move(out));
+  return r;
+}
+
+void ReferenceExtentTree::truncate(std::uint64_t size) {
+  if (size < end_) carve(size, end_ - size);
+  // Explicit-size semantics (POSIX ftruncate / daos_array_set_size): the
+  // logical size becomes exactly `size`, shrinking or extending with a hole.
+  end_ = size;
+}
+
+class ReferenceStore {
+ public:
+  explicit ReferenceStore(bool retain_data = true)
+      : retain_data_(retain_data) {}
+
+  // --- single-value (KV) records -------------------------------------
+  void valuePut(ContId c, const ObjectId& o, std::string_view dkey,
+                std::string_view akey, Payload value);
+  /// Null if absent.
+  const Payload* valueGet(ContId c, const ObjectId& o, std::string_view dkey,
+                          std::string_view akey) const;
+  bool valueRemove(ContId c, const ObjectId& o, std::string_view dkey,
+                   std::string_view akey);
+
+  // --- extent (array) records -----------------------------------------
+  void extentWrite(ContId c, const ObjectId& o, std::string_view dkey,
+                   std::string_view akey, std::uint64_t offset,
+                   Payload payload);
+  ReferenceExtentTree::ReadResult extentRead(ContId c, const ObjectId& o,
+                                             std::string_view dkey,
+                                             std::string_view akey,
+                                             std::uint64_t offset,
+                                             std::uint64_t length) const;
+  /// End offset of the extent tree (0 if absent).
+  std::uint64_t extentEnd(ContId c, const ObjectId& o, std::string_view dkey,
+                          std::string_view akey) const;
+  void extentTruncate(ContId c, const ObjectId& o, std::string_view dkey,
+                      std::string_view akey, std::uint64_t size);
+
+  // --- enumeration and life-cycle --------------------------------------
+  std::vector<std::string> listDkeys(ContId c, const ObjectId& o) const;
+  std::vector<std::string> listAkeys(ContId c, const ObjectId& o,
+                                     std::string_view dkey) const;
+  bool objectExists(ContId c, const ObjectId& o) const;
+  /// Removes the object and all records beneath it (DAOS punch).
+  bool punchObject(ContId c, const ObjectId& o);
+  bool punchDkey(ContId c, const ObjectId& o, std::string_view dkey);
+  void destroyContainer(ContId c);
+
+  // --- enumeration for migration/rebuild --------------------------------
+  /// Every (container, object) pair held by this target.
+  std::vector<std::pair<ContId, ObjectId>> listObjects() const;
+
+  /// A view of one record for copy-out.
+  struct RecordView {
+    const std::string* dkey;
+    const std::string* akey;
+    const Payload* value;     // non-null for single-value records
+    const ReferenceExtentTree* tree;   // non-null for extent records
+  };
+  /// Invokes `fn(RecordView)` for every record of the object.
+  template <typename Fn>
+  void forEachRecord(ContId c, const ObjectId& o, Fn&& fn) const {
+    const ObjectShard* obj = findObject(c, o);
+    if (obj == nullptr) return;
+    for (const auto& [dkey, entry] : obj->dkeys) {
+      for (const auto& [akey, value] : entry.akeys) {
+        RecordView view{&dkey, &akey, std::get_if<Payload>(&value),
+                        std::get_if<ReferenceExtentTree>(&value)};
+        fn(view);
+      }
+    }
+  }
+
+  // --- accounting -------------------------------------------------------
+  std::uint64_t bytesStored() const noexcept { return bytes_stored_; }
+  std::uint64_t objectCount() const noexcept;
+  std::uint64_t containerCount() const noexcept { return containers_.size(); }
+
+  std::uint64_t valuePuts() const noexcept { return value_puts_; }
+  std::uint64_t valueGets() const noexcept { return value_gets_; }
+  std::uint64_t extentWrites() const noexcept { return extent_writes_; }
+  std::uint64_t extentReads() const noexcept { return extent_reads_; }
+
+ private:
+  using Value = std::variant<Payload, ReferenceExtentTree>;
+  struct DkeyEntry {
+    std::map<std::string, Value, std::less<>> akeys;
+  };
+  struct ObjectShard {
+    std::map<std::string, DkeyEntry, std::less<>> dkeys;
+  };
+  struct ContainerShard {
+    std::unordered_map<ObjectId, ObjectShard> objects;
+  };
+
+  Payload ingest(Payload p) const {
+    return (!retain_data_ && p.hasBytes()) ? p.stripBytes() : std::move(p);
+  }
+
+  ObjectShard& objectShard(ContId c, const ObjectId& o);
+  const ObjectShard* findObject(ContId c, const ObjectId& o) const;
+
+  std::uint64_t valueBytes(const Value& v) const;
+
+  bool retain_data_;
+  std::unordered_map<ContId, ContainerShard> containers_;
+  std::uint64_t bytes_stored_ = 0;
+  std::uint64_t value_puts_ = 0;
+  mutable std::uint64_t value_gets_ = 0;  // bumped in const getters
+  std::uint64_t extent_writes_ = 0;
+  mutable std::uint64_t extent_reads_ = 0;
+};
+
+ReferenceStore::ObjectShard& ReferenceStore::objectShard(ContId c,
+                                                         const ObjectId& o) {
+  return containers_[c].objects[o];
+}
+
+const ReferenceStore::ObjectShard* ReferenceStore::findObject(
+    ContId c, const ObjectId& o) const {
+  auto cit = containers_.find(c);
+  if (cit == containers_.end()) return nullptr;
+  auto oit = cit->second.objects.find(o);
+  if (oit == cit->second.objects.end()) return nullptr;
+  return &oit->second;
+}
+
+std::uint64_t ReferenceStore::valueBytes(const Value& v) const {
+  if (const auto* p = std::get_if<Payload>(&v)) return p->size();
+  return std::get<ReferenceExtentTree>(v).bytesStored();
+}
+
+void ReferenceStore::valuePut(ContId c, const ObjectId& o,
+                              std::string_view dkey, std::string_view akey,
+                              Payload value) {
+  ++value_puts_;
+  auto& entry = objectShard(c, o).dkeys[std::string(dkey)];
+  auto [it, inserted] = entry.akeys.try_emplace(std::string(akey));
+  if (!inserted) bytes_stored_ -= valueBytes(it->second);
+  it->second = std::move(value);  // KV records always retain bytes
+  bytes_stored_ += valueBytes(it->second);
+}
+
+const Payload* ReferenceStore::valueGet(ContId c, const ObjectId& o,
+                                        std::string_view dkey,
+                                        std::string_view akey) const {
+  ++value_gets_;
+  const auto* obj = findObject(c, o);
+  if (!obj) return nullptr;
+  auto dit = obj->dkeys.find(dkey);
+  if (dit == obj->dkeys.end()) return nullptr;
+  auto ait = dit->second.akeys.find(akey);
+  if (ait == dit->second.akeys.end()) return nullptr;
+  return std::get_if<Payload>(&ait->second);
+}
+
+bool ReferenceStore::valueRemove(ContId c, const ObjectId& o,
+                                 std::string_view dkey,
+                                 std::string_view akey) {
+  auto cit = containers_.find(c);
+  if (cit == containers_.end()) return false;
+  auto oit = cit->second.objects.find(o);
+  if (oit == cit->second.objects.end()) return false;
+  auto dit = oit->second.dkeys.find(dkey);
+  if (dit == oit->second.dkeys.end()) return false;
+  auto ait = dit->second.akeys.find(akey);
+  if (ait == dit->second.akeys.end()) return false;
+  bytes_stored_ -= valueBytes(ait->second);
+  dit->second.akeys.erase(ait);
+  if (dit->second.akeys.empty()) oit->second.dkeys.erase(dit);
+  return true;
+}
+
+void ReferenceStore::extentWrite(ContId c, const ObjectId& o,
+                                 std::string_view dkey, std::string_view akey,
+                                 std::uint64_t offset, Payload payload) {
+  ++extent_writes_;
+  auto& entry = objectShard(c, o).dkeys[std::string(dkey)];
+  auto [it, inserted] = entry.akeys.try_emplace(std::string(akey));
+  if (inserted || !std::holds_alternative<ReferenceExtentTree>(it->second)) {
+    if (!inserted) bytes_stored_ -= valueBytes(it->second);
+    it->second = ReferenceExtentTree{};
+  }
+  auto& tree = std::get<ReferenceExtentTree>(it->second);
+  bytes_stored_ -= tree.bytesStored();
+  tree.write(offset, ingest(std::move(payload)));
+  bytes_stored_ += tree.bytesStored();
+}
+
+ReferenceExtentTree::ReadResult ReferenceStore::extentRead(
+    ContId c, const ObjectId& o, std::string_view dkey, std::string_view akey,
+    std::uint64_t offset, std::uint64_t length) const {
+  ++extent_reads_;
+  const auto* obj = findObject(c, o);
+  if (obj) {
+    auto dit = obj->dkeys.find(dkey);
+    if (dit != obj->dkeys.end()) {
+      auto ait = dit->second.akeys.find(akey);
+      if (ait != dit->second.akeys.end()) {
+        if (const auto* tree =
+                std::get_if<ReferenceExtentTree>(&ait->second)) {
+          return tree->read(offset, length);
+        }
+      }
+    }
+  }
+  ReferenceExtentTree::ReadResult hole;
+  hole.data = Payload::synthetic(length);
+  hole.bytes_found = 0;
+  return hole;
+}
+
+std::uint64_t ReferenceStore::extentEnd(ContId c, const ObjectId& o,
+                                        std::string_view dkey,
+                                        std::string_view akey) const {
+  const auto* obj = findObject(c, o);
+  if (!obj) return 0;
+  auto dit = obj->dkeys.find(dkey);
+  if (dit == obj->dkeys.end()) return 0;
+  auto ait = dit->second.akeys.find(akey);
+  if (ait == dit->second.akeys.end()) return 0;
+  if (const auto* tree = std::get_if<ReferenceExtentTree>(&ait->second)) {
+    return tree->end();
+  }
+  return 0;
+}
+
+void ReferenceStore::extentTruncate(ContId c, const ObjectId& o,
+                                    std::string_view dkey,
+                                    std::string_view akey,
+                                    std::uint64_t size) {
+  auto& entry = objectShard(c, o).dkeys[std::string(dkey)];
+  auto [it, inserted] = entry.akeys.try_emplace(std::string(akey));
+  if (inserted || !std::holds_alternative<ReferenceExtentTree>(it->second)) {
+    if (!inserted) bytes_stored_ -= valueBytes(it->second);
+    it->second = ReferenceExtentTree{};
+  }
+  auto& tree = std::get<ReferenceExtentTree>(it->second);
+  bytes_stored_ -= tree.bytesStored();
+  tree.truncate(size);
+  bytes_stored_ += tree.bytesStored();
+}
+
+std::vector<std::string> ReferenceStore::listDkeys(ContId c,
+                                                   const ObjectId& o) const {
+  std::vector<std::string> out;
+  if (const auto* obj = findObject(c, o)) {
+    out.reserve(obj->dkeys.size());
+    for (const auto& [k, _] : obj->dkeys) out.push_back(k);
+  }
+  return out;
+}
+
+std::vector<std::string> ReferenceStore::listAkeys(
+    ContId c, const ObjectId& o, std::string_view dkey) const {
+  std::vector<std::string> out;
+  if (const auto* obj = findObject(c, o)) {
+    auto dit = obj->dkeys.find(dkey);
+    if (dit != obj->dkeys.end()) {
+      out.reserve(dit->second.akeys.size());
+      for (const auto& [k, _] : dit->second.akeys) out.push_back(k);
+    }
+  }
+  return out;
+}
+
+bool ReferenceStore::objectExists(ContId c, const ObjectId& o) const {
+  return findObject(c, o) != nullptr;
+}
+
+bool ReferenceStore::punchObject(ContId c, const ObjectId& o) {
+  auto cit = containers_.find(c);
+  if (cit == containers_.end()) return false;
+  auto oit = cit->second.objects.find(o);
+  if (oit == cit->second.objects.end()) return false;
+  for (const auto& [_, d] : oit->second.dkeys) {
+    for (const auto& [_a, v] : d.akeys) bytes_stored_ -= valueBytes(v);
+  }
+  cit->second.objects.erase(oit);
+  return true;
+}
+
+bool ReferenceStore::punchDkey(ContId c, const ObjectId& o,
+                               std::string_view dkey) {
+  auto cit = containers_.find(c);
+  if (cit == containers_.end()) return false;
+  auto oit = cit->second.objects.find(o);
+  if (oit == cit->second.objects.end()) return false;
+  auto dit = oit->second.dkeys.find(dkey);
+  if (dit == oit->second.dkeys.end()) return false;
+  for (const auto& [_a, v] : dit->second.akeys) bytes_stored_ -= valueBytes(v);
+  oit->second.dkeys.erase(dit);
+  return true;
+}
+
+void ReferenceStore::destroyContainer(ContId c) {
+  auto cit = containers_.find(c);
+  if (cit == containers_.end()) return;
+  for (const auto& [_, obj] : cit->second.objects) {
+    for (const auto& [_d, d] : obj.dkeys) {
+      for (const auto& [_a, v] : d.akeys) bytes_stored_ -= valueBytes(v);
+    }
+  }
+  containers_.erase(cit);
+}
+
+std::vector<std::pair<ContId, ObjectId>> ReferenceStore::listObjects() const {
+  std::vector<std::pair<ContId, ObjectId>> out;
+  for (const auto& [cid, cont] : containers_) {
+    for (const auto& [oid, _] : cont.objects) out.emplace_back(cid, oid);
+  }
+  return out;
+}
+
+std::uint64_t ReferenceStore::objectCount() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& [_, c] : containers_) n += c.objects.size();
+  return n;
+}
+
+// --- the model test ----------------------------------------------------
+
+/// Everything observable about a payload, as a comparable string.
+std::string facts(const Payload& p) {
+  return "size=" + std::to_string(p.size()) +
+         " tag=" + std::to_string(p.tag()) +
+         (p.hasBytes() ? " bytes=" + p.toString() : " size-only");
+}
+
+struct RecordFacts {
+  std::string dkey;
+  std::string akey;
+  std::optional<std::string> value;
+  std::vector<std::pair<std::uint64_t, std::string>> extents;
+  bool operator==(const RecordFacts&) const = default;
+};
+
+std::vector<RecordFacts> records(const TargetStore& s, ContId c,
+                                 const ObjectId& o) {
+  std::vector<RecordFacts> out;
+  s.forEachRecord(c, o, [&](const TargetStore::RecordView& v) {
+    RecordFacts r{std::string(v.dkey), std::string(v.akey), std::nullopt, {}};
+    if (v.value != nullptr) r.value = facts(*v.value);
+    for (const auto& [off, p] : v.extents) {
+      r.extents.emplace_back(off, facts(p));
+    }
+    out.push_back(std::move(r));
+  });
+  return out;
+}
+
+std::vector<RecordFacts> records(const ReferenceStore& s, ContId c,
+                                 const ObjectId& o) {
+  std::vector<RecordFacts> out;
+  s.forEachRecord(c, o, [&](const ReferenceStore::RecordView& v) {
+    RecordFacts r{*v.dkey, *v.akey, std::nullopt, {}};
+    if (v.value != nullptr) r.value = facts(*v.value);
+    if (v.tree != nullptr) {
+      for (const auto& [off, p] : v.tree->extents()) {
+        r.extents.emplace_back(off, facts(p));
+      }
+    }
+    out.push_back(std::move(r));
+  });
+  return out;
+}
+
+template <typename Store>
+std::vector<std::pair<ContId, ObjectId>> objectSet(const Store& s) {
+  auto out = s.listObjects();
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Drives a TargetStore and a ReferenceStore with the same seeded call
+/// sequence and checks every result, then the whole visible state, after
+/// each call.
+class StoreModel {
+ public:
+  StoreModel(std::uint64_t seed, bool retain)
+      : rng_(seed), store_(retain), ref_(retain) {
+    // Each sequence draws from a few of the keys, so its calls collide.
+    for (int i = 0; i < 4; ++i) dkeys_.push_back(pick(allDkeys()));
+    for (int i = 0; i < 3; ++i) akeys_.push_back(pick(allAkeys()));
+  }
+
+  // How often the sequences reached the cases that matter.
+  int overlaps = 0;  // a write over bytes an extent record already holds
+  int missing_truncates = 0;
+  int emptied_objects = 0;  // an object whose last dkey went away
+
+  void step() {
+    const ContId c = rng_.uniform(1, 2);
+    const ObjectId o = makeOid(ObjClass::S1, rng_.uniform(1, 3));
+    const std::string dkey = pick(dkeys_);
+    const std::string akey = pick(akeys_);
+    switch (rng_.uniform(0, 12)) {
+      case 0:
+      case 1:
+      case 2: {
+        const std::uint64_t off = offset();
+        const Payload p = payload();
+        const std::uint64_t end = ref_.extentEnd(c, o, dkey, akey);
+        if (end > off && p.size() > 0) ++overlaps;
+        store_.extentWrite(c, o, dkey, akey, off, p);
+        ref_.extentWrite(c, o, dkey, akey, off, p);
+        break;
+      }
+      case 3: {
+        const std::uint64_t off = offset();
+        const std::uint64_t len = pick(std::vector<std::uint64_t>{
+            0, 1, 50, 100, 5000});
+        const auto got = store_.extentRead(c, o, dkey, akey, off, len);
+        const auto want = ref_.extentRead(c, o, dkey, akey, off, len);
+        EXPECT_EQ(facts(got.data), facts(want.data));
+        EXPECT_EQ(got.bytes_found, want.bytes_found);
+        break;
+      }
+      case 4: {
+        EXPECT_EQ(store_.extentEnd(c, o, dkey, akey),
+                  ref_.extentEnd(c, o, dkey, akey));
+        std::vector<std::pair<std::uint64_t, std::string>> got, want;
+        for (const auto& [off, p] : store_.extents(c, o, dkey, akey)) {
+          got.emplace_back(off, facts(p));
+        }
+        for (const RecordFacts& r : records(ref_, c, o)) {
+          if (r.dkey == dkey && r.akey == akey) want = r.extents;
+        }
+        EXPECT_EQ(got, want);
+        break;
+      }
+      case 5: {
+        const std::uint64_t size = offset();
+        if (ref_.listAkeys(c, o, dkey).empty()) ++missing_truncates;
+        store_.extentTruncate(c, o, dkey, akey, size);
+        ref_.extentTruncate(c, o, dkey, akey, size);
+        break;
+      }
+      case 6:
+      case 7: {
+        const Payload p =
+            rng_.uniform(0, 1)
+                ? patternPayload(rng_.uniform(0, 40), rng_())
+                : Payload::synthetic(rng_.uniform(0, 300), rng_.uniform(0, 3));
+        store_.valuePut(c, o, dkey, akey, p);
+        ref_.valuePut(c, o, dkey, akey, p);
+        break;
+      }
+      case 8: {
+        const Payload* got = store_.valueGet(c, o, dkey, akey);
+        const Payload* want = ref_.valueGet(c, o, dkey, akey);
+        ASSERT_EQ(got == nullptr, want == nullptr);
+        if (got != nullptr) {
+          EXPECT_EQ(facts(*got), facts(*want));
+        }
+        break;
+      }
+      case 9:
+        EXPECT_EQ(store_.valueRemove(c, o, dkey, akey),
+                  ref_.valueRemove(c, o, dkey, akey));
+        countEmptied(c, o);
+        break;
+      case 10:
+        EXPECT_EQ(store_.punchDkey(c, o, dkey), ref_.punchDkey(c, o, dkey));
+        countEmptied(c, o);
+        break;
+      case 11:
+        if (rng_.uniform(0, 3) == 0) {
+          EXPECT_EQ(store_.punchObject(c, o), ref_.punchObject(c, o));
+        }
+        break;
+      default:
+        if (rng_.uniform(0, 7) == 0) {
+          store_.destroyContainer(c);
+          ref_.destroyContainer(c);
+        }
+        break;
+    }
+    checkState();
+  }
+
+ private:
+  static const std::vector<std::string>& allDkeys() {
+    static const std::vector<std::string> keys = {
+        "", "a", "0", "p", u64Dkey(0), u64Dkey(1), u64Dkey(0x80),
+        u64Dkey(0x8000000000000001ULL), u64Dkey(~0ULL),
+        "__array_meta__",                          // 14 bytes
+        std::string(15, 'k'), std::string(16, 'k'), std::string(17, 'k'),
+        std::string(14, 'k') + "\xff",             // 15, high last byte
+        std::string(15, 'k') + "\x80",             // 16, high last byte
+        "class=od,expver=1,r12,f3,k4",              // fdb index keys
+        "class=od,expver=1,r200,f17,k6"};
+    return keys;
+  }
+  static const std::vector<std::string>& allAkeys() {
+    static const std::vector<std::string> keys = {
+        "", "0", "p", "v", "__array_meta__", std::string(15, 'a'),
+        std::string(16, 'a'), "stream=oper,type=fc,levtype=sfc"};
+    return keys;
+  }
+  template <typename T>
+  const T& pick(const std::vector<T>& v) {
+    return v[rng_.uniform(0, v.size() - 1)];
+  }
+  std::uint64_t offset() {
+    return pick(std::vector<std::uint64_t>{0, 1, 50, 99, 100, 200, 4096});
+  }
+  Payload payload() {
+    switch (rng_.uniform(0, 3)) {
+      case 0:
+        return patternPayload(rng_.uniform(0, 120), rng_());
+      case 1:
+        return Payload::fromString("");
+      default:
+        return Payload::synthetic(
+            pick(std::vector<std::uint64_t>{0, 1, 7, 50, 100, 4096}),
+            rng_.uniform(0, 5));
+    }
+  }
+  void countEmptied(ContId c, const ObjectId& o) {
+    if (ref_.objectExists(c, o) && ref_.listDkeys(c, o).empty()) {
+      ++emptied_objects;
+    }
+  }
+
+  void checkState() {
+    EXPECT_EQ(store_.bytesStored(), ref_.bytesStored());
+    EXPECT_EQ(store_.objectCount(), ref_.objectCount());
+    EXPECT_EQ(store_.valuePuts(), ref_.valuePuts());
+    EXPECT_EQ(store_.valueGets(), ref_.valueGets());
+    EXPECT_EQ(store_.extentWrites(), ref_.extentWrites());
+    EXPECT_EQ(store_.extentReads(), ref_.extentReads());
+    EXPECT_EQ(objectSet(store_), objectSet(ref_));
+    for (ContId c = 1; c <= 2; ++c) {
+      for (std::uint64_t lo = 1; lo <= 3; ++lo) {
+        const ObjectId o = makeOid(ObjClass::S1, lo);
+        EXPECT_EQ(store_.objectExists(c, o), ref_.objectExists(c, o));
+        const auto dkeys = ref_.listDkeys(c, o);
+        EXPECT_EQ(store_.listDkeys(c, o), dkeys);
+        for (const std::string& d : dkeys) {
+          EXPECT_EQ(store_.listAkeys(c, o, d), ref_.listAkeys(c, o, d));
+        }
+        EXPECT_EQ(records(store_, c, o), records(ref_, c, o));
+      }
+    }
+  }
+
+  sim::Rng rng_;
+  std::vector<std::string> dkeys_;
+  std::vector<std::string> akeys_;
+  TargetStore store_;
+  ReferenceStore ref_;
+};
+
+class StoreModelTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(StoreModelTest, MatchesTheMapOfMapsStore) {
+  int overlaps = 0, missing_truncates = 0, emptied = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    StoreModel model(seed, /*retain=*/GetParam());
+    for (int i = 0; i < 300; ++i) {
+      model.step();
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << ", call " << i;
+      }
+    }
+    overlaps += model.overlaps;
+    missing_truncates += model.missing_truncates;
+    emptied += model.emptied_objects;
+  }
+  // The sequences reach the cases the inline layout treats specially.
+  EXPECT_GT(overlaps, 100);
+  EXPECT_GT(missing_truncates, 100);
+  EXPECT_GT(emptied, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(RetainData, StoreModelTest, ::testing::Bool());
+
+TEST(StoreModelTest, ObjectOutlivesItsLastDkeyUntilPunched) {
+  TargetStore store;
+  const ObjectId o = makeOid(ObjClass::S1, 7);
+  store.valuePut(1, o, "d", "v", Payload::fromString("x"));
+  EXPECT_TRUE(store.valueRemove(1, o, "d", "v"));
+  EXPECT_TRUE(store.objectExists(1, o));
+  EXPECT_TRUE(store.listDkeys(1, o).empty());
+  EXPECT_EQ(store.objectCount(), 1u);
+  EXPECT_FALSE(store.punchDkey(1, o, "d"));
+  EXPECT_TRUE(store.punchObject(1, o));
+  EXPECT_FALSE(store.objectExists(1, o));
+
+  store.extentWrite(2, o, u64Dkey(0), "0", 0, Payload::synthetic(10));
+  EXPECT_TRUE(store.punchDkey(2, o, u64Dkey(0)));
+  EXPECT_EQ(store.listObjects(),
+            (std::vector<std::pair<ContId, ObjectId>>{{2, o}}));
+  store.destroyContainer(2);
+  EXPECT_EQ(store.objectCount(), 0u);
+}
+
+// --- memory -------------------------------------------------------------
+
+TEST(VosMemory, SizeOnlyExtentRecordsStayCompact) {
+  // ior_bulk's shape on one target: 300 size-only 1 MiB extents over 180
+  // objects, chunk dkeys and akey "0".
+  constexpr std::uint64_t kRecords = 300;
+  constexpr std::uint64_t kObjects = 180;
+  TargetStore store(/*retain_data=*/false);
+  const long long heap0 = static_cast<long long>(mallinfo2().uordblks);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    store.extentWrite(1, makeOid(ObjClass::SX, i % kObjects + 1),
+                      u64Dkey(i / kObjects), "0", 0,
+                      Payload::synthetic(1 << 20, i));
+  }
+  const long long grown =
+      static_cast<long long>(mallinfo2().uordblks) - heap0;
+  EXPECT_LE(grown, static_cast<long long>(kRecords) * 160);
+  EXPECT_EQ(store.objectCount(), kObjects);
 }
 
 }  // namespace
