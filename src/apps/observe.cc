@@ -83,6 +83,10 @@ void SweepObservation::writeDump(std::ostream& os,
 }
 
 void SweepObservation::finish(std::ostream& out) {
+  // Runs take their last bins unchecked (Telemetry::finish), so a total
+  // past the ceiling may first show here; failing on it makes the outcome
+  // depend on the total alone, not on the order the runs sampled in.
+  obs::Telemetry::checkSampleCeiling(telemetry_samples_.load());
   out << fault_summary_;
   if (spec_.stats) last_.writeBreakdown(out);
   if (spec_.exemplars > 0) {
@@ -125,7 +129,7 @@ ObservedRun::ObservedRun(const RunSlot& slot, sim::Simulation& sim)
   const ObserveSpec& spec = sweep->spec_;
   const bool last = slot_.index + 1 == sweep->slots_.size();
   if (!spec.telemetry_file.empty() || (spec.stats && last)) {
-    telemetry_.emplace(spec.telemetry_interval);
+    telemetry_.emplace(spec.telemetry_interval, &sweep->telemetry_samples_);
     telemetry_->attach(sim);
   }
   if (last && sweep->observe_last_) {

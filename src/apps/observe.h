@@ -18,6 +18,7 @@
 // bytes at any job count.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -78,7 +79,9 @@ class SweepObservation {
   /// the last run's fault injection summary and per-op breakdown; with
   /// exemplars, one merged tail report; the trace, metrics and telemetry
   /// files; with stats, the telemetry bottleneck report. Reports go to
-  /// `out`. Throws std::runtime_error naming a file that cannot be written.
+  /// `out`. Throws std::runtime_error naming a file that cannot be written,
+  /// or, before writing anything, when the runs' telemetry samples
+  /// together pass obs::Telemetry::kMaxSamples.
   void finish(std::ostream& out);
 
  private:
@@ -98,6 +101,10 @@ class SweepObservation {
   obs::Observer last_;
   std::string fault_summary_;  // with stats: the last run's, if it had one
   std::vector<Slot> slots_;
+  // Telemetry samples of every run so far. The runs' registries share it,
+  // so the sample ceiling bounds the sweep, and the sweep fails exactly
+  // when all its runs together pass it, at any job count.
+  std::atomic<std::size_t> telemetry_samples_{0};
 };
 
 /// Observes one run of a sweep for as long as it lives; open it right after

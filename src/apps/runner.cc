@@ -4,14 +4,6 @@
 
 namespace daosim::apps {
 
-namespace {
-
-sim::Task<void> runProcess(SpmdBenchmark* bench, ProcContext ctx) {
-  co_await bench->process(ctx);
-}
-
-}  // namespace
-
 RunResult runSpmd(sim::Simulation& sim, const std::vector<hw::NodeId>& nodes,
                   int procs_per_node, SpmdBenchmark& bench) {
   const int procs = static_cast<int>(nodes.size()) * procs_per_node;
@@ -29,7 +21,7 @@ RunResult runSpmd(sim::Simulation& sim, const std::vector<hw::NodeId>& nodes,
     ctx.sim = &sim;
     ctx.barrier = &barrier;
     ctx.result = &result;
-    handles.push_back(sim.spawn(runProcess(&bench, ctx)));
+    handles.push_back(sim.spawn(bench.process(ctx)));
   }
   sim.run();
 

@@ -10,11 +10,11 @@ sim::Task<void> PoolService::commit() {
   }
 }
 
-sim::Task<void> PoolService::query() { co_await svc_.exec(cost_.query_cpu); }
+sim::Task<void> PoolService::query() { return svc_.exec(cost_.query_cpu); }
 
-sim::Task<void> PoolService::handleConnect() { co_await query(); }
+sim::Task<void> PoolService::handleConnect() { return query(); }
 
-sim::Task<void> PoolService::handleContQuery() { co_await query(); }
+sim::Task<void> PoolService::handleContQuery() { return query(); }
 
 sim::Task<vos::ContId> PoolService::handleContCreate(std::string name) {
   co_await commit();

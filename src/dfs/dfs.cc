@@ -326,11 +326,11 @@ sim::Task<std::uint64_t> FileSystem::write(File& f, std::uint64_t offset,
 
 sim::Task<Payload> FileSystem::read(File& f, std::uint64_t offset,
                                     std::uint64_t len) {
-  co_return co_await f.array.read(offset, len);
+  return f.array.read(offset, len);
 }
 
 sim::Task<std::uint64_t> FileSystem::size(File& f) {
-  co_return co_await f.array.getSize();
+  return f.array.getSize();
 }
 
 }  // namespace daosim::dfs

@@ -278,8 +278,6 @@ sim::Task<Payload> H5DaosFile::readDataset(Dataset dset) {
   co_return co_await array.read(0, dset.size);
 }
 
-sim::Task<void> H5DaosFile::close() {
-  co_await libraryCpu();
-}
+sim::Task<void> H5DaosFile::close() { return libraryCpu(); }
 
 }  // namespace daosim::hdf5

@@ -76,15 +76,13 @@ class DaosArrayObject final : public Object {
   explicit DaosArrayObject(daos::Array array) : array_(std::move(array)) {}
 
   sim::Task<void> write(std::uint64_t offset, vos::Payload data) override {
-    co_await array_.write(offset, std::move(data));
+    return array_.write(offset, std::move(data));
   }
   sim::Task<vos::Payload> read(std::uint64_t offset,
                                std::uint64_t length) override {
-    co_return co_await array_.read(offset, length);
+    return array_.read(offset, length);
   }
-  sim::Task<std::uint64_t> size() override {
-    co_return co_await array_.getSize();
-  }
+  sim::Task<std::uint64_t> size() override { return array_.getSize(); }
 
  private:
   daos::Array array_;
@@ -95,7 +93,7 @@ class DaosKvIndex final : public Index {
   explicit DaosKvIndex(daos::KeyValue kv) : kv_(std::move(kv)) {}
 
   sim::Task<void> put(std::string key, vos::Payload value) override {
-    co_await kv_.put(std::move(key), std::move(value));
+    return kv_.put(std::move(key), std::move(value));
   }
   sim::Task<vos::Payload> get(std::string key) override {
     std::optional<vos::Payload> v = co_await kv_.get(std::move(key));
@@ -172,11 +170,9 @@ class DfsObject final : public Object {
   }
   sim::Task<vos::Payload> read(std::uint64_t offset,
                                std::uint64_t length) override {
-    co_return co_await fs_->read(file_, offset, length);
+    return fs_->read(file_, offset, length);
   }
-  sim::Task<std::uint64_t> size() override {
-    co_return co_await fs_->size(file_);
-  }
+  sim::Task<std::uint64_t> size() override { return fs_->size(file_); }
 
  private:
   dfs::FileSystem* fs_;
@@ -226,14 +222,14 @@ class PosixObject final : public Object {
   }
   sim::Task<vos::Payload> read(std::uint64_t offset,
                                std::uint64_t length) override {
-    co_return co_await vfs_->pread(fd_, offset, length);
+    return vfs_->pread(fd_, offset, length);
   }
   sim::Task<std::uint64_t> size() override {
     const posix::FileStat st = co_await vfs_->fstat(fd_);
     co_return st.size;
   }
-  sim::Task<void> sync() override { co_await vfs_->fsync(fd_); }
-  sim::Task<void> close() override { co_await vfs_->close(fd_); }
+  sim::Task<void> sync() override { return vfs_->fsync(fd_); }
+  sim::Task<void> close() override { return vfs_->close(fd_); }
 
  private:
   posix::Vfs* vfs_;
@@ -325,7 +321,7 @@ class H5Object final : public Object {
   }
   /// Local bookkeeping only: HDF5 has no cheap whole-file size probe.
   sim::Task<std::uint64_t> size() override { co_return written_; }
-  sim::Task<void> close() override { co_await file_->close(); }
+  sim::Task<void> close() override { return file_->close(); }
 
  private:
   std::unique_ptr<hdf5::H5File> file_;
@@ -381,7 +377,7 @@ class Hdf5DaosBackend final : public Backend {
 
   const Caps& caps() const override { return caps_; }
 
-  sim::Task<void> connect() override { co_await client_.poolConnect(); }
+  sim::Task<void> connect() override { return client_.poolConnect(); }
 
   sim::Task<std::unique_ptr<Object>> open(OpenSpec spec) override {
     std::unique_ptr<hdf5::H5File> file;
@@ -430,15 +426,13 @@ class RadosObject final : public Object {
       : client_(client), object_(std::move(object)) {}
 
   sim::Task<void> write(std::uint64_t offset, vos::Payload data) override {
-    co_await client_->write(object_, offset, std::move(data));
+    return client_->write(object_, offset, std::move(data));
   }
   sim::Task<vos::Payload> read(std::uint64_t offset,
                                std::uint64_t length) override {
-    co_return co_await client_->read(object_, offset, length);
+    return client_->read(object_, offset, length);
   }
-  sim::Task<std::uint64_t> size() override {
-    co_return co_await client_->stat(object_);
-  }
+  sim::Task<std::uint64_t> size() override { return client_->stat(object_); }
 
  private:
   rados::RadosClient* client_;
@@ -467,7 +461,7 @@ class RadosBackend final : public Backend {
 
   const Caps& caps() const override { return caps_; }
 
-  sim::Task<void> connect() override { co_await client_.connect(); }
+  sim::Task<void> connect() override { return client_.connect(); }
 
   /// RADOS objects spring into existence on first write: open only binds
   /// the (seed-salted) name.

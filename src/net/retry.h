@@ -25,8 +25,7 @@ struct RetryPolicy {
   sim::Time backoff_cap = 50 * sim::kMillisecond;
 
   /// A disabled policy (the net::request / net::respond default) takes
-  /// the fast path: one await of Cluster::send, no timer race, no RNG
-  /// draw.
+  /// the fast path: Cluster::send's own task, no timer race, no RNG draw.
   bool enabled() const noexcept { return timeout != 0 || max_retries != 0; }
 
   /// The chaos default daosim_run --faults enables: rides through NIC

@@ -64,16 +64,11 @@ sim::Time backoffDelay(const RetryPolicy& p, int attempt, sim::Rng& rng) {
   return b / 2 + rng.uniform(0, b / 2);
 }
 
-sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
-                              hw::NodeId dst, std::uint64_t wire_bytes,
-                              RetryPolicy policy, obs::OpId op,
-                              obs::Cat cat) {
-  if (!policy.enabled()) {
-    // Zero-retry fast path: one send, no timer, no extra frames, no RNG
-    // draw.
-    co_await cluster->send(src, dst, wire_bytes, op, cat);
-    co_return;
-  }
+namespace {
+
+sim::Task<void> retryLoop(hw::Cluster* cluster, hw::NodeId src,
+                          hw::NodeId dst, std::uint64_t wire_bytes,
+                          RetryPolicy policy, obs::OpId op, obs::Cat cat) {
   sim::Simulation& sim = cluster->sim();
   for (int attempt = 0;; ++attempt) {
     bool timed_out = false;
@@ -102,6 +97,18 @@ sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
     const sim::Time pause = backoffDelay(policy, attempt, sim.rng());
     if (pause > 0) co_await sim.delay(pause);
   }
+}
+
+}  // namespace
+
+sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
+                              hw::NodeId dst, std::uint64_t wire_bytes,
+                              RetryPolicy policy, obs::OpId op,
+                              obs::Cat cat) {
+  // Zero-retry fast path: the send's own task, with no frame of ours, no
+  // timer and no RNG draw.
+  if (!policy.enabled()) return cluster->send(src, dst, wire_bytes, op, cat);
+  return retryLoop(cluster, src, dst, wire_bytes, policy, op, cat);
 }
 
 }  // namespace daosim::net

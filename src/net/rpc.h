@@ -37,9 +37,9 @@ inline constexpr std::uint64_t kSmallResponse = 256;
 // attempts are resent after a capped exponential backoff with half-jitter
 // from the kernel PRNG, and an exhausted budget surfaces RetryExhausted.
 // Only transient network faults (hw::NetworkDown, timeouts) are retried;
-// anything else propagates immediately. With a disabled policy this is
-// exactly one `co_await cluster.send(...)` — the zero-retry fast path the
-// conformance suite pins byte-for-byte.
+// anything else propagates immediately. With a disabled policy it returns
+// `cluster->send(...)`'s own task — the zero-retry fast path the
+// conformance suite pins byte-for-byte, which adds no coroutine frame.
 sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
                               hw::NodeId dst, std::uint64_t wire_bytes,
                               RetryPolicy policy, obs::OpId op, obs::Cat cat);

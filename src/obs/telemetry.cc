@@ -46,8 +46,9 @@ const char* Telemetry::kindName(Kind k) noexcept {
   return "?";
 }
 
-Telemetry::Telemetry(sim::Time interval)
+Telemetry::Telemetry(sim::Time interval, std::atomic<std::size_t>* samples)
     : interval_(interval > 0 ? interval : 1),
+      samples_(samples),
       epoch_(g_telemetry_epoch.fetch_add(1, std::memory_order_relaxed)) {}
 
 Telemetry::~Telemetry() {
@@ -74,6 +75,7 @@ Telemetry::Node* Telemetry::instrument(const std::string& path, Kind kind) {
   Node* n = nodes_.back().get();
   n->path = path;
   n->kind = kind;
+  n->first = times_.size();
   by_path_.emplace(path, n);
   return n;
 }
@@ -100,13 +102,20 @@ void Telemetry::attach(sim::Simulation& sim) {
   sim.setTelemetry(this, next_due_);
 }
 
-sim::Time Telemetry::sampleDue() {
-  // Only here, never in finish(): a destructor calls finish().
-  if (samples_ + nodes_.size() > kMaxSamples) {
+void Telemetry::checkSampleCeiling(std::size_t samples) {
+  if (samples > kMaxSamples) {
     throw std::runtime_error(
-        "telemetry: the run would hold more than " +
+        "telemetry: the runs would hold more than " +
         std::to_string(kMaxSamples) +
         " samples; raise --telemetry-interval (DAOSIM_TELEMETRY_INTERVAL)");
+  }
+}
+
+sim::Time Telemetry::sampleDue() {
+  // Only here, never in finish(): a destructor calls finish().
+  if (samples_ != nullptr) {
+    checkSampleCeiling(samples_->load(std::memory_order_relaxed) +
+                       nodes_.size());
   }
   sampleAt(next_due_);
   next_due_ += interval_;
@@ -124,9 +133,12 @@ void Telemetry::sampleAt(sim::Time t) {
       n.prev = cur;
     }
     n.value = cur;  // summary rows show the final cumulative/instant value
-    n.samples.emplace_back(t - t0_, v);
+    n.samples.push_back(v);
   }
-  samples_ += nodes_.size();
+  times_.push_back(t - t0_);
+  if (samples_ != nullptr) {
+    samples_->fetch_add(nodes_.size(), std::memory_order_relaxed);
+  }
   last_sample_ = t;
 }
 
@@ -143,8 +155,13 @@ void Telemetry::finish() {
     sim_ = nullptr;
   }
   // Probes reference run-scoped objects (devices, stations); drop them so a
-  // finished registry can safely outlive its testbed (TelemetryHub).
-  for (auto& up : nodes_) up->probe = nullptr;
+  // finished registry can safely outlive its testbed (TelemetryHub). A
+  // sweep keeps every finished registry, so it keeps no spare capacity.
+  for (auto& up : nodes_) {
+    up->probe = nullptr;
+    up->samples.shrink_to_fit();
+  }
+  times_.shrink_to_fit();
   finished_ = true;
 }
 
@@ -169,8 +186,9 @@ void Telemetry::writeCsvRows(std::ostream& os,
   }
   for (const auto& [path, n] : by_path_) {
     const std::string name = csvField(prefix + path);
-    for (const auto& [t, v] : n->samples) {
-      os << "series," << name << "," << t << "," << fmtNum(v) << "\n";
+    for (std::size_t i = 0; i < n->samples.size(); ++i) {
+      os << "series," << name << "," << times_[n->first + i] << ","
+         << fmtNum(n->samples[i]) << "\n";
     }
   }
 }

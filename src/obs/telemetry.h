@@ -36,6 +36,8 @@
 // what keeps serial and --jobs dumps byte-identical.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -69,14 +71,17 @@ class Telemetry {
   static const char* kindName(Kind k) noexcept;
 
   /// One metric node: a path, a current value (pushed or probed), and the
-  /// sampled time series (timestamps relative to attach).
+  /// sampled values. Every node is sampled at each of the registry's
+  /// sample times from its registration on, so `samples[i]` was taken at
+  /// `sampleTimes()[first + i]`.
   struct Node {
     std::string path;
     Kind kind = Kind::kGauge;
     double value = 0;                 // latest cumulative / instantaneous
     std::function<double()> probe;    // overrides `value` while sampling
     double prev = 0;                  // previous cumulative (rate bins)
-    std::vector<std::pair<sim::Time, double>> samples;
+    std::size_t first = 0;            // sampleTimes() index of samples[0]
+    std::vector<double> samples;
   };
 
   /// Stable push handle; never allocates after registration. A
@@ -99,7 +104,13 @@ class Telemetry {
     Node* n_ = nullptr;
   };
 
-  explicit Telemetry(sim::Time interval = 10 * sim::kMillisecond);
+  /// `samples`, when given, counts the samples (series points over all
+  /// nodes) the registry takes, and sampling fails once that count would
+  /// pass kMaxSamples. A sweep's runs share one count, since the sweep
+  /// keeps every run's registry until it ends (apps::SweepObservation). It
+  /// may be shared across threads and must outlive sampling.
+  explicit Telemetry(sim::Time interval = 10 * sim::kMillisecond,
+                     std::atomic<std::size_t>* samples = nullptr);
   ~Telemetry();
 
   Telemetry(Telemetry&&) noexcept = default;
@@ -128,7 +139,8 @@ class Telemetry {
   void detach();
   /// Emits every whole-bin sample up to the current simulated time plus a
   /// final partial bin, then drops all probe functions (safe to outlive the
-  /// probed objects). Idempotent; implied by detach().
+  /// probed objects) and any spare capacity of the series. Idempotent;
+  /// implied by detach().
   void finish();
 
   sim::Time interval() const noexcept { return interval_; }
@@ -140,13 +152,18 @@ class Telemetry {
   /// Samples the due boundary and returns the next one (absolute); called
   /// by the simulation kernel once its clock stands at the due boundary.
   /// Throws std::runtime_error, out of the simulation's run, once the
-  /// run's samples would pass kMaxSamples.
+  /// counted samples would pass kMaxSamples.
   sim::Time sampleDue();
 
-  /// The most samples (series points over all nodes) one run may hold;
-  /// an interval too fine for the run fails it instead of exhausting
+  /// The most samples a count may reach: 0.8 GB of values. Every figure
+  /// binary's default sweep stays under it at the default interval; an
+  /// interval too fine for the runs fails them instead of exhausting
   /// memory.
-  static constexpr std::size_t kMaxSamples = std::size_t{1} << 24;
+  static constexpr std::size_t kMaxSamples = 100'000'000;
+
+  /// Throws the ceiling's std::runtime_error, which names the interval
+  /// flag and variable, when `samples` pass kMaxSamples.
+  static void checkSampleCeiling(std::size_t samples);
 
   // --- inspection / export ---------------------------------------------
   const std::vector<std::unique_ptr<Node>>& nodes() const noexcept {
@@ -154,6 +171,10 @@ class Telemetry {
   }
   const Node* find(const std::string& path) const;
   std::size_t sampleCount() const noexcept;
+  /// Every sample time, relative to attach.
+  const std::vector<sim::Time>& sampleTimes() const noexcept {
+    return times_;
+  }
 
   /// Schema-versioned CSV dump (`# daosim-metrics schema=2`): summary rows
   /// (`kind,path,value,total`) followed by a time-series section
@@ -176,9 +197,10 @@ class Telemetry {
   sim::Time next_due_ = 0;     // absolute next boundary
   sim::Time last_sample_ = 0;  // absolute time of the previous sample
   bool finished_ = false;
-  std::size_t samples_ = 0;  // series points taken, over all nodes
+  std::atomic<std::size_t>* samples_;  // see the constructor; may be null
   sim::Simulation* sim_ = nullptr;
   std::uint64_t epoch_;
+  std::vector<sim::Time> times_;  // relative to attach, one per sample time
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::string, Node*> by_path_;
 };

@@ -458,7 +458,7 @@ sim::Task<Payload> InterceptVfs::pread(Fd fd, std::uint64_t offset,
 }
 
 sim::Task<FileStat> InterceptVfs::stat(std::string path) {
-  co_return co_await dfuse_.stat(std::move(path));
+  return dfuse_.stat(std::move(path));
 }
 
 sim::Task<FileStat> InterceptVfs::fstat(Fd fd) {
@@ -471,27 +471,27 @@ sim::Task<void> InterceptVfs::fsync(Fd) {
 }
 
 sim::Task<void> InterceptVfs::mkdir(std::string path) {
-  co_await dfuse_.mkdir(std::move(path));
+  return dfuse_.mkdir(std::move(path));
 }
 
 sim::Task<void> InterceptVfs::mkdirs(std::string path) {
-  co_await dfuse_.mkdirs(std::move(path));
+  return dfuse_.mkdirs(std::move(path));
 }
 
 sim::Task<void> InterceptVfs::unlink(std::string path) {
-  co_await dfuse_.unlink(std::move(path));
+  return dfuse_.unlink(std::move(path));
 }
 
 sim::Task<std::vector<std::string>> InterceptVfs::readdir(std::string path) {
-  co_return co_await dfuse_.readdir(std::move(path));
+  return dfuse_.readdir(std::move(path));
 }
 
 sim::Task<void> InterceptVfs::truncate(std::string path, std::uint64_t size) {
-  co_await dfuse_.truncate(std::move(path), size);
+  return dfuse_.truncate(std::move(path), size);
 }
 
 sim::Task<void> InterceptVfs::rename(std::string from, std::string to) {
-  co_await dfuse_.rename(std::move(from), std::move(to));
+  return dfuse_.rename(std::move(from), std::move(to));
 }
 
 }  // namespace daosim::posix

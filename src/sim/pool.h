@@ -6,6 +6,10 @@
 // lists: after warm-up, creating a task or spawning a process performs no
 // global allocation at all (see FramePool::threadStats in tests).
 //
+// A block carries no header: every owner frees it with the size it asked
+// for (the sized operator delete of the promise types and JoinState), and
+// the size names the bucket.
+//
 // Thread model: the pool is thread_local. A Simulation and everything it
 // spawns live on a single thread (sim::parallelMap runs each simulation
 // to completion on one thread), so blocks never migrate between pools in
@@ -29,7 +33,10 @@ class FramePool {
   };
 
   static void* allocate(std::size_t n) { return local().alloc(n); }
-  static void deallocate(void* p) noexcept { local().free(p); }
+  /// Frees a block from allocate(n); `n` must be the size it was given.
+  static void deallocate(void* p, std::size_t n) noexcept {
+    local().free(p, n);
+  }
 
   /// Allocation counters for the calling thread (tests assert steady-state
   /// reuse through these).
@@ -41,14 +48,10 @@ class FramePool {
   ~FramePool() { trim(); }
 
  private:
-  // Block layout: [16-byte header][payload]. The header stores the bucket
-  // index (or kOversize) and doubles as the free-list link; 16 bytes keeps
-  // the payload at the default operator-new alignment coroutine frames
-  // require.
-  static constexpr std::size_t kHeader = 16;
+  // Bucket i holds blocks of (i + 1) * kGranularity bytes; a free block's
+  // first word links the free list. Larger requests go to ::operator new.
   static constexpr std::size_t kGranularity = 64;
-  static constexpr std::size_t kBucketCount = 64;  // payloads up to 4 KiB
-  static constexpr std::uint64_t kOversize = ~std::uint64_t{0};
+  static constexpr std::size_t kBucketCount = 64;  // blocks up to 4 KiB
 
   struct FreeNode {
     FreeNode* next;
@@ -59,51 +62,45 @@ class FramePool {
     return pool;
   }
 
+  static std::size_t bucket(std::size_t n) noexcept {
+    return n == 0 ? 0 : (n - 1) / kGranularity;
+  }
+
   void* alloc(std::size_t n) {
     ++stats_.allocs;
-    if (n == 0) n = 1;
-    const std::size_t idx = (n - 1) / kGranularity;
+    const std::size_t idx = bucket(n);
     if (idx >= kBucketCount) {
       ++stats_.oversize;
-      return stamp(::operator new(kHeader + n), kOversize);
+      return ::operator new(n);
     }
     if (FreeNode* node = free_[idx]) {
       free_[idx] = node->next;
       ++stats_.reuses;
-      return stamp(node, idx);
+      return node;
     }
     ++stats_.fresh;
-    return stamp(::operator new(kHeader + (idx + 1) * kGranularity), idx);
+    return ::operator new((idx + 1) * kGranularity);
   }
 
-  void free(void* p) noexcept {
+  void free(void* p, std::size_t n) noexcept {
     if (p == nullptr) return;
-    auto* head =
-        reinterpret_cast<std::uint64_t*>(static_cast<char*>(p) - kHeader);
-    const std::uint64_t idx = head[0];
-    if (idx == kOversize) {
-      ::operator delete(head);
+    const std::size_t idx = bucket(n);
+    if (idx >= kBucketCount) {
+      ::operator delete(p, n);
       return;
     }
-    auto* node = reinterpret_cast<FreeNode*>(head);
+    auto* node = static_cast<FreeNode*>(p);
     node->next = free_[idx];
     free_[idx] = node;
   }
 
   void trim() noexcept {
-    for (auto& list : free_) {
-      while (list != nullptr) {
-        FreeNode* next = list->next;
-        ::operator delete(list);
-        list = next;
+    for (std::size_t i = 0; i < kBucketCount; ++i) {
+      while (FreeNode* node = free_[i]) {
+        free_[i] = node->next;
+        ::operator delete(node, (i + 1) * kGranularity);
       }
     }
-  }
-
-  static void* stamp(void* block, std::uint64_t idx) noexcept {
-    auto* head = static_cast<std::uint64_t*>(block);
-    head[0] = idx;
-    return static_cast<char*>(block) + kHeader;
   }
 
   FreeNode* free_[kBucketCount] = {};

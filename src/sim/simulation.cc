@@ -18,8 +18,7 @@ void JoinState::complete(std::exception_ptr e) {
   error = std::move(e);
   // Resume joiners through the scheduler (never inline) so completion order
   // stays FIFO-deterministic and stacks stay shallow.
-  for (auto h : waiters) sim->scheduleAt(sim->now(), h);
-  waiters.clear();
+  waiters.wakeAll(*sim);
 }
 
 }  // namespace detail

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <exception>
 #include <utility>
-#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/pool.h"
@@ -37,6 +36,54 @@ class Simulation;
 
 namespace detail {
 
+/// Intrusive FIFO of suspended coroutines. Each entry is a Waiter member
+/// of the awaiter that suspended its coroutine, so it lives in that
+/// coroutine's frame until the coroutine resumes: queueing allocates
+/// nothing. A list never owns its entries, and neither destroying a list
+/// nor destroying a waiting frame touches the other.
+class WaitList {
+ public:
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    Waiter* next = nullptr;
+  };
+
+  bool empty() const noexcept { return head_ == nullptr; }
+  std::size_t size() const noexcept { return size_; }
+
+  /// Queues `h` behind every earlier waiter, using `w` as its entry.
+  void push(Waiter& w, std::coroutine_handle<> h) noexcept {
+    w.handle = h;
+    w.next = nullptr;
+    if (tail_ != nullptr) {
+      tail_->next = &w;
+    } else {
+      head_ = &w;
+    }
+    tail_ = &w;
+    ++size_;
+  }
+
+  /// Removes and returns the oldest waiter (the list must not be empty).
+  std::coroutine_handle<> pop() noexcept {
+    assert(head_ != nullptr);
+    Waiter* w = head_;
+    head_ = w->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    --size_;
+    return w->handle;
+  }
+
+  /// Schedules every waiter at sim's current time, oldest first, and
+  /// empties the list.
+  void wakeAll(Simulation& sim);
+
+ private:
+  Waiter* head_ = nullptr;
+  Waiter* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 /// Shared completion state of a spawned process. Intrusively refcounted and
 /// pool-allocated so spawning is allocation-free in steady state; a
 /// Simulation and all its handles live on one thread, so the count is plain.
@@ -44,13 +91,15 @@ struct JoinState {
   explicit JoinState(Simulation& s) : sim(&s) {}
 
   static void* operator new(std::size_t n) { return FramePool::allocate(n); }
-  static void operator delete(void* p) noexcept { FramePool::deallocate(p); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
 
   Simulation* sim;
   std::uint32_t refs = 1;  // the creating JoinRef adopts this count
   bool done = false;
   std::exception_ptr error;
-  std::vector<std::coroutine_handle<>> waiters;
+  WaitList waiters;  // joiners of an unfinished process
 
   void complete(std::exception_ptr e);
 };
@@ -90,8 +139,8 @@ class JoinRef {
 struct Root {
   struct promise_type {
     static void* operator new(std::size_t n) { return FramePool::allocate(n); }
-    static void operator delete(void* p) noexcept {
-      FramePool::deallocate(p);
+    static void operator delete(void* p, std::size_t n) noexcept {
+      FramePool::deallocate(p, n);
     }
 
     /// Receives the coroutine's arguments (Simulation::runRoot's).
@@ -135,10 +184,11 @@ class ProcHandle {
   auto join() const noexcept {
     struct Awaiter {
       detail::JoinState* state;
+      detail::WaitList::Waiter entry{};
 
       bool await_ready() const noexcept { return state->done; }
-      void await_suspend(std::coroutine_handle<> h) const {
-        state->waiters.push_back(h);
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        state->waiters.push(entry, h);
       }
       void await_resume() const {
         if (state->error) std::rethrow_exception(state->error);
@@ -267,6 +317,10 @@ class Simulation {
 };
 
 namespace detail {
+
+inline void WaitList::wakeAll(Simulation& sim) {
+  while (!empty()) sim.scheduleAt(sim.now(), pop());
+}
 
 inline Root::promise_type::promise_type(const JoinRef& state,
                                         const Task<void>& /*task*/) noexcept

@@ -5,13 +5,13 @@
 // deterministic and bounds native stack depth. Semaphore uses hand-off
 // semantics: release() grants the permit directly to the oldest waiter, so
 // queueing is strictly fair (no barging) — important for the queueing-station
-// models built on top of it.
+// models built on top of it. Waiters queue in a detail::WaitList linked
+// through their awaiters, so no primitive allocates, to build or to wait.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -35,16 +35,16 @@ class Event {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) sim_->scheduleAt(sim_->now(), h);
-    waiters_.clear();
+    waiters_.wakeAll(*sim_);
   }
 
   auto wait() noexcept {
     struct Awaiter {
       Event* ev;
+      detail::WaitList::Waiter entry{};
       bool await_ready() const noexcept { return ev->set_; }
-      void await_suspend(std::coroutine_handle<> h) const {
-        ev->waiters_.push_back(h);
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        ev->waiters_.push(entry, h);
       }
       void await_resume() const noexcept {}
     };
@@ -54,7 +54,7 @@ class Event {
  private:
   Simulation* sim_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Counting semaphore with FIFO hand-off.
@@ -73,6 +73,7 @@ class Semaphore {
   auto acquire() noexcept {
     struct Awaiter {
       Semaphore* sem;
+      detail::WaitList::Waiter entry{};
       bool await_ready() const noexcept {
         if (sem->count_ > 0) {
           --sem->count_;
@@ -80,8 +81,8 @@ class Semaphore {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) const {
-        sem->waiters_.push_back(h);
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        sem->waiters_.push(entry, h);
       }
       void await_resume() const noexcept {}
     };
@@ -91,9 +92,7 @@ class Semaphore {
   /// Returns a permit; if a coroutine is queued, hands it over directly.
   void release() {
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_->scheduleAt(sim_->now(), h);
+      sim_->scheduleAt(sim_->now(), waiters_.pop());
     } else {
       ++count_;
     }
@@ -102,7 +101,7 @@ class Semaphore {
  private:
   Simulation* sim_;
   std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Cyclic barrier for a fixed number of participants.
@@ -119,16 +118,16 @@ class Barrier {
   auto arriveAndWait() noexcept {
     struct Awaiter {
       Barrier* b;
+      detail::WaitList::Waiter entry{};
       bool await_ready() const noexcept { return b->parties_ == 1; }
-      bool await_suspend(std::coroutine_handle<> h) const {
+      bool await_suspend(std::coroutine_handle<> h) {
         if (b->waiters_.size() + 1 == b->parties_) {
           // Last arrival releases everyone; it does not suspend.
-          for (auto w : b->waiters_) b->sim_->scheduleAt(b->sim_->now(), w);
-          b->waiters_.clear();
+          b->waiters_.wakeAll(*b->sim_);
           ++b->generation_;
           return false;
         }
-        b->waiters_.push_back(h);
+        b->waiters_.push(entry, h);
         return true;
       }
       void await_resume() const noexcept {}
@@ -142,7 +141,7 @@ class Barrier {
   Simulation* sim_;
   std::size_t parties_;
   std::uint64_t generation_ = 0;
-  std::vector<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Runs tasks concurrently, one spawned process each (even for a single

@@ -29,9 +29,12 @@ namespace detail {
 class TaskPromiseBase {
  public:
   // Coroutine frames are allocated through the per-thread FramePool, so a
-  // task creation in steady state touches no global allocator.
+  // task creation in steady state touches no global allocator. The sized
+  // delete gets the frame's size back, which names its pool bucket.
   static void* operator new(std::size_t n) { return FramePool::allocate(n); }
-  static void operator delete(void* p) noexcept { FramePool::deallocate(p); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }

@@ -1,12 +1,16 @@
 // Kernel-performance invariants: the event queue's exact (time, seq)
 // ordering contract across its now-FIFO and heap, the pooled frame
-// allocator's steady-state reuse, ProcHandle's intrusive join-state
-// lifetime, the release-build scheduleAt clamp, and serial-vs-parallel
-// sweep determinism.
+// allocator's steady-state reuse and sized oversize path, waits that
+// allocate nothing, forwarding calls that add no frame, ProcHandle's
+// intrusive join-state lifetime, the release-build scheduleAt clamp, and
+// serial-vs-parallel sweep determinism.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <queue>
 #include <random>
 #include <stdexcept>
@@ -17,10 +21,14 @@
 #include "apps/ior.h"
 #include "apps/runner.h"
 #include "apps/testbed.h"
+#include "hw/cluster.h"
+#include "net/rpc.h"
 #include "sim/event_queue.h"
 #include "sim/parallel.h"
 #include "sim/pool.h"
+#include "sim/queue_station.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -160,27 +168,203 @@ TEST(Simulation, PastScheduleIsClampedAndCounted) {
 
 // --- Pooled frames: steady-state spawning allocates nothing fresh --------
 
+using sim::detail::FramePool;
+
+long long heapBytes() { return static_cast<long long>(mallinfo2().uordblks); }
+
+Task<int> child(Simulation& s) {
+  co_await s.delay(2_us);
+  co_return 1;
+}
+
+// Takes the station (handing it off FIFO to the next process), then spawns
+// a child and joins it while the child is still running.
+Task<void> steadyProcess(Simulation& s, sim::QueueStation& st) {
+  co_await s.delay(1_us);
+  co_await st.exec(1_us);
+  sim::ProcHandle h = s.spawn([](Simulation& s2) -> Task<void> {
+    co_await s2.delay(1_us);
+  }(s));
+  co_await h.join();
+  co_await child(s);
+}
+
 TEST(FramePool, SteadyStateSpawningReusesFrames) {
   Simulation simu;
+  sim::QueueStation st(simu, "st", 1);
+  // Returns the heap bytes while 63 processes wait for the station.
   auto spawnBatch = [&] {
-    for (int i = 0; i < 64; ++i) {
-      simu.spawn([](Simulation& s) -> Task<void> {
-        co_await s.delay(1_us);
-        co_await [](Simulation& s2) -> Task<int> {
-          co_await s2.delay(1_us);
-          co_return 1;
-        }(s);
-      }(simu));
-    }
+    for (int i = 0; i < 64; ++i) simu.spawn(steadyProcess(simu, st));
+    simu.runUntil(simu.now() + 1500);  // 1.5 us in: one holds the station
+    EXPECT_EQ(st.queueLength(), 63u);
+    const long long queued = heapBytes();
     simu.run();
+    return queued;
   };
-  spawnBatch();  // warm the pool
-  const auto before = sim::detail::FramePool::threadStats();
-  spawnBatch();  // identical shape: frames must come from the free lists
-  const auto after = sim::detail::FramePool::threadStats();
+  spawnBatch();  // warm the pool and the event queue
+  const auto before = FramePool::threadStats();
+  const long long heap0 = heapBytes();
+  const long long queued_growth = spawnBatch() - heap0;  // identical shape
+  const long long growth = heapBytes() - heap0;
+  const auto after = FramePool::threadStats();
   EXPECT_GT(after.allocs, before.allocs);
   EXPECT_GT(after.reuses, before.reuses);
   EXPECT_EQ(after.fresh, before.fresh) << "steady-state batch hit malloc";
+  EXPECT_EQ(queued_growth, 0) << "waiting allocated";
+  EXPECT_EQ(growth, 0);
+}
+
+// A frame larger than the largest bucket comes from ::operator new and
+// goes back through the sized ::operator delete with its own size (an ASan
+// build checks the size matches).
+Task<int> bigFrame(Simulation& s) {
+  std::array<unsigned char, 6000> buf;
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 7);
+  }
+  co_await s.delay(1_us);  // buf lives across the suspension, in the frame
+  int sum = 0;
+  for (unsigned char c : buf) sum += c;
+  co_return sum;
+}
+
+TEST(FramePool, OversizeFrameRoundTripsThroughSizedDelete) {
+  int expect = 0;
+  for (std::size_t i = 0; i < 6000; ++i) {
+    expect += static_cast<unsigned char>(i * 7);
+  }
+  Simulation simu;
+  int got = 0;
+  const auto before = FramePool::threadStats();
+  simu.spawn([](Simulation& s, int& out) -> Task<void> {
+    out = co_await bigFrame(s);
+  }(simu, got));
+  simu.run();
+  const auto after = FramePool::threadStats();
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(after.oversize, before.oversize + 1);
+}
+
+// --- Waits allocate nothing ----------------------------------------------
+
+Task<void> useStation(sim::QueueStation& st) { co_await st.exec(1_us); }
+
+TEST(WaitList, QueueStationBuildsAndQueuesWithoutHeap) {
+  Simulation simu;
+  // Warm the frame pool and the event queue with the same shape.
+  {
+    sim::QueueStation warm(simu, "st", 1);
+    for (int i = 0; i < 1000; ++i) simu.spawn(useStation(warm));
+    simu.run();
+  }
+  // Many stations: glibc's per-thread cache keeps a few freed blocks
+  // counted as in use, so a handful of builds could hide an allocation.
+  std::array<std::optional<sim::QueueStation>, 64> stations;
+  const long long heap0 = heapBytes();
+  for (auto& st : stations) st.emplace(simu, "st", 1);
+  EXPECT_EQ(heapBytes() - heap0, 0) << "building a station allocated";
+  sim::QueueStation& st = *stations.front();
+  for (int i = 0; i < 1000; ++i) simu.spawn(useStation(st));
+  EXPECT_EQ(st.queueLength(), 999u);
+  EXPECT_EQ(heapBytes() - heap0, 0) << "queueing 1,000 waiters allocated";
+  simu.run();
+  EXPECT_EQ(st.ops(), 1000u);
+  EXPECT_EQ(simu.now(), 2000_us);
+}
+
+Task<void> awaitEvent(sim::Event& ev, int& woken) {
+  co_await ev.wait();
+  ++woken;
+}
+
+Task<void> arrive(sim::Barrier& b, int& passed) {
+  co_await b.arriveAndWait();
+  ++passed;
+}
+
+Task<void> joinProc(sim::ProcHandle h, int& joined) {
+  co_await h.join();
+  ++joined;
+}
+
+Task<void> sleeper(Simulation& s) { co_await s.delay(5_us); }
+
+TEST(WaitList, EventBarrierAndJoinWaitWithoutHeap) {
+  constexpr int kWaiters = 200;
+  Simulation simu;
+  int woken = 0;
+  int passed = 0;
+  int joined = 0;
+  auto round = [&](bool measure) {
+    sim::Event ev(simu);
+    sim::Barrier barrier(simu, kWaiters + 1);
+    const sim::ProcHandle running = simu.spawn(sleeper(simu));
+    const long long heap0 = heapBytes();
+    for (int i = 0; i < kWaiters; ++i) {
+      simu.spawn(awaitEvent(ev, woken));
+      simu.spawn(arrive(barrier, passed));
+      simu.spawn(joinProc(running, joined));
+    }
+    if (measure) {
+      EXPECT_EQ(heapBytes() - heap0, 0) << "a wait allocated";
+    }
+    EXPECT_EQ(woken + passed + joined, 0);
+    ev.set();
+    simu.spawn(arrive(barrier, passed));
+    simu.run();
+    EXPECT_TRUE(running.done());
+  };
+  round(false);  // warm the frame pool and the event queue
+  woken = passed = joined = 0;
+  round(true);
+  EXPECT_EQ(woken, kWaiters);
+  EXPECT_EQ(passed, kWaiters + 1);
+  EXPECT_EQ(joined, kWaiters);
+}
+
+// Wakes keep FIFO order: the oldest waiter of each primitive runs first.
+TEST(WaitList, WakesInArrivalOrder) {
+  Simulation simu;
+  sim::QueueStation st(simu, "st", 1);
+  sim::Event ev(simu);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    simu.spawn([](sim::QueueStation& q, sim::Event& e, std::vector<int>& out,
+                  int id) -> Task<void> {
+      co_await e.wait();
+      co_await q.exec(1_us);
+      out.push_back(id);
+    }(st, ev, order, i));
+  }
+  ev.set();
+  simu.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// --- Forwarding calls add no coroutine frame ------------------------------
+
+Task<void> bareSend(hw::Cluster* c) { co_await c->send(0, 1, 4096); }
+
+Task<void> disabledRequest(hw::Cluster* c) {
+  co_await net::request(*c, 0, 1, 4096 - net::kSmallRequest);
+}
+
+std::uint64_t poolAllocsOf(Task<void> (*make)(hw::Cluster*)) {
+  Simulation simu;
+  hw::Cluster cluster(simu);
+  cluster.addNodes(hw::NodeSpec{}, 2);
+  const std::uint64_t before = FramePool::threadStats().allocs;
+  simu.spawn(make(&cluster));
+  simu.run();
+  EXPECT_EQ(cluster.messages(), 1u);
+  EXPECT_EQ(cluster.bytesSent(), 4096u);
+  return FramePool::threadStats().allocs - before;
+}
+
+TEST(FramePool, DisabledPolicyRequestCostsABareSendsFrames) {
+  const std::uint64_t send = poolAllocsOf(bareSend);
+  EXPECT_GT(send, 0u);
+  EXPECT_EQ(poolAllocsOf(disabledRequest), send);
 }
 
 // --- ProcHandle: intrusive refcount keeps join state alive ---------------

@@ -140,10 +140,17 @@ Task<void> acquireIn(Semaphore* sem, int* n) {
   co_await sem->acquire();
 }
 
-TEST(Simulation, DestructionFreesSuspendedProcesses) {
+// Tears a Simulation down while processes wait on every primitive. Each
+// suspended frame is destroyed once (no leak under LeakSanitizer), and no
+// waiter list is walked once its frames are gone (no use-after-free under
+// AddressSanitizer), whether the primitives die before the Simulation or
+// outlive it.
+void destroyWithWaiters(bool primitives_die_first) {
   int dtors = 0;
   std::optional<Simulation> sim(std::in_place);
-  Semaphore sem(*sim, 0);  // never released
+  std::optional<Semaphore> sem(std::in_place, *sim, 0);  // never released
+  std::optional<Event> ev(std::in_place, *sim);           // never set
+  std::optional<Barrier> barrier(std::in_place, *sim, 3);  // two arrive
   auto observer = std::make_unique<obs::Observer>();
   observer->attach(*sim);
   sim->spawn([](Simulation& s, int& n) -> Task<void> {  // livelocked
@@ -153,7 +160,7 @@ TEST(Simulation, DestructionFreesSuspendedProcesses) {
   ProcHandle waiter = sim->spawn([](Semaphore& sm, int& n) -> Task<void> {
     DtorCount c{&n};
     co_await acquireIn(&sm, &n);  // a two-frame task chain
-  }(sem, dtors));
+  }(*sem, dtors));
   sim->spawn([](ProcHandle h, int& n) -> Task<void> {  // pending join
     DtorCount c{&n};
     co_await h.join();
@@ -162,15 +169,36 @@ TEST(Simulation, DestructionFreesSuspendedProcesses) {
     auto op = obs::beginOp(s, "test.op", 0, "proc");
     DtorCount c{&n};
     co_await sm.acquire();
-  }(*sim, sem, dtors));
+  }(*sim, *sem, dtors));
+  sim->spawn([](Event& e, int& n) -> Task<void> {
+    DtorCount c{&n};
+    co_await e.wait();
+  }(*ev, dtors));
+  for (int i = 0; i < 2; ++i) {
+    sim->spawn([](Barrier& b, int& n) -> Task<void> {
+      DtorCount c{&n};
+      co_await b.arriveAndWait();
+    }(*barrier, dtors));
+  }
   EXPECT_THROW(sim->run(1000), std::runtime_error);
   EXPECT_EQ(dtors, 0);
+  if (primitives_die_first) {
+    sem.reset();
+    ev.reset();
+    barrier.reset();
+    EXPECT_EQ(dtors, 0);
+  }
   // The open op's observer leaves first: closing its scope must not touch
   // the freed observer.
   observer.reset();
   sim.reset();
-  EXPECT_EQ(dtors, 5);
+  EXPECT_EQ(dtors, 8);
   EXPECT_FALSE(waiter.done());
+}
+
+TEST(Simulation, DestructionFreesSuspendedProcesses) {
+  destroyWithWaiters(false);
+  destroyWithWaiters(true);
 }
 
 TEST(Event, WakesAllWaiters) {

@@ -8,6 +8,7 @@
 // byte-identical hub dumps for serial vs parallel sweeps.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -56,9 +57,8 @@ TEST(TelemetrySampler, IntervalNotDividingRunEmitsPartialFinalBin) {
   t.finish();
   const Telemetry::Node* n = t.find("g");
   ASSERT_NE(n, nullptr);
-  std::vector<Time> at;
-  for (const auto& [ts, v] : n->samples) at.push_back(ts);
-  EXPECT_EQ(at, (std::vector<Time>{10_ms, 20_ms, 25_ms}));
+  EXPECT_EQ(n->samples.size(), 3u);
+  EXPECT_EQ(t.sampleTimes(), (std::vector<Time>{10_ms, 20_ms, 25_ms}));
 }
 
 TEST(TelemetrySampler, ZeroLengthRunHasNoSamples) {
@@ -80,7 +80,7 @@ TEST(TelemetrySampler, IntervalLongerThanRunYieldsOnePartialSample) {
   t.finish();
   const Telemetry::Node* n = t.find("g");
   ASSERT_EQ(n->samples.size(), 1u);
-  EXPECT_EQ(n->samples[0].first, 5_ms);
+  EXPECT_EQ(t.sampleTimes()[n->first], 5_ms);
 }
 
 TEST(TelemetrySampler, FinishIsIdempotent) {
@@ -109,8 +109,7 @@ TEST(TelemetrySampler, ProbesReadTheClockAtEachBoundary) {
   const Telemetry::Node* n = t.find("now_ms");
   ASSERT_EQ(n->samples.size(), 5u);
   for (std::size_t i = 0; i < n->samples.size(); ++i) {
-    EXPECT_NEAR(n->samples[i].second, 10.0 * static_cast<double>(i + 1),
-                1e-9);
+    EXPECT_NEAR(n->samples[i], 10.0 * static_cast<double>(i + 1), 1e-9);
   }
 }
 
@@ -128,8 +127,64 @@ TEST(TelemetrySampler, AttachTimeIsTheSeriesOrigin) {
   t.finish();
   const Telemetry::Node* n = t.find("g");
   ASSERT_EQ(n->samples.size(), 2u);
-  EXPECT_EQ(n->samples[0].first, 10_ms);
-  EXPECT_EQ(n->samples[1].first, 15_ms);
+  EXPECT_EQ(t.sampleTimes(), (std::vector<Time>{10_ms, 15_ms}));
+}
+
+// A node registered mid-run starts at the next sample time: its rows in
+// the dump carry the times it was sampled at, not the registry's first.
+TEST(TelemetrySampler, NodeRegisteredMidRunStartsAtItsFirstSample) {
+  Simulation sim;
+  Telemetry t(10_ms);
+  t.gauge("a").set(1);
+  t.attach(sim);
+  sim.spawn([](Simulation* s, Telemetry* tel) -> Task<void> {
+    co_await s->delay(15_ms);
+    tel->gauge("b").set(2);
+    co_await s->delay(10_ms);
+  }(&sim, &t));
+  sim.run();
+  t.finish();
+  EXPECT_EQ(t.sampleTimes(), (std::vector<Time>{10_ms, 20_ms, 25_ms}));
+  const Telemetry::Node* b = t.find("b");
+  ASSERT_EQ(b->samples.size(), 2u);
+  EXPECT_EQ(b->first, 1u);
+  std::ostringstream os;
+  t.writeCsv(os);
+  EXPECT_NE(os.str().find("series,a,10000000,1\n"), std::string::npos);
+  EXPECT_NE(os.str().find("series,b,20000000,2\nseries,b,25000000,2\n"),
+            std::string::npos)
+      << os.str();
+}
+
+// Registries that share a count (the runs of one sweep) stop sampling once
+// their samples together would pass the ceiling; the error names the
+// interval variable.
+TEST(TelemetrySampler, SharedCountStopsSamplingAtTheCeiling) {
+  std::atomic<std::size_t> count{Telemetry::kMaxSamples - 6};
+  Simulation sim_a;
+  Telemetry a(1_ms, &count);
+  a.gauge("x");
+  a.gauge("y");
+  a.attach(sim_a);
+  sim_a.spawn(idleUntil(&sim_a, 2_ms + 500_us));
+  sim_a.run();
+  a.finish();  // two whole bins and a partial one, two nodes each
+  EXPECT_EQ(count.load(), Telemetry::kMaxSamples);
+  Simulation sim_b;
+  Telemetry b(1_ms, &count);
+  b.gauge("x");
+  b.attach(sim_b);
+  sim_b.spawn(idleUntil(&sim_b, 10_ms));
+  try {
+    sim_b.run();
+    FAIL() << "sampling passed the ceiling";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("DAOSIM_TELEMETRY_INTERVAL"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(b.sampleCount(), 0u);
+  EXPECT_EQ(count.load(), Telemetry::kMaxSamples);
 }
 
 // --- rate windowing --------------------------------------------------------
@@ -160,11 +215,11 @@ TEST(TelemetryRate, PerBinDeltaOverActualBinWidth) {
   const Telemetry::Node* n = t.find("bytes");
   ASSERT_EQ(n->samples.size(), 3u);
   // Whole 10ms bins: 10 ticks * 1000 / 0.01s.
-  EXPECT_DOUBLE_EQ(n->samples[0].second, 1e6);
-  EXPECT_DOUBLE_EQ(n->samples[1].second, 1e6);
+  EXPECT_DOUBLE_EQ(n->samples[0], 1e6);
+  EXPECT_DOUBLE_EQ(n->samples[1], 1e6);
   // Partial 5ms bin divides by its real width, so the rate is unchanged.
-  EXPECT_EQ(n->samples[2].first, 25_ms);
-  EXPECT_DOUBLE_EQ(n->samples[2].second, 1e6);
+  EXPECT_EQ(t.sampleTimes()[n->first + 2], 25_ms);
+  EXPECT_DOUBLE_EQ(n->samples[2], 1e6);
   // Summary keeps the cumulative total, not the rate.
   EXPECT_DOUBLE_EQ(n->value, 25000.0);
 }
@@ -181,8 +236,8 @@ TEST(TelemetryRate, ProbeBusySecondsSampleAsUtilization) {
   t.finish();
   const Telemetry::Node* n = t.find("st/busy_frac");
   ASSERT_EQ(n->samples.size(), 2u);
-  EXPECT_NEAR(n->samples[0].second, 0.4, 1e-12);
-  EXPECT_NEAR(n->samples[1].second, 0.4, 1e-12);
+  EXPECT_NEAR(n->samples[0], 0.4, 1e-12);
+  EXPECT_NEAR(n->samples[1], 0.4, 1e-12);
 }
 
 TEST(TelemetryRate, FirstBinCountsOnlyWhatFollowsAttach) {
@@ -206,7 +261,7 @@ TEST(TelemetryRate, FirstBinCountsOnlyWhatFollowsAttach) {
   for (const char* path : {"before", "after"}) {
     const Telemetry::Node* n = t.find(path);
     ASSERT_EQ(n->samples.size(), 1u) << path;
-    EXPECT_DOUBLE_EQ(n->samples[0].second, 1e6) << path;
+    EXPECT_DOUBLE_EQ(n->samples[0], 1e6) << path;
   }
 }
 
@@ -516,10 +571,11 @@ TEST(TelemetryProbes, SaturatedNvmeBusyFracNeverExceedsOne) {
   std::string hottest;
   for (const auto& n : t.nodes()) {
     if (!n->path.ends_with("/nvme/busy_frac")) continue;
-    for (const auto& [at, v] : n->samples) {
-      if (v > peak) {
-        peak = v;
-        hottest = n->path + " at " + std::to_string(at) + " ns";
+    for (std::size_t i = 0; i < n->samples.size(); ++i) {
+      if (n->samples[i] > peak) {
+        peak = n->samples[i];
+        hottest = n->path + " at " +
+                  std::to_string(t.sampleTimes()[n->first + i]) + " ns";
       }
     }
   }
@@ -551,10 +607,11 @@ TEST(TelemetryProbes, EveryBusyFracBinIsAtMostOne) {
   std::string hottest;
   for (const auto& n : t.nodes()) {
     if (!n->path.ends_with("/busy_frac")) continue;
-    for (const auto& [at, v] : n->samples) {
-      if (v > peak) {
-        peak = v;
-        hottest = n->path + " at " + std::to_string(at) + " ns";
+    for (std::size_t i = 0; i < n->samples.size(); ++i) {
+      if (n->samples[i] > peak) {
+        peak = n->samples[i];
+        hottest = n->path + " at " +
+                  std::to_string(t.sampleTimes()[n->first + i]) + " ns";
       }
     }
   }
