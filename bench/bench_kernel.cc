@@ -1,7 +1,8 @@
 // Kernel microbenchmarks: raw event-loop throughput, independent of any
-// storage model, plus the one placement call every object handle makes.
-// These are the numbers the pooled frame allocator, the event queue (a
-// now-FIFO plus one heap) and computed layouts move (see DESIGN.md "Kernel
+// storage model, plus the placement call every object handle makes and
+// the VOS record lookup behind every I/O. These are the numbers the pooled
+// frame allocator, the event queue (a now-FIFO plus one heap), computed
+// layouts and the hashed record index move (see DESIGN.md "Kernel
 // performance" and "Implementation notes"); before/after results live in
 // BENCH_kernel.json.
 //
@@ -10,9 +11,15 @@
 //   timer_churn     — wide-range random timers (stresses heap ordering)
 //   handoff_per_sec — semaphore hand-offs at equal timestamps (now-FIFO)
 //   compute_layout  — one SX layout over a healthy pool of N targets
+//   vos_lookup      — one extent read from a target store, past the L2
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "placement/layout.h"
 #include "sim/queue_station.h"
@@ -21,6 +28,7 @@
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "sim/time.h"
+#include "vos/target_store.h"
 
 namespace {
 
@@ -135,6 +143,51 @@ void BM_ComputeLayout(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ComputeLayout)->Arg(2048);
+
+// ior_bulk's per-target VOS shape: 256 target stores, each holding 300
+// size-only 1 MiB extents over 180 objects (chunk dkeys, akey "0"), about
+// 11 MB in all. Each item reads one stored record, in a seeded random
+// (store, record) order, so a lookup mostly misses the cache, as in a run.
+void BM_VosLookup(benchmark::State& state) {
+  constexpr std::uint64_t kStores = 256;
+  constexpr std::uint64_t kRecords = 300;
+  constexpr std::uint64_t kObjects = 180;
+  constexpr std::uint64_t kMiB = 1 << 20;
+  const auto oid = [](std::uint64_t store, std::uint64_t record) {
+    return placement::makeOid(placement::ObjClass::SX,
+                              store * kObjects + record % kObjects + 1);
+  };
+  const std::string dkeys[] = {vos::u64Dkey(0), vos::u64Dkey(1)};
+  std::vector<std::unique_ptr<vos::TargetStore>> stores;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
+  for (std::uint64_t s = 0; s < kStores; ++s) {
+    stores.push_back(std::make_unique<vos::TargetStore>(/*retain_data=*/false));
+    for (std::uint64_t r = 0; r < kRecords; ++r) {
+      stores.back()->extentWrite(1, oid(s, r), dkeys[r / kObjects], "0", 0,
+                                 vos::Payload::synthetic(kMiB, r));
+      order.emplace_back(s, r);
+    }
+  }
+  sim::Rng rng(13);
+  std::shuffle(order.begin(), order.end(), rng);
+  std::size_t next = 0;
+  std::uint64_t found = 0;
+  for (auto _ : state) {
+    const auto [s, r] = order[next];
+    next = next + 1 == order.size() ? 0 : next + 1;
+    const std::uint64_t got =
+        stores[s]
+            ->extentRead(1, oid(s, r), dkeys[r / kObjects], "0", 0, kMiB)
+            .bytes_found;
+    benchmark::DoNotOptimize(got);
+    found += got;
+  }
+  if (found != kMiB * static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a stored record was not found");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_VosLookup);
 
 }  // namespace
 

@@ -110,14 +110,18 @@ sim::Task<void> Engine::arrayShardTruncate(int tgt, ContId c,
   co_await t.xstream().exec(cfg_->engine.rpc_cpu + 2 * cfg_->engine.kv_cpu,
                             op);
   co_await t.device().write(cfg_->engine.wal_bytes, op);
-  for (const auto& dkey : t.store().listDkeys(c, o)) {
-    if (dkey.size() != 8) continue;
+  // One walk punches every chunk past the new size and finds the chunk it
+  // cuts, if that chunk holds a record.
+  std::string cut;
+  t.store().punchDkeys(c, o, [&](std::string_view dkey) {
+    if (dkey.size() != 8) return false;  // not an array chunk dkey
     const std::uint64_t base = vos::dkeyU64(dkey) * chunk_size;
-    if (base >= new_size) {
-      t.store().punchDkey(c, o, dkey);
-    } else if (base + chunk_size > new_size) {
-      t.store().extentTruncate(c, o, dkey, "0", new_size - base);
-    }
+    if (base < new_size && base + chunk_size > new_size) cut = dkey;
+    return base >= new_size;
+  });
+  if (!cut.empty()) {
+    t.store().extentTruncate(c, o, cut, "0",
+                             new_size - vos::dkeyU64(cut) * chunk_size);
   }
 }
 

@@ -1,8 +1,9 @@
 #include "obs/telemetry.h"
 
 #include <atomic>
+#include <charconv>
+#include <iterator>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -16,12 +17,18 @@ std::atomic<std::uint64_t> g_telemetry_epoch{1};
 
 /// Deterministic double formatting for dumps: 15 significant digits keeps
 /// every value we emit (ns-derived seconds, byte totals, fractions)
-/// round-trippable while printing small fractions compactly.
-std::string fmtNum(double v) {
-  std::ostringstream ss;
-  ss.precision(15);
-  ss << v;
-  return ss.str();
+/// round-trippable while printing small fractions compactly. It streams
+/// the bytes `printf("%.15g")` (an ostream at precision 15) would, without
+/// building a stream or a string per value.
+struct Num {
+  double v;
+};
+
+std::ostream& operator<<(std::ostream& os, Num n) {
+  char buf[32];
+  const auto r = std::to_chars(std::begin(buf), std::end(buf), n.v,
+                               std::chars_format::general, 15);
+  return os.write(buf, r.ptr - buf);
 }
 
 }  // namespace
@@ -182,13 +189,13 @@ void Telemetry::writeCsvRows(std::ostream& os,
                              const std::string& prefix) const {
   for (const auto& [path, n] : by_path_) {
     os << kindName(n->kind) << "," << csvField(prefix + path) << ",total,"
-       << fmtNum(n->value) << "\n";
+       << Num{n->value} << "\n";
   }
   for (const auto& [path, n] : by_path_) {
     const std::string name = csvField(prefix + path);
     for (std::size_t i = 0; i < n->samples.size(); ++i) {
       os << "series," << name << "," << times_[n->first + i] << ","
-         << fmtNum(n->samples[i]) << "\n";
+         << Num{n->samples[i]} << "\n";
     }
   }
 }

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <tuple>
+
+#include "sim/rng.h"
 
 namespace daosim::vos {
 
@@ -45,47 +46,175 @@ TargetStore::Key::~Key() {
   if (raw_[kInline] == kHeap) delete[] heapBytes();
 }
 
-const TargetStore::Value* TargetStore::find(ContId c, const ObjectId& o,
-                                            std::string_view dkey,
-                                            std::string_view akey) const {
-  const auto it = records_.find(Probe{c, o, dkey, akey});
-  return it == records_.end() ? nullptr : &it->second;
+TargetStore::~TargetStore() {
+  for (std::size_t i = 0; i < capacity(); ++i) delete recordOf(slots_[i]);
+}
+
+std::uint64_t TargetStore::objectHash(ContId c, const ObjectId& o) noexcept {
+  return sim::hashCombine(sim::hashCombine(c, o.hi), o.lo);
+}
+
+std::uint64_t TargetStore::recordHash(std::uint64_t object_hash,
+                                      std::string_view dkey,
+                                      std::string_view akey) noexcept {
+  const std::hash<std::string_view> bytes;
+  return sim::hashCombine(sim::hashCombine(object_hash, bytes(dkey)),
+                          bytes(akey));
+}
+
+std::size_t TargetStore::home(std::uint64_t slot) const noexcept {
+  if (mask_ <= kFingerprint) return (slot >> kPointerBits) & mask_;
+  // Past 2^16 slots, rehash the key the record is filed under.
+  const Record& r = *recordOf(slot);
+  const std::uint64_t h = objectHash(r.key.cont, r.key.oid);
+  if (r.prev == nullptr) return h & mask_;
+  return recordHash(h, r.key.dkey.view(), r.key.akey.view()) & mask_;
+}
+
+std::size_t TargetStore::locate(const Record* r, std::uint64_t h) const {
+  return probe(h, [r](const Record& x) { return &x == r; });
+}
+
+void TargetStore::file(Record* r, std::uint64_t h) {
+  if ((filed_ + 1) * 8 > capacity() * 7) grow();
+  std::size_t i = h & mask_;
+  while (slots_[i] != 0) i = (i + 1) & mask_;
+  slots_[i] = ((h & kFingerprint) << kPointerBits) |
+              reinterpret_cast<std::uintptr_t>(r);
+  ++filed_;
+}
+
+void TargetStore::unfile(std::size_t i) {
+  // Backward shift: an entry later in the run moves into the hole unless
+  // its home lies cyclically in (hole, entry].
+  for (std::size_t j = (i + 1) & mask_; slots_[j] != 0; j = (j + 1) & mask_) {
+    if (((j - home(slots_[j])) & mask_) >= ((j - i) & mask_)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = 0;
+  --filed_;
+}
+
+void TargetStore::grow() {
+  const std::size_t old_capacity = capacity();
+  auto old = std::move(slots_);
+  const std::size_t n = old_capacity == 0 ? kMinSlots : 2 * old_capacity;
+  slots_ = std::make_unique<std::uint64_t[]>(n);
+  mask_ = n - 1;
+  for (std::size_t k = 0; k < old_capacity; ++k) {
+    if (old[k] == 0) continue;
+    std::size_t i = home(old[k]);
+    while (slots_[i] != 0) i = (i + 1) & mask_;
+    slots_[i] = old[k];
+  }
+}
+
+TargetStore::Record* TargetStore::head(ContId c, const ObjectId& o) const {
+  const std::size_t i = probe(objectHash(c, o), [&](const Record& r) {
+    return r.prev == nullptr && r.key.cont == c && r.key.oid == o;
+  });
+  return i == kNone ? nullptr : recordOf(slots_[i]);
+}
+
+TargetStore::Record* TargetStore::find(ContId c, const ObjectId& o,
+                                       std::string_view dkey,
+                                       std::string_view akey,
+                                       Record** first) const {
+  const std::uint64_t h = objectHash(c, o);
+  const std::size_t i =
+      probe(recordHash(h, dkey, akey), [&](const Record& r) {
+        return r.key.cont == c && r.key.oid == o && r.key.dkey.view() == dkey &&
+               r.key.akey.view() == akey;
+      });
+  if (i != kNone) return recordOf(slots_[i]);
+  Record* hd = head(c, o);
+  if (first != nullptr) *first = hd;
+  return hd != nullptr && hd->key.dkey.view() == dkey &&
+                 hd->key.akey.view() == akey
+             ? hd
+             : nullptr;
 }
 
 TargetStore::Value& TargetStore::slot(ContId c, const ObjectId& o,
                                       std::string_view dkey,
                                       std::string_view akey) {
-  const Probe key{c, o, dkey, akey};
-  auto it = records_.lower_bound(key);
-  if (it != records_.end() && !records_.key_comp()(key, it->first)) {
-    bytes_stored_ -= valueBytes(it->second);
-    return it->second;
+  Record* first = nullptr;
+  if (Record* r = find(c, o, dkey, akey, &first)) {
+    bytes_stored_ -= valueBytes(r->value);
+    return r->value;
   }
-  // Records of (c, o), if any, sit right before or from `it`.
-  const bool known =
-      (it != records_.end() && in(it, c, o)) ||
-      (it != records_.begin() && in(std::prev(it), c, o)) ||
-      (!empty_objects_.empty() && empty_objects_.erase({c, o}) > 0);
-  if (!known) ++objects_;
-  return records_
-      .emplace_hint(it, std::piecewise_construct,
-                    std::forward_as_tuple(c, o, dkey, akey),
-                    std::forward_as_tuple())
-      ->second;
+  auto* r = new Record(c, o, dkey, akey);
+  if (reinterpret_cast<std::uintptr_t>(r) >> kPointerBits != 0) {
+    delete r;
+    throw std::runtime_error("vos: a record address uses its top 16 bits");
+  }
+  const std::uint64_t h = objectHash(c, o);
+  if (first != nullptr) {
+    r->prev = first;
+    r->next = first->next;
+    if (r->next != nullptr) r->next->prev = r;
+    first->next = r;
+    file(r, recordHash(h, dkey, akey));
+  } else {
+    file(r, h);
+    if (empty_objects_.empty() || empty_objects_.erase({c, o}) == 0) {
+      ++objects_;
+    }
+  }
+  return r->value;
 }
 
-template <typename Match>
-std::size_t TargetStore::eraseRun(Index::const_iterator from, Match match) {
-  std::size_t objects = 0;
-  auto to = from;
-  for (; to != records_.end() && match(to->first); ++to) {
-    if (to == from || !in(std::prev(to), to->first.cont, to->first.oid)) {
-      ++objects;
-    }
-    bytes_stored_ -= valueBytes(to->second);
+void TargetStore::erase(Record* r) {
+  bytes_stored_ -= valueBytes(r->value);
+  const std::uint64_t h = objectHash(r->key.cont, r->key.oid);
+  if (r->prev != nullptr) {
+    unfile(locate(r, recordHash(h, r->key.dkey.view(), r->key.akey.view())));
+    r->prev->next = r->next;
+    if (r->next != nullptr) r->next->prev = r->prev;
+  } else if (Record* next = r->next) {
+    // The next record becomes the head: it takes over r's slot, whose
+    // fingerprint is the object's, and gives up its own.
+    unfile(locate(next, recordHash(h, next->key.dkey.view(),
+                                   next->key.akey.view())));
+    std::uint64_t& s = slots_[locate(r, h)];
+    s = (s & ~kPointerMask) | reinterpret_cast<std::uintptr_t>(next);
+    next->prev = nullptr;
+  } else {
+    unfile(locate(r, h));
   }
-  records_.erase(from, to);
-  return objects;
+  delete r;
+}
+
+void TargetStore::erase(const std::vector<Record*>& doomed) {
+  // Last first: a doomed head goes after the rest of its chain, so it
+  // promotes a survivor at most once.
+  for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) erase(*it);
+}
+
+void TargetStore::punch(ContId c, const ObjectId& o,
+                        const std::vector<Record*>& doomed) {
+  if (doomed.empty()) return;
+  erase(doomed);
+  if (head(c, o) == nullptr) empty_objects_.emplace(c, o);
+}
+
+std::vector<TargetStore::Record*> TargetStore::chain(ContId c,
+                                                     const ObjectId& o) const {
+  std::vector<Record*> out;
+  for (Record* r = head(c, o); r != nullptr; r = r->next) out.push_back(r);
+  return out;
+}
+
+std::vector<TargetStore::Record*> TargetStore::sorted(
+    ContId c, const ObjectId& o) const {
+  std::vector<Record*> out = chain(c, o);
+  std::sort(out.begin(), out.end(), [](const Record* a, const Record* b) {
+    const int d = a->key.dkey.view().compare(b->key.dkey.view());
+    return d != 0 ? d < 0 : a->key.akey.view() < b->key.akey.view();
+  });
+  return out;
 }
 
 ExtentTree& TargetStore::spill(Value& v) {
@@ -147,17 +276,15 @@ const Payload* TargetStore::valueGet(ContId c, const ObjectId& o,
                                      std::string_view dkey,
                                      std::string_view akey) const {
   ++value_gets_;
-  const Value* v = find(c, o, dkey, akey);
-  return v == nullptr ? nullptr : std::get_if<Payload>(v);
+  const Record* r = find(c, o, dkey, akey);
+  return r == nullptr ? nullptr : std::get_if<Payload>(&r->value);
 }
 
 bool TargetStore::valueRemove(ContId c, const ObjectId& o,
                               std::string_view dkey, std::string_view akey) {
-  const auto it = records_.find(Probe{c, o, dkey, akey});
-  if (it == records_.end()) return false;
-  bytes_stored_ -= valueBytes(it->second);
-  records_.erase(it);
-  if (!holdsRecords(c, o)) empty_objects_.emplace(c, o);
+  Record* r = find(c, o, dkey, akey);
+  if (r == nullptr) return false;
+  punch(c, o, {r});
   return true;
 }
 
@@ -190,11 +317,12 @@ ExtentTree::ReadResult TargetStore::extentRead(ContId c, const ObjectId& o,
                                                std::uint64_t offset,
                                                std::uint64_t length) const {
   ++extent_reads_;
-  if (const Value* v = find(c, o, dkey, akey)) {
-    if (const auto* e = std::get_if<Extent>(v)) {
+  if (const Record* r = find(c, o, dkey, akey)) {
+    if (const auto* e = std::get_if<Extent>(&r->value)) {
       return readExtent(*e, offset, length);
     }
-    if (const auto* tree = std::get_if<std::unique_ptr<ExtentTree>>(v)) {
+    if (const auto* tree =
+            std::get_if<std::unique_ptr<ExtentTree>>(&r->value)) {
       return (*tree)->read(offset, length);
     }
   }
@@ -207,10 +335,13 @@ ExtentTree::ReadResult TargetStore::extentRead(ContId c, const ObjectId& o,
 std::uint64_t TargetStore::extentEnd(ContId c, const ObjectId& o,
                                      std::string_view dkey,
                                      std::string_view akey) const {
-  const Value* v = find(c, o, dkey, akey);
-  if (v == nullptr) return 0;
-  if (const auto* e = std::get_if<Extent>(v)) return e->offset + e->size;
-  if (const auto* tree = std::get_if<std::unique_ptr<ExtentTree>>(v)) {
+  const Record* r = find(c, o, dkey, akey);
+  if (r == nullptr) return 0;
+  if (const auto* e = std::get_if<Extent>(&r->value)) {
+    return e->offset + e->size;
+  }
+  if (const auto* tree =
+          std::get_if<std::unique_ptr<ExtentTree>>(&r->value)) {
     return (*tree)->end();
   }
   return 0;
@@ -227,71 +358,73 @@ void TargetStore::extentTruncate(ContId c, const ObjectId& o,
 std::vector<std::pair<std::uint64_t, Payload>> TargetStore::extents(
     ContId c, const ObjectId& o, std::string_view dkey,
     std::string_view akey) const {
-  const Value* v = find(c, o, dkey, akey);
-  if (v == nullptr) return {};
-  return extentsOf(*v);
+  const Record* r = find(c, o, dkey, akey);
+  if (r == nullptr) return {};
+  return extentsOf(r->value);
 }
 
 std::vector<std::string> TargetStore::listDkeys(ContId c,
                                                 const ObjectId& o) const {
-  std::vector<std::string> out;
-  for (auto it = first(c, o); it != records_.end() && in(it, c, o); ++it) {
-    const std::string_view dkey = it->first.dkey.view();
-    if (out.empty() || out.back() != dkey) out.emplace_back(dkey);
+  std::vector<std::string_view> keys;
+  for (const Record* r = head(c, o); r != nullptr; r = r->next) {
+    keys.push_back(r->key.dkey.view());
   }
-  return out;
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return std::vector<std::string>(keys.begin(), keys.end());
 }
 
 std::vector<std::string> TargetStore::listAkeys(ContId c, const ObjectId& o,
                                                 std::string_view dkey) const {
-  std::vector<std::string> out;
-  for (auto it = records_.lower_bound(Probe{c, o, dkey, {}});
-       it != records_.end() && in(it, c, o) && it->first.dkey.view() == dkey;
-       ++it) {
-    out.emplace_back(it->first.akey.view());
+  std::vector<std::string_view> keys;
+  for (const Record* r = head(c, o); r != nullptr; r = r->next) {
+    if (r->key.dkey.view() == dkey) keys.push_back(r->key.akey.view());
   }
-  return out;
+  std::sort(keys.begin(), keys.end());
+  return std::vector<std::string>(keys.begin(), keys.end());
 }
 
 bool TargetStore::objectExists(ContId c, const ObjectId& o) const {
-  return holdsRecords(c, o) || empty_objects_.contains({c, o});
+  return head(c, o) != nullptr || empty_objects_.contains({c, o});
 }
 
 bool TargetStore::punchObject(ContId c, const ObjectId& o) {
-  const std::size_t punched =
-      eraseRun(first(c, o),
-               [&](const RecordKey& k) { return k.cont == c && k.oid == o; }) +
-      empty_objects_.erase({c, o});
-  objects_ -= punched;
-  return punched > 0;
+  const std::vector<Record*> records = chain(c, o);
+  erase(records);
+  if (records.empty() && empty_objects_.erase({c, o}) == 0) return false;
+  --objects_;
+  return true;
 }
 
 bool TargetStore::punchDkey(ContId c, const ObjectId& o,
                             std::string_view dkey) {
-  const auto in_dkey = [&](const RecordKey& k) {
-    return k.cont == c && k.oid == o && k.dkey.view() == dkey;
-  };
-  if (eraseRun(records_.lower_bound(Probe{c, o, dkey, {}}), in_dkey) == 0) {
-    return false;
-  }
-  if (!holdsRecords(c, o)) empty_objects_.emplace(c, o);
-  return true;
+  return punchDkeys(c, o, [dkey](std::string_view d) { return d == dkey; }) >
+         0;
 }
 
 void TargetStore::destroyContainer(ContId c) {
-  objects_ -= eraseRun(records_.lower_bound(Probe{c, ObjectId{}, {}, {}}),
-                       [&](const RecordKey& k) { return k.cont == c; });
+  std::vector<Record*> heads;
+  for (std::size_t i = 0; i < capacity(); ++i) {
+    Record* r = recordOf(slots_[i]);
+    if (r != nullptr && r->prev == nullptr && r->key.cont == c) {
+      heads.push_back(r);
+    }
+  }
+  for (Record* h : heads) erase(chain(c, h->key.oid));
+  objects_ -= heads.size();
   objects_ -= std::erase_if(
       empty_objects_, [&](const auto& object) { return object.first == c; });
 }
 
 std::vector<std::pair<ContId, ObjectId>> TargetStore::listObjects() const {
   std::vector<std::pair<ContId, ObjectId>> out;
-  for (const auto& [k, _] : records_) {
-    if (out.empty() || out.back() != std::pair(k.cont, k.oid)) {
-      out.emplace_back(k.cont, k.oid);
+  for (std::size_t i = 0; i < capacity(); ++i) {
+    const Record* r = recordOf(slots_[i]);
+    if (r != nullptr && r->prev == nullptr) {
+      out.emplace_back(r->key.cont, r->key.oid);
     }
   }
+  std::sort(out.begin(), out.end());
   out.insert(out.end(), empty_objects_.begin(), empty_objects_.end());
   return out;
 }

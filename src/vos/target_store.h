@@ -6,18 +6,26 @@
 // where a value is either a single atomic payload (KV records) or an extent
 // tree (array records).
 //
-// The store holds one ordered index per target with one node per record,
-// keyed by (container, object, dkey, akey). Keys of up to 15 bytes sit in
-// the node (see Key), and an extent record whose only extent is size-only
-// keeps (offset, size, tag) there too; it spills to an ExtentTree once it
-// holds several extents, real bytes or an explicit size. Keys order as
-// std::string, so dkey and akey listings and record enumeration come out
-// in the same order as a map of maps would give.
+// A record is one heap block holding its key (container, object, dkey,
+// akey), its value and the links of its object's record chain. Keys of up
+// to 15 bytes sit in the block (see Key), and an extent record whose only
+// extent is size-only keeps (offset, size, tag) there too; it spills to an
+// ExtentTree once it holds several extents, real bytes or an explicit size.
+//
+// One hashed index per target finds a record: an open-addressing table of
+// record pointers, each with a 16-bit hash fingerprint in its unused top
+// bits. Every record takes exactly one slot. An object's head record (the
+// first of its chain) is filed under hash(container, object), every other
+// record under hash(container, object, dkey, akey), so a point lookup
+// probes the record's hash and then the object's, and reads a couple of
+// cache lines. Enumeration walks the object's chain and sorts it: keys
+// order as std::string, so dkey and akey listings and record enumeration
+// come out in the same order as a map of maps would give, whatever the
+// table layout or which record is the head.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -48,6 +56,9 @@ class TargetStore {
   /// catalogs) that the layers above must be able to read back.
   explicit TargetStore(bool retain_data = true)
       : retain_data_(retain_data) {}
+  ~TargetStore();
+  TargetStore(const TargetStore&) = delete;
+  TargetStore& operator=(const TargetStore&) = delete;
 
   // --- single-value (KV) records -------------------------------------
   void valuePut(ContId c, const ObjectId& o, std::string_view dkey,
@@ -88,10 +99,23 @@ class TargetStore {
   /// Removes the object and all records beneath it (DAOS punch).
   bool punchObject(ContId c, const ObjectId& o);
   bool punchDkey(ContId c, const ObjectId& o, std::string_view dkey);
+  /// Removes, in one walk of the object's records, every record whose dkey
+  /// `doomed` accepts (it is asked once per record); returns how many went.
+  /// The object still exists once its last record is gone.
+  template <typename Pred>
+  std::size_t punchDkeys(ContId c, const ObjectId& o, Pred&& doomed) {
+    std::vector<Record*> out;
+    for (Record* r = head(c, o); r != nullptr; r = r->next) {
+      if (doomed(r->key.dkey.view())) out.push_back(r);
+    }
+    punch(c, o, out);
+    return out.size();
+  }
   void destroyContainer(ContId c);
 
   // --- enumeration for migration/rebuild --------------------------------
-  /// Every (container, object) pair held by this target.
+  /// Every (container, object) pair held by this target: the objects with
+  /// records in (container, object) order, then the record-less ones.
   std::vector<std::pair<ContId, ObjectId>> listObjects() const;
 
   /// One record, as forEachRecord presents it for copy-out.
@@ -106,10 +130,9 @@ class TargetStore {
   /// akey) order.
   template <typename Fn>
   void forEachRecord(ContId c, const ObjectId& o, Fn&& fn) const {
-    for (auto it = first(c, o); it != records_.end() && in(it, c, o); ++it) {
-      fn(RecordView{it->first.dkey.view(), it->first.akey.view(),
-                    std::get_if<Payload>(&it->second),
-                    extentsOf(it->second)});
+    for (const Record* r : sorted(c, o)) {
+      fn(RecordView{r->key.dkey.view(), r->key.akey.view(),
+                    std::get_if<Payload>(&r->value), extentsOf(r->value)});
     }
   }
 
@@ -163,11 +186,13 @@ class TargetStore {
   };
 
   /// The one extent of a size-only extent record (none while size is 0,
-  /// and then offset is 0 too).
+  /// and then offset is 0 too). Value-initialized to zeros: default member
+  /// initializers would keep GCC 12 from default-constructing a Value
+  /// inside this class body.
   struct Extent {
-    std::uint64_t offset = 0;
-    std::uint64_t size = 0;
-    std::uint64_t tag = 0;
+    std::uint64_t offset;
+    std::uint64_t size;
+    std::uint64_t tag;
   };
   /// A record's value; a new record is an extent record with no extent.
   using Value = std::variant<Extent, Payload, std::unique_ptr<ExtentTree>>;
@@ -182,53 +207,82 @@ class TargetStore {
     Key akey;
   };
   static_assert(sizeof(RecordKey) == 56);
-  /// A lookup key: the same fields as RecordKey, with the keys as views.
-  struct Probe {
-    ContId cont;
-    ObjectId oid;
-    std::string_view dkey;
-    std::string_view akey;
+
+  /// One record: a 120-byte block, one 128-byte malloc chunk.
+  struct Record {
+    Record(ContId c, const ObjectId& o, std::string_view dkey,
+           std::string_view akey)
+        : key(c, o, dkey, akey) {}
+    RecordKey key;
+    Value value;
+    Record* prev = nullptr;  ///< null for the object's head record
+    Record* next = nullptr;
   };
-  /// (container, object, dkey, akey), keys ordered as std::string.
-  struct Order {
-    using is_transparent = void;
-    static std::string_view view(const Key& k) noexcept { return k.view(); }
-    static std::string_view view(std::string_view s) noexcept { return s; }
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const noexcept {
-      if (a.cont != b.cont) return a.cont < b.cont;
-      if (a.oid != b.oid) return a.oid < b.oid;
-      const int d = view(a.dkey).compare(view(b.dkey));
-      return d != 0 ? d < 0 : view(a.akey) < view(b.akey);
-    }
-  };
-  using Index = std::map<RecordKey, Value, Order>;
+  static_assert(sizeof(Record) == 120);
 
   Payload ingest(Payload p) const {
     return (!retain_data_ && p.hasBytes()) ? p.stripBytes() : std::move(p);
   }
 
-  /// The object's first record (or whatever follows where it would be).
-  Index::const_iterator first(ContId c, const ObjectId& o) const {
-    return records_.lower_bound(Probe{c, o, {}, {}});
+  // A slot is 0 (empty) or a record pointer with the fingerprint of the
+  // hash it is filed under, the hash's low 16 bits, in its top 16 bits.
+  static constexpr unsigned kPointerBits = 48;
+  static constexpr std::uint64_t kPointerMask = (1ULL << kPointerBits) - 1;
+  static constexpr std::uint64_t kFingerprint = 0xffff;
+  static constexpr std::size_t kMinSlots = 32;
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  static Record* recordOf(std::uint64_t slot) noexcept {
+    return reinterpret_cast<Record*>(slot & kPointerMask);
   }
-  static bool in(Index::const_iterator it, ContId c, const ObjectId& o) {
-    return it->first.cont == c && it->first.oid == o;
+  static std::uint64_t objectHash(ContId c, const ObjectId& o) noexcept;
+  static std::uint64_t recordHash(std::uint64_t object_hash,
+                                  std::string_view dkey,
+                                  std::string_view akey) noexcept;
+  std::size_t capacity() const noexcept { return slots_ ? mask_ + 1 : 0; }
+  /// The slot a filed entry would take in an empty table. Up to 2^16
+  /// slots its fingerprint holds every bit needed, so no record is read.
+  std::size_t home(std::uint64_t slot) const noexcept;
+
+  /// The slot of the record filed under `h` that `match` accepts, or kNone.
+  template <typename Match>
+  std::size_t probe(std::uint64_t h, Match match) const {
+    if (slots_ == nullptr) return kNone;
+    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
+      const std::uint64_t s = slots_[i];
+      if (s == 0) return kNone;
+      if ((s >> kPointerBits) == (h & kFingerprint) && match(*recordOf(s))) {
+        return i;
+      }
+    }
   }
-  bool holdsRecords(ContId c, const ObjectId& o) const {
-    const auto it = first(c, o);
-    return it != records_.end() && in(it, c, o);
-  }
-  const Value* find(ContId c, const ObjectId& o, std::string_view dkey,
-                    std::string_view akey) const;
+  /// The slot holding `r`, which is filed under `h`.
+  std::size_t locate(const Record* r, std::uint64_t h) const;
+  void file(Record* r, std::uint64_t h);
+  /// Empties slot `i`, shifting later entries of its probe run back.
+  void unfile(std::size_t i);
+  void grow();
+
+  /// The object's head record, or null.
+  Record* head(ContId c, const ObjectId& o) const;
+  /// The record, or null; on a miss `*first` gets the object's head.
+  Record* find(ContId c, const ObjectId& o, std::string_view dkey,
+               std::string_view akey, Record** first = nullptr) const;
   /// The record's value, inserting an empty extent record if absent. Its
   /// bytes leave bytes_stored_; the caller adds them back once it is done.
   Value& slot(ContId c, const ObjectId& o, std::string_view dkey,
               std::string_view akey);
-  /// Erases the run of records from `from` on that `match` accepts and
-  /// returns how many objects they belonged to.
-  template <typename Match>
-  std::size_t eraseRun(Index::const_iterator from, Match match);
+  /// Unlinks, unfiles and frees one record, promoting the next record of
+  /// its chain when it is the head.
+  void erase(Record* r);
+  /// Erases records of one object, given in chain order.
+  void erase(const std::vector<Record*>& doomed);
+  /// Erases `doomed`, records of (c, o) in chain order, and keeps the
+  /// object as a record-less one if they were the last of its records.
+  void punch(ContId c, const ObjectId& o, const std::vector<Record*>& doomed);
+  /// The object's records, head first, and in (dkey, akey) order.
+  std::vector<Record*> chain(ContId c, const ObjectId& o) const;
+  std::vector<Record*> sorted(ContId c, const ObjectId& o) const;
 
   /// The record's extent tree, spilling an inline extent into a new one
   /// (a single value is dropped: extent ops replace it).
@@ -241,7 +295,9 @@ class TargetStore {
       const Value& v);
 
   bool retain_data_;
-  Index records_;
+  std::unique_ptr<std::uint64_t[]> slots_;
+  std::size_t mask_ = 0;   // capacity() - 1 once slots_ exists
+  std::size_t filed_ = 0;  // records, one slot each
   /// Objects that exist without a record (their last dkey was removed).
   std::set<std::pair<ContId, ObjectId>> empty_objects_;
   std::uint64_t objects_ = 0;  // with records or in empty_objects_

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -295,6 +297,70 @@ TEST(TelemetryCsv, CommaAndQuoteNamesRoundTripThroughReader) {
   EXPECT_EQ(dump.summary.at(evil).first, "gauge");
   ASSERT_EQ(dump.series.count(evil), 1u);
   EXPECT_EQ(dump.series.at(evil).size(), 2u);  // 10ms + partial 12ms
+}
+
+/// The formatting dumps used to get from an ostream, kept as the reference
+/// the to_chars formatting must match byte for byte.
+std::string streamFormatted(double v) {
+  std::ostringstream ss;
+  ss.precision(15);
+  ss << v;
+  return ss.str();
+}
+
+TEST(TelemetryCsv, NumbersFormatAsAStreamAtPrecision15) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+      2.2250738585072e-309,  // subnormal
+      1e-300, 1e300, 9007199254740992.0,  // 2^53
+      nan, std::copysign(nan, -1.0), inf, -inf,
+      0.123456789012345, 123456789012345.0, 1.0 / 3.0, 2.0 / 3.0,
+      -98765.4321098765, 999999999999999.9, 123456789012345678.0,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+      1e-5, 1e-4, 1e14, 1e15, 0.1, 1.5, -42.0};
+  Simulation sim;
+  Telemetry t(1_ms);
+  std::size_t next = 0;
+  // Each gauge holds one value, in its total and every bin; the probe
+  // reads the values in turn, one per bin.
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    t.gauge("g" + std::to_string(100 + i)).set(values[i]);
+  }
+  t.addProbe("series", Telemetry::Kind::kGauge,
+             [&] { return values[next++ % values.size()]; });
+  t.attach(sim);
+  sim.spawn(idleUntil(&sim, static_cast<Time>(values.size()) * 1_ms));
+  sim.run();
+  t.finish();
+  ASSERT_EQ(t.find("series")->samples.size(), values.size());
+
+  std::string want = "# daosim-metrics schema=" +
+                     std::to_string(obs::kMetricsSchemaVersion) +
+                     "\n# telemetry interval_ns=1000000\n"
+                     "kind,name,field,value\n";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    want += "gauge,g" + std::to_string(100 + i) + ",total," +
+            streamFormatted(values[i]) + "\n";
+  }
+  want += "gauge,series,total," + streamFormatted(values.back()) + "\n";
+  const auto bin = [](std::size_t k) {
+    return std::to_string((k + 1) * 1'000'000);
+  };
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      want += "series,g" + std::to_string(100 + i) + "," + bin(k) + "," +
+              streamFormatted(values[i]) + "\n";
+    }
+  }
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    want +=
+        "series,series," + bin(k) + "," + streamFormatted(values[k]) + "\n";
+  }
+  std::ostringstream got;
+  t.writeCsv(got);
+  EXPECT_EQ(got.str(), want);
 }
 
 TEST(TelemetryCsv, ReaderRejectsOtherSchemas) {

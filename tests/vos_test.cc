@@ -1,7 +1,10 @@
 // Tests for the VOS-like target store: payload semantics, extent-tree
 // overlap handling, KV records, enumeration, punch, and space accounting,
-// plus a model test against the former map-of-maps store and a guard on
-// the bytes one size-only extent record costs.
+// plus a model test against the former map-of-maps store (narrow key
+// spaces, and wide ones that grow the hashed index past a thousand
+// records), checks that listings do not depend on the index's layout or
+// head records and that tables past 2^16 slots keep every record, and a
+// guard on the bytes one size-only extent record costs.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -797,15 +800,34 @@ std::vector<std::pair<ContId, ObjectId>> objectSet(const Store& s) {
   return out;
 }
 
+/// The key space a model sequence draws from, and how often it checks the
+/// whole visible state.
+struct ModelShape {
+  std::uint64_t objects;   // per container (two containers)
+  int dkeys;               // dkeys drawn for the sequence
+  int check_every;         // calls between whole-state checks
+  std::uint64_t punches;   // a drawn punchObject runs 1 time in this
+  std::uint64_t destroys;  // a drawn destroyContainer runs 1 time in this
+};
+// A few keys, so calls collide; the state is checked after every call.
+constexpr ModelShape kNarrow{3, 4, 1, 4, 8};
+// Tables of over a thousand records across 128 objects: growth, long probe
+// runs, and removals from objects that keep many other records.
+constexpr ModelShape kWide{64, 16, 100, 16, 1000};
+
 /// Drives a TargetStore and a ReferenceStore with the same seeded call
-/// sequence and checks every result, then the whole visible state, after
-/// each call.
+/// sequence and checks every result, then the whole visible state.
 class StoreModel {
  public:
-  StoreModel(std::uint64_t seed, bool retain)
-      : rng_(seed), store_(retain), ref_(retain) {
-    // Each sequence draws from a few of the keys, so its calls collide.
-    for (int i = 0; i < 4; ++i) dkeys_.push_back(pick(allDkeys()));
+  StoreModel(std::uint64_t seed, bool retain, ModelShape shape = kNarrow)
+      : shape_(shape), rng_(seed), store_(retain), ref_(retain) {
+    // Wide sequences also draw chunk dkeys, so their objects hold many
+    // distinct records; narrow ones keep the pool, and so their draws.
+    std::vector<std::string> pool = allDkeys();
+    if (shape.dkeys > kNarrow.dkeys) {
+      for (std::uint64_t i = 2; i < 18; ++i) pool.push_back(u64Dkey(i << 20));
+    }
+    for (int i = 0; i < shape.dkeys; ++i) dkeys_.push_back(pick(pool));
     for (int i = 0; i < 3; ++i) akeys_.push_back(pick(allAkeys()));
   }
 
@@ -813,10 +835,16 @@ class StoreModel {
   int overlaps = 0;  // a write over bytes an extent record already holds
   int missing_truncates = 0;
   int emptied_objects = 0;  // an object whose last dkey went away
+  // Whole-state checks that found more than 1,000 records in the store.
+  int big_tables = 0;
+  // Removals (a value or a dkey) from an object that keeps other records.
+  int partial_removals = 0;
+  int big_punches = 0;  // punches of an object holding 8 or more records
+  std::size_t peak_records = 0;
 
   void step() {
     const ContId c = rng_.uniform(1, 2);
-    const ObjectId o = makeOid(ObjClass::S1, rng_.uniform(1, 3));
+    const ObjectId o = makeOid(ObjClass::S1, rng_.uniform(1, shape_.objects));
     const std::string dkey = pick(dkeys_);
     const std::string akey = pick(akeys_);
     switch (rng_.uniform(0, 12)) {
@@ -880,28 +908,59 @@ class StoreModel {
         }
         break;
       }
-      case 9:
-        EXPECT_EQ(store_.valueRemove(c, o, dkey, akey),
-                  ref_.valueRemove(c, o, dkey, akey));
-        countEmptied(c, o);
+      case 9: {
+        const bool removed = ref_.valueRemove(c, o, dkey, akey);
+        EXPECT_EQ(store_.valueRemove(c, o, dkey, akey), removed);
+        countRemoval(c, o, removed);
         break;
-      case 10:
-        EXPECT_EQ(store_.punchDkey(c, o, dkey), ref_.punchDkey(c, o, dkey));
-        countEmptied(c, o);
+      }
+      case 10: {
+        const bool removed = ref_.punchDkey(c, o, dkey);
+        EXPECT_EQ(store_.punchDkey(c, o, dkey), removed);
+        countRemoval(c, o, removed);
         break;
+      }
       case 11:
-        if (rng_.uniform(0, 3) == 0) {
+        if (rng_.uniform(0, shape_.punches - 1) == 0) {
+          if (records(ref_, c, o).size() >= 8) ++big_punches;
           EXPECT_EQ(store_.punchObject(c, o), ref_.punchObject(c, o));
         }
         break;
       default:
-        if (rng_.uniform(0, 7) == 0) {
+        if (rng_.uniform(0, shape_.destroys - 1) == 0) {
           store_.destroyContainer(c);
           ref_.destroyContainer(c);
         }
         break;
     }
-    checkState();
+    if (++calls_ % shape_.check_every == 0) checkState();
+  }
+
+  void checkState() {
+    EXPECT_EQ(store_.bytesStored(), ref_.bytesStored());
+    EXPECT_EQ(store_.objectCount(), ref_.objectCount());
+    EXPECT_EQ(store_.valuePuts(), ref_.valuePuts());
+    EXPECT_EQ(store_.valueGets(), ref_.valueGets());
+    EXPECT_EQ(store_.extentWrites(), ref_.extentWrites());
+    EXPECT_EQ(store_.extentReads(), ref_.extentReads());
+    EXPECT_EQ(objectSet(store_), objectSet(ref_));
+    std::size_t held = 0;
+    for (ContId c = 1; c <= 2; ++c) {
+      for (std::uint64_t lo = 1; lo <= shape_.objects; ++lo) {
+        const ObjectId o = makeOid(ObjClass::S1, lo);
+        EXPECT_EQ(store_.objectExists(c, o), ref_.objectExists(c, o));
+        const auto dkeys = ref_.listDkeys(c, o);
+        EXPECT_EQ(store_.listDkeys(c, o), dkeys);
+        for (const std::string& d : dkeys) {
+          EXPECT_EQ(store_.listAkeys(c, o, d), ref_.listAkeys(c, o, d));
+        }
+        const auto want = records(ref_, c, o);
+        EXPECT_EQ(records(store_, c, o), want);
+        held += want.size();
+      }
+    }
+    if (held > 1000) ++big_tables;
+    peak_records = std::max(peak_records, held);
   }
 
  private:
@@ -942,34 +1001,17 @@ class StoreModel {
             rng_.uniform(0, 5));
     }
   }
-  void countEmptied(ContId c, const ObjectId& o) {
-    if (ref_.objectExists(c, o) && ref_.listDkeys(c, o).empty()) {
+  void countRemoval(ContId c, const ObjectId& o, bool removed) {
+    if (!ref_.objectExists(c, o)) return;
+    if (ref_.listDkeys(c, o).empty()) {
       ++emptied_objects;
+    } else if (removed) {
+      ++partial_removals;
     }
   }
 
-  void checkState() {
-    EXPECT_EQ(store_.bytesStored(), ref_.bytesStored());
-    EXPECT_EQ(store_.objectCount(), ref_.objectCount());
-    EXPECT_EQ(store_.valuePuts(), ref_.valuePuts());
-    EXPECT_EQ(store_.valueGets(), ref_.valueGets());
-    EXPECT_EQ(store_.extentWrites(), ref_.extentWrites());
-    EXPECT_EQ(store_.extentReads(), ref_.extentReads());
-    EXPECT_EQ(objectSet(store_), objectSet(ref_));
-    for (ContId c = 1; c <= 2; ++c) {
-      for (std::uint64_t lo = 1; lo <= 3; ++lo) {
-        const ObjectId o = makeOid(ObjClass::S1, lo);
-        EXPECT_EQ(store_.objectExists(c, o), ref_.objectExists(c, o));
-        const auto dkeys = ref_.listDkeys(c, o);
-        EXPECT_EQ(store_.listDkeys(c, o), dkeys);
-        for (const std::string& d : dkeys) {
-          EXPECT_EQ(store_.listAkeys(c, o, d), ref_.listAkeys(c, o, d));
-        }
-        EXPECT_EQ(records(store_, c, o), records(ref_, c, o));
-      }
-    }
-  }
-
+  ModelShape shape_;
+  int calls_ = 0;
   sim::Rng rng_;
   std::vector<std::string> dkeys_;
   std::vector<std::string> akeys_;
@@ -999,6 +1041,33 @@ TEST_P(StoreModelTest, MatchesTheMapOfMapsStore) {
   EXPECT_GT(emptied, 20);
 }
 
+TEST_P(StoreModelTest, MatchesTheMapOfMapsStoreOnWideTables) {
+  int big_tables = 0, partial_removals = 0, big_punches = 0;
+  std::size_t peak = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    StoreModel model(seed, /*retain=*/GetParam(), kWide);
+    for (int i = 0; i < 6000; ++i) {
+      model.step();
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << ", call " << i;
+      }
+    }
+    model.checkState();
+    if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", end";
+    big_tables += model.big_tables;
+    partial_removals += model.partial_removals;
+    big_punches += model.big_punches;
+    peak = std::max(peak, model.peak_records);
+  }
+  // The sequences reach the cases the hashed index treats specially:
+  // grown tables, head promotion and backward shifts inside long chains,
+  // and punches that unfile many records.
+  EXPECT_GT(big_tables, 300);
+  EXPECT_GT(partial_removals, 4000);
+  EXPECT_GT(big_punches, 100);
+  EXPECT_GT(peak, 1500u);
+}
+
 INSTANTIATE_TEST_SUITE_P(RetainData, StoreModelTest, ::testing::Bool());
 
 TEST(StoreModelTest, ObjectOutlivesItsLastDkeyUntilPunched) {
@@ -1019,6 +1088,197 @@ TEST(StoreModelTest, ObjectOutlivesItsLastDkeyUntilPunched) {
             (std::vector<std::pair<ContId, ObjectId>>{{2, o}}));
   store.destroyContainer(2);
   EXPECT_EQ(store.objectCount(), 0u);
+}
+
+// --- the hashed index: layout independence and large tables ------------
+
+/// A record of a fixed final state: a single value, one size-only extent
+/// kept inline, or two extents that spill to a tree.
+struct Planned {
+  ContId c;
+  ObjectId o;
+  std::string dkey;
+  std::string akey;
+  std::uint64_t seed;
+};
+
+std::vector<Planned> plannedRecords() {
+  const std::vector<std::string> dkeys = {
+      u64Dkey(0), u64Dkey(1), u64Dkey(7), "__array_meta__",
+      "class=od,expver=1,r12,f3,k4", std::string(15, 'k')};
+  const std::vector<std::string> akeys = {"0", "v", std::string(16, 'a')};
+  std::vector<Planned> out;
+  for (ContId c = 1; c <= 2; ++c) {
+    for (std::uint64_t lo = 1; lo <= 12; ++lo) {
+      // Objects of one to twelve records, over several dkeys and akeys.
+      for (std::uint64_t r = 0; r < lo; ++r) {
+        out.push_back({c, makeOid(ObjClass::S1, lo),
+                       dkeys[(r + lo) % dkeys.size()],
+                       akeys[(r / dkeys.size() + c) % akeys.size()],
+                       c * 1000 + lo * 20 + r});
+      }
+    }
+  }
+  return out;
+}
+
+void put(TargetStore& s, const Planned& r) {
+  switch (r.seed % 3) {
+    case 0:
+      s.valuePut(r.c, r.o, r.dkey, r.akey, patternPayload(r.seed % 40, r.seed));
+      break;
+    case 1:
+      s.extentWrite(r.c, r.o, r.dkey, r.akey, r.seed % 7,
+                    Payload::synthetic(4096, r.seed));
+      break;
+    default:
+      s.extentWrite(r.c, r.o, r.dkey, r.akey, 0, patternPayload(64, r.seed));
+      s.extentWrite(r.c, r.o, r.dkey, r.akey, 200,
+                    Payload::synthetic(100, r.seed));
+      break;
+  }
+}
+
+/// Gives `s` two objects that exist without records.
+void addRecordlessObjects(TargetStore& s) {
+  for (ContId c = 1; c <= 2; ++c) {
+    const ObjectId o = makeOid(ObjClass::S1, 100 + c);
+    s.valuePut(c, o, "d", "v", Payload::fromString("x"));
+    ASSERT_TRUE(s.valueRemove(c, o, "d", "v"));
+  }
+}
+
+TEST(VosIndex, OutputsDoNotDependOnTableLayoutOrHeadRecords) {
+  const std::vector<Planned> plan = plannedRecords();
+  // Three stores reach the same records: in plan order, in reverse order
+  // (every object gets another head record, and every record another
+  // slot), and in plan order with heads, dkeys and whole objects removed
+  // and put back in a shuffled order, next to a container that is then
+  // destroyed.
+  TargetStore forward, backward, churned;
+  addRecordlessObjects(forward);
+  for (const Planned& r : plan) put(forward, r);
+  for (auto it = plan.rbegin(); it != plan.rend(); ++it) put(backward, *it);
+  addRecordlessObjects(backward);
+
+  for (const Planned& r : plan) {
+    put(churned, r);
+    put(churned, {3, r.o, r.dkey, r.akey, r.seed});
+  }
+  std::vector<Planned> removed;
+  std::vector<std::pair<ContId, ObjectId>> seen;
+  for (const Planned& r : plan) {
+    const std::pair<ContId, ObjectId> object{r.c, r.o};
+    const bool first = std::find(seen.begin(), seen.end(), object) == seen.end();
+    if (first) seen.push_back(object);
+    const std::uint64_t lo = r.o.lo;
+    if (lo % 4 == 0) continue;  // punched whole below
+    if (first) {
+      // The object's head record.
+      ASSERT_TRUE(churned.valueRemove(r.c, r.o, r.dkey, r.akey));
+      removed.push_back(r);
+    } else if (r.dkey == u64Dkey(7) && lo % 2 == 1) {
+      churned.punchDkey(r.c, r.o, r.dkey);  // may already be gone
+      removed.push_back(r);
+    }
+  }
+  for (const auto& [c, o] : seen) {
+    if (o.lo % 4 != 0) continue;
+    ASSERT_TRUE(churned.punchObject(c, o));
+    for (const Planned& r : plan) {
+      if (r.c == c && r.o == o) removed.push_back(r);
+    }
+  }
+  addRecordlessObjects(churned);
+  sim::Rng rng(5);
+  std::shuffle(removed.begin(), removed.end(), rng);
+  for (const Planned& r : removed) put(churned, r);
+  churned.destroyContainer(3);
+
+  const auto objects = forward.listObjects();
+  ASSERT_EQ(objects.size(), 26u);
+  EXPECT_TRUE(std::is_sorted(objects.begin(), objects.end() - 2));
+  for (const TargetStore* s : {&backward, &churned}) {
+    EXPECT_EQ(s->listObjects(), objects);  // in order, not as a set
+    EXPECT_EQ(s->objectCount(), forward.objectCount());
+    EXPECT_EQ(s->bytesStored(), forward.bytesStored());
+    for (ContId c = 1; c <= 3; ++c) {
+      for (std::uint64_t lo = 1; lo <= 103; ++lo) {
+        const ObjectId o = makeOid(ObjClass::S1, lo);
+        EXPECT_EQ(s->objectExists(c, o), forward.objectExists(c, o));
+        const auto dkeys = forward.listDkeys(c, o);
+        EXPECT_EQ(s->listDkeys(c, o), dkeys);
+        for (const std::string& d : dkeys) {
+          EXPECT_EQ(s->listAkeys(c, o, d), forward.listAkeys(c, o, d));
+        }
+        EXPECT_EQ(records(*s, c, o), records(forward, c, o));
+      }
+    }
+    for (const Planned& r : plan) {
+      std::vector<std::pair<std::uint64_t, std::string>> got, want;
+      for (const auto& [off, p] : s->extents(r.c, r.o, r.dkey, r.akey)) {
+        got.emplace_back(off, facts(p));
+      }
+      for (const auto& [off, p] : forward.extents(r.c, r.o, r.dkey, r.akey)) {
+        want.emplace_back(off, facts(p));
+      }
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+TEST(VosIndex, TablesPastTwoToTheSixteenSlotsKeepEveryRecord) {
+  // 60,000 records take 131,072 slots. Past 2^16 slots a fingerprint no
+  // longer holds an entry's home slot, so growth and backward shifts
+  // rehash the record's key instead.
+  constexpr std::uint64_t kRecords = 60'000;
+  constexpr std::uint64_t kObjects = 7'000;  // the first 7,000 are heads
+  TargetStore store(/*retain_data=*/false);
+  const auto oid = [](std::uint64_t i) {
+    return makeOid(ObjClass::SX, i % kObjects + 1);
+  };
+  const auto dkey = [](std::uint64_t i) { return u64Dkey(i / kObjects); };
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    store.extentWrite(1, oid(i), dkey(i), "0", 0,
+                      Payload::synthetic(100 + i % 3, i));
+  }
+  // Every third record goes, heads among them.
+  std::uint64_t kept_bytes = 0;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    if (i % 3 == 0) {
+      ASSERT_TRUE(store.valueRemove(1, oid(i), dkey(i), "0"));
+    } else {
+      kept_bytes += 100 + i % 3;
+    }
+  }
+  std::uint64_t wrong = 0;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    const std::uint64_t want = i % 3 == 0 ? 0 : 100 + i % 3;
+    if (store.extentEnd(1, oid(i), dkey(i), "0") != want) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(store.bytesStored(), kept_bytes);
+  EXPECT_EQ(store.objectCount(), kObjects);
+  // Object 1 held records 0, 7000, ..., 56000; those of i % 3 != 0 stay.
+  std::vector<std::string> want_dkeys;
+  for (std::uint64_t i = 0; i < kRecords; i += kObjects) {
+    if (i % 3 != 0) want_dkeys.push_back(dkey(i));
+  }
+  EXPECT_EQ(store.listDkeys(1, oid(0)), want_dkeys);
+  // Punching every other object leaves the rest reachable.
+  for (std::uint64_t o = 0; o < kObjects; o += 2) {
+    ASSERT_TRUE(store.punchObject(1, oid(o)));
+  }
+  wrong = 0;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    const bool kept = i % 3 != 0 && (i % kObjects) % 2 == 1;
+    if (store.extentEnd(1, oid(i), dkey(i), "0") != (kept ? 100 + i % 3 : 0)) {
+      ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(store.objectCount(), kObjects / 2);
+  EXPECT_EQ(store.listObjects().size(), kObjects / 2);
 }
 
 // --- memory -------------------------------------------------------------
