@@ -153,15 +153,16 @@ inline int benchMain(int argc, char** argv, const char* figure_title,
   }
   const std::vector<detail::SweepCase>& cases = detail::sweepCases();
   const std::size_t n = cases.size() * reps;
+  std::vector<std::string> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = cases[i / reps].name + "/rep/" + std::to_string(i % reps + 1);
+  }
   std::vector<apps::RunResult> results;
   try {
-    apps::SweepObservation observed(spec, n);
+    apps::SweepObservation observed(spec, std::move(labels));
     results = sim::parallelMap(n, jobs, [&](std::size_t i) {
       const detail::SweepCase& c = cases[i / reps];
-      const std::uint64_t seed = i % reps + 1;
-      return c.runner(
-          c.pt, seed,
-          observed.slot(i, c.name + "/rep/" + std::to_string(seed)));
+      return c.runner(c.pt, i % reps + 1, observed.slot(i));
     });
     observed.finish(std::cout);
   } catch (const std::exception& e) {

@@ -1,9 +1,9 @@
 #include "apps/observe.h"
 
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
 #include <limits>
-#include <sstream>
+#include <set>
 #include <stdexcept>
 
 #include "apps/fault_injector.h"
@@ -12,6 +12,8 @@
 #include "sim/fault_plan.h"
 
 namespace daosim::apps {
+
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -64,29 +66,68 @@ ObserveSpec ObserveSpec::fromEnv(ObserveSpec given) {
         "DAOSIM_EXEMPLARS", 0, 0,
         static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
   }
+  // Two outputs that name one file would truncate each other (a metrics
+  // file, the telemetry dump streamed before it). An existing file that is
+  // not a regular one, such as /dev/null, may be shared.
+  std::set<fs::path> files;
+  for (const auto& f : {s.trace_file, s.metrics_file, s.telemetry_file}) {
+    std::error_code ec;
+    const bool special = fs::exists(f, ec) && !fs::is_regular_file(f, ec);
+    if (!f.empty() && !special &&
+        !files.insert(fs::weakly_canonical(fs::absolute(f, ec), ec)).second) {
+      throw std::invalid_argument(
+          "the trace, metrics and telemetry outputs must name different "
+          "files; '" + f + "' is named twice");
+    }
+  }
   return s;
 }
 
-SweepObservation::SweepObservation(ObserveSpec spec, std::size_t runs)
+SweepObservation::SweepObservation(ObserveSpec spec,
+                                   std::vector<std::string> labels)
     : spec_(std::move(spec)),
+      labels_(std::move(labels)),
       observe_last_(spec_.stats || !spec_.trace_file.empty() ||
                     !spec_.metrics_file.empty() ||
                     !spec_.telemetry_file.empty()),
-      slots_(runs) {
+      slots_(labels_.size()),
+      // Without a telemetry file only the last run samples, for --stats.
+      next_(spec_.telemetry_file.empty() && !labels_.empty()
+                ? labels_.size() - 1
+                : 0) {
   if (!spec_.trace_file.empty()) last_.enableTracing();
+  if (spec_.stats) obs::writeDumpHeader(stats_rows_);
+  if (spec_.telemetry_file.empty()) return;
+  dump_.open(spec_.telemetry_file);
+  if (!dump_) throw std::runtime_error("cannot write " + spec_.telemetry_file);
+  obs::writeDumpHeader(dump_, labels_, spec_.telemetry_interval);
 }
 
-void SweepObservation::writeDump(std::ostream& os,
-                                 const obs::TelemetryHub& hub) const {
-  hub.writeCsv(os);
-  last_.writeOpRows(os);
+SweepObservation::~SweepObservation() {
+  std::error_code ec;
+  if (dump_.is_open() && fs::is_regular_file(spec_.telemetry_file, ec)) {
+    fs::remove(spec_.telemetry_file, ec);
+  }
+}
+
+void SweepObservation::end(std::size_t index, obs::Telemetry telemetry) {
+  const std::lock_guard lock(mu_);
+  slots_[index].telemetry.emplace(std::move(telemetry));
+  for (; next_ < slots_.size() && slots_[next_].telemetry; ++next_) {
+    const obs::Telemetry& t = *slots_[next_].telemetry;
+    try {
+      const std::string prefix = labels_[next_] + "/";
+      if (dump_.is_open()) t.writeCsvRows(dump_, prefix).flush();
+      if (spec_.stats) t.writeCsvRows(stats_rows_, prefix);
+    } catch (...) {  // from a destructor: finish() rethrows it
+      if (error_ == nullptr) error_ = std::current_exception();
+    }
+    slots_[next_].telemetry.reset();
+  }
 }
 
 void SweepObservation::finish(std::ostream& out) {
-  // Runs take their last bins unchecked (Telemetry::finish), so a total
-  // past the ceiling may first show here; failing on it makes the outcome
-  // depend on the total alone, not on the order the runs sampled in.
-  obs::Telemetry::checkSampleCeiling(telemetry_samples_.load());
+  if (error_ != nullptr) std::rethrow_exception(error_);  // runs have ended
   out << fault_summary_;
   if (spec_.stats) last_.writeBreakdown(out);
   if (spec_.exemplars > 0) {
@@ -101,24 +142,23 @@ void SweepObservation::finish(std::ostream& out) {
               [this](std::ostream& f) { last_.writeChromeTrace(f); });
   }
   if (!spec_.metrics_file.empty()) {
-    writeFile(spec_.metrics_file,
-              [this](std::ostream& f) { writeDump(f, obs::TelemetryHub{}); });
+    writeFile(spec_.metrics_file, [this](std::ostream& f) {
+      obs::writeDumpHeader(f);
+      last_.writeOpRows(f);
+    });
   }
-  obs::TelemetryHub hub;
-  for (Slot& s : slots_) {
-    if (s.telemetry) hub.add(s.label, std::move(*s.telemetry));
-  }
-  if (!spec_.telemetry_file.empty()) {
-    writeFile(spec_.telemetry_file,
-              [&](std::ostream& f) { writeDump(f, hub); });
+  if (dump_.is_open()) {
+    last_.writeOpRows(dump_);
+    if (!dump_.flush()) {
+      throw std::runtime_error("cannot write " + spec_.telemetry_file);
+    }
+    dump_.close();
   }
   if (spec_.stats) {
     // Telemetry rows only: the breakdown table above already printed the
     // op rows' category split.
-    std::stringstream ss;
-    hub.writeCsv(ss);
     out << "\n-- telemetry bottleneck report --\n";
-    obs::writeReport(out, obs::analyze(obs::parseTelemetryCsv(ss)));
+    obs::writeReport(out, obs::analyze(obs::parseTelemetryCsv(stats_rows_)));
   }
 }
 
@@ -129,7 +169,7 @@ ObservedRun::ObservedRun(const RunSlot& slot, sim::Simulation& sim)
   const ObserveSpec& spec = sweep->spec_;
   const bool last = slot_.index + 1 == sweep->slots_.size();
   if (!spec.telemetry_file.empty() || (spec.stats && last)) {
-    telemetry_.emplace(spec.telemetry_interval, &sweep->telemetry_samples_);
+    telemetry_.emplace(spec.telemetry_interval);
     telemetry_->attach(sim);
   }
   if (last && sweep->observe_last_) {
@@ -157,16 +197,16 @@ void ObservedRun::keepFaultSummary(const FaultInjector& injector) {
 }
 
 ObservedRun::~ObservedRun() {
-  if (slot_.sweep == nullptr) return;
-  SweepObservation::Slot& s = slot_.sweep->slots_[slot_.index];
+  SweepObservation* sweep = slot_.sweep;
+  if (sweep == nullptr) return;
   if (observer_ != nullptr) {
     observer_->detach();
-    s.tail = observer_->takeExemplars();
+    sweep->slots_[slot_.index].tail = observer_->takeExemplars();
   }
-  if (telemetry_) {
-    telemetry_->detach();
-    s.label = slot_.label;
-    s.telemetry.emplace(std::move(*telemetry_));
+  // A run that fails writes nothing: its sweep fails and leaves no dump.
+  if (telemetry_ && std::uncaught_exceptions() == uncaught_) {
+    telemetry_->finish();  // uninstalls it before it moves
+    sweep->end(slot_.index, std::move(*telemetry_));
   }
 }
 

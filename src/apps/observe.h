@@ -3,26 +3,29 @@
 //
 //   ObserveSpec       what to observe, read from the DAOSIM_* variables
 //                     (daosim_run's flags override them);
-//   SweepObservation  owns the last run's observer, one exemplar reservoir
-//                     and telemetry registry per run, and writes every
-//                     report and file once after the sweep;
+//   SweepObservation  owns the last run's observer and one exemplar
+//                     reservoir per run, streams the telemetry dump, and
+//                     writes every other report and file after the sweep;
 //   ObservedRun       the RAII scope a run opens right after it builds its
 //                     testbed: it attaches the observer and a telemetry
 //                     registry with that testbed's probes, and hands both
-//                     back to the run's slot when the run ends.
+//                     back to the sweep when the run ends.
 //
 // Only the last run is traced and its op aggregates dumped (mirrors
 // --stats); exemplars and telemetry cover every run. Runs may execute
-// concurrently (sim::parallelMap): each run writes only its own slot, and
-// finish() merges the slots in run order, so every output has the same
-// bytes at any job count.
+// concurrently (sim::parallelMap) and end in any order: a run's telemetry
+// rows are written once every earlier run has ended, and exemplars merge
+// in run order, so every output has the same bytes at any job count.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
+#include <exception>
+#include <fstream>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,7 +50,8 @@ struct ObserveSpec {
   /// `given` with each field it leaves unset (empty, 0) read from its
   /// variable. Throws std::invalid_argument naming the variable when the
   /// interval is not a positive duration, the exemplar count is not a whole
-  /// number, or a metrics or telemetry file name ends in ".json".
+  /// number, a metrics or telemetry file name ends in ".json", or two of
+  /// the three files are one regular (or not yet existing) file.
   static ObserveSpec fromEnv(ObserveSpec given);
   static ObserveSpec fromEnv() { return fromEnv(ObserveSpec{}); }
 };
@@ -62,49 +66,55 @@ class SweepObservation;
 struct RunSlot {
   SweepObservation* sweep = nullptr;
   std::size_t index = 0;  // run order; the highest index is the last run
-  std::string label;      // telemetry run label, unique within the sweep
 };
 
 class SweepObservation {
  public:
-  SweepObservation(ObserveSpec spec, std::size_t runs);
+  /// A sweep of one run per label, in run order; each label is unique and
+  /// prefixes its run's telemetry paths. With a telemetry file, opens it
+  /// and writes the dump's header at once: a file that cannot be written
+  /// throws std::runtime_error before any run.
+  SweepObservation(ObserveSpec spec, std::vector<std::string> labels);
+  /// Removes a telemetry dump that finish() did not complete, if it is a
+  /// regular file (not, say, /dev/null): a failed sweep leaves no dump.
+  ~SweepObservation();
   SweepObservation(const SweepObservation&) = delete;
   SweepObservation& operator=(const SweepObservation&) = delete;
 
-  RunSlot slot(std::size_t index, std::string label) {
-    return RunSlot{this, index, std::move(label)};
-  }
+  RunSlot slot(std::size_t index) { return RunSlot{this, index}; }
 
   /// Writes what the sweep observed, once all runs have ended: with stats,
   /// the last run's fault injection summary and per-op breakdown; with
-  /// exemplars, one merged tail report; the trace, metrics and telemetry
-  /// files; with stats, the telemetry bottleneck report. Reports go to
-  /// `out`. Throws std::runtime_error naming a file that cannot be written,
-  /// or, before writing anything, when the runs' telemetry samples
-  /// together pass obs::Telemetry::kMaxSamples.
+  /// exemplars, one merged tail report; the trace and metrics files; the
+  /// last run's op rows, which complete the telemetry dump; with stats,
+  /// the telemetry bottleneck report. Reports go to `out`. Throws
+  /// std::runtime_error naming a file that cannot be written.
   void finish(std::ostream& out);
 
  private:
   friend class ObservedRun;
 
   struct Slot {
-    std::string label;
     std::unique_ptr<obs::ExemplarReservoir> tail;
-    std::optional<obs::Telemetry> telemetry;
+    std::optional<obs::Telemetry> telemetry;  // guarded by mu_; not written
   };
 
-  /// Header plus op rows: the metrics format when `hub` is empty.
-  void writeDump(std::ostream& os, const obs::TelemetryHub& hub) const;
+  /// Takes the registry of run `index`, which has ended, then writes the
+  /// rows of each run whose earlier runs have all ended, in run order, and
+  /// frees its registry.
+  void end(std::size_t index, obs::Telemetry telemetry);
 
   ObserveSpec spec_;
+  std::vector<std::string> labels_;
   bool observe_last_;  // the last run attaches last_
   obs::Observer last_;
   std::string fault_summary_;  // with stats: the last run's, if it had one
   std::vector<Slot> slots_;
-  // Telemetry samples of every run so far. The runs' registries share it,
-  // so the sample ceiling bounds the sweep, and the sweep fails exactly
-  // when all its runs together pass it, at any job count.
-  std::atomic<std::size_t> telemetry_samples_{0};
+  std::mutex mu_;
+  std::size_t next_;          // guarded by mu_: the first unwritten run
+  std::exception_ptr error_;  // guarded by mu_: the first write that threw
+  std::ofstream dump_;  // open until finish() completes the dump
+  std::stringstream stats_rows_;  // with stats: the rows the report parses
 };
 
 /// Observes one run of a sweep for as long as it lives; open it right after
@@ -133,6 +143,7 @@ class ObservedRun {
   ObservedRun(const RunSlot& slot, sim::Simulation& sim);
 
   RunSlot slot_;
+  int uncaught_ = std::uncaught_exceptions();  // more at the end: it failed
   obs::Observer* observer_ = nullptr;
   std::optional<obs::Observer> local_;  // a non-last run's, for exemplars
   std::optional<obs::Telemetry> telemetry_;

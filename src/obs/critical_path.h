@@ -4,9 +4,8 @@
 //   * ExemplarReservoir — bounded-memory store of the K slowest ops per
 //     op-type with their full leg trees. Offers are kept in a total order
 //     (duration desc, then start/rep/seq asc), so merging per-rep
-//     reservoirs in any order yields the same result — the analogue of
-//     TelemetryHub's label-sorted dump, and what makes `--jobs N` runs
-//     byte-identical to serial ones.
+//     reservoirs in any order yields the same result, which makes
+//     `--jobs N` runs byte-identical to serial ones.
 //   * CriticalPath / decomposeOp — exact per-op wait-vs-service split:
 //     every nanosecond of the op span is attributed to the deepest leg
 //     active at that instant (its queue-wait prefix or its service

@@ -117,7 +117,7 @@ class Observer {
   /// (no header), counters then histograms, each sorted by name:
   /// `op.<type>.count`, one `op.<type>.<category>_ns` per nonzero category,
   /// and `op.<type>.latency_ns` count/min/max/mean/p50/p95/p99. They follow
-  /// a TelemetryHub::writeCsv header in metrics and telemetry dumps.
+  /// an obs::writeDumpHeader header in metrics and telemetry dumps.
   void writeOpRows(std::ostream& os) const;
 
   void writeChromeTrace(std::ostream& os) const;

@@ -44,6 +44,15 @@ std::string csvField(const std::string& s) {
   return out;
 }
 
+void writeDumpHeader(std::ostream& os, std::span<const std::string> runs,
+                     sim::Time interval) {
+  os << "# daosim-metrics schema=" << kMetricsSchemaVersion << "\n";
+  for (const std::string& label : runs) {
+    os << "# telemetry run=" << label << " interval_ns=" << interval << "\n";
+  }
+  os << "kind,name,field,value\n";
+}
+
 const char* Telemetry::kindName(Kind k) noexcept {
   switch (k) {
     case Kind::kCounter: return "counter";
@@ -53,13 +62,12 @@ const char* Telemetry::kindName(Kind k) noexcept {
   return "?";
 }
 
-Telemetry::Telemetry(sim::Time interval, std::atomic<std::size_t>* samples)
+Telemetry::Telemetry(sim::Time interval)
     : interval_(interval > 0 ? interval : 1),
-      samples_(samples),
       epoch_(g_telemetry_epoch.fetch_add(1, std::memory_order_relaxed)) {}
 
 Telemetry::~Telemetry() {
-  if (sim_ != nullptr) detach();
+  if (sim_ != nullptr) finish();
 }
 
 Telemetry::Node* Telemetry::instrument(const std::string& path, Kind kind) {
@@ -99,7 +107,7 @@ void Telemetry::startRate(Node& n) {
 }
 
 void Telemetry::attach(sim::Simulation& sim) {
-  if (sim_ != nullptr) detach();
+  if (sim_ != nullptr) finish();
   sim_ = &sim;
   for (auto& up : nodes_) startRate(*up);
   t0_ = sim.now();
@@ -109,20 +117,13 @@ void Telemetry::attach(sim::Simulation& sim) {
   sim.setTelemetry(this, next_due_);
 }
 
-void Telemetry::checkSampleCeiling(std::size_t samples) {
-  if (samples > kMaxSamples) {
-    throw std::runtime_error(
-        "telemetry: the runs would hold more than " +
-        std::to_string(kMaxSamples) +
-        " samples; raise --telemetry-interval (DAOSIM_TELEMETRY_INTERVAL)");
-  }
-}
-
 sim::Time Telemetry::sampleDue() {
   // Only here, never in finish(): a destructor calls finish().
-  if (samples_ != nullptr) {
-    checkSampleCeiling(samples_->load(std::memory_order_relaxed) +
-                       nodes_.size());
+  if (sample_count_ + nodes_.size() > kMaxSamples) {
+    throw std::runtime_error(
+        "telemetry: a run would hold more than " +
+        std::to_string(kMaxSamples) +
+        " samples; raise --telemetry-interval (DAOSIM_TELEMETRY_INTERVAL)");
   }
   sampleAt(next_due_);
   next_due_ += interval_;
@@ -143,9 +144,7 @@ void Telemetry::sampleAt(sim::Time t) {
     n.samples.push_back(v);
   }
   times_.push_back(t - t0_);
-  if (samples_ != nullptr) {
-    samples_->fetch_add(nodes_.size(), std::memory_order_relaxed);
-  }
+  sample_count_ += nodes_.size();
   last_sample_ = t;
 }
 
@@ -162,31 +161,19 @@ void Telemetry::finish() {
     sim_ = nullptr;
   }
   // Probes reference run-scoped objects (devices, stations); drop them so a
-  // finished registry can safely outlive its testbed (TelemetryHub). A
-  // sweep keeps every finished registry, so it keeps no spare capacity.
-  for (auto& up : nodes_) {
-    up->probe = nullptr;
-    up->samples.shrink_to_fit();
-  }
-  times_.shrink_to_fit();
+  // finished registry can wait for its rows to be written after its
+  // testbed is gone (apps::SweepObservation).
+  for (auto& up : nodes_) up->probe = nullptr;
   finished_ = true;
 }
-
-void Telemetry::detach() { finish(); }
 
 const Telemetry::Node* Telemetry::find(const std::string& path) const {
   auto it = by_path_.find(path);
   return it == by_path_.end() ? nullptr : it->second;
 }
 
-std::size_t Telemetry::sampleCount() const noexcept {
-  std::size_t n = 0;
-  for (const auto& up : nodes_) n += up->samples.size();
-  return n;
-}
-
-void Telemetry::writeCsvRows(std::ostream& os,
-                             const std::string& prefix) const {
+std::ostream& Telemetry::writeCsvRows(std::ostream& os,
+                                      const std::string& prefix) const {
   for (const auto& [path, n] : by_path_) {
     os << kindName(n->kind) << "," << csvField(prefix + path) << ",total,"
        << Num{n->value} << "\n";
@@ -198,28 +185,7 @@ void Telemetry::writeCsvRows(std::ostream& os,
          << Num{n->samples[i]} << "\n";
     }
   }
-}
-
-void Telemetry::writeCsv(std::ostream& os) const {
-  os << "# daosim-metrics schema=" << kMetricsSchemaVersion << "\n";
-  os << "# telemetry interval_ns=" << interval_ << "\n";
-  os << "kind,name,field,value\n";
-  writeCsvRows(os, "");
-}
-
-void TelemetryHub::add(const std::string& label, Telemetry t) {
-  t.finish();
-  runs_.emplace(label, std::move(t));
-}
-
-void TelemetryHub::writeCsv(std::ostream& os) const {
-  os << "# daosim-metrics schema=" << kMetricsSchemaVersion << "\n";
-  for (const auto& [label, t] : runs_) {
-    os << "# telemetry run=" << label << " interval_ns=" << t.interval()
-       << "\n";
-  }
-  os << "kind,name,field,value\n";
-  for (const auto& [label, t] : runs_) t.writeCsvRows(os, label + "/");
+  return os;
 }
 
 }  // namespace daosim::obs

@@ -31,18 +31,18 @@
 // pays a single integer compare per event and zero allocations.
 //
 // Timestamps in the series are relative to attach time, so dumps from
-// repetitions with identical workloads are identical. Runs are merged
-// deterministically through TelemetryHub (sorted by run label), which is
+// repetitions with identical workloads are identical. A sweep writes its
+// runs' rows into one dump in run order (apps::SweepObservation), which is
 // what keeps serial and --jobs dumps byte-identical.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,6 +64,13 @@ inline constexpr int kMetricsSchemaVersion = 2;
 /// wrapped in double quotes (embedded quotes doubled); everything else is
 /// returned verbatim.
 std::string csvField(const std::string& s);
+
+/// Writes a dump's header: the schema line, one `# telemetry run=<label>
+/// interval_ns=<interval>` line per run label in the order given, and the
+/// column header. With no runs it is the metrics file's header; rows such
+/// as Telemetry::writeCsvRows and obs::Observer::writeOpRows follow it.
+void writeDumpHeader(std::ostream& os, std::span<const std::string> runs = {},
+                     sim::Time interval = 0);
 
 class Telemetry {
  public:
@@ -104,17 +111,10 @@ class Telemetry {
     Node* n_ = nullptr;
   };
 
-  /// `samples`, when given, counts the samples (series points over all
-  /// nodes) the registry takes, and sampling fails once that count would
-  /// pass kMaxSamples. A sweep's runs share one count, since the sweep
-  /// keeps every run's registry until it ends (apps::SweepObservation). It
-  /// may be shared across threads and must outlive sampling.
-  explicit Telemetry(sim::Time interval = 10 * sim::kMillisecond,
-                     std::atomic<std::size_t>* samples = nullptr);
+  explicit Telemetry(sim::Time interval = 10 * sim::kMillisecond);
   ~Telemetry();
 
   Telemetry(Telemetry&&) noexcept = default;
-  Telemetry& operator=(Telemetry&&) noexcept = default;
 
   // --- registration (cold path; allocates) -----------------------------
   Handle counter(const std::string& path) {
@@ -135,15 +135,11 @@ class Telemetry {
   /// Starts sampling on `sim` (installs this as sim.telemetry()); the first
   /// boundary is attach-time + interval.
   void attach(sim::Simulation& sim);
-  /// finish() + uninstall from the simulation.
-  void detach();
   /// Emits every whole-bin sample up to the current simulated time plus a
-  /// final partial bin, then drops all probe functions (safe to outlive the
-  /// probed objects) and any spare capacity of the series. Idempotent;
-  /// implied by detach().
+  /// final partial bin, uninstalls from the simulation, then drops all
+  /// probe functions (safe to outlive the probed objects). Idempotent.
   void finish();
 
-  sim::Time interval() const noexcept { return interval_; }
   /// Monotone instance id for cached-handle invalidation (a fresh Telemetry
   /// never sees a handle cached against a previous one).
   std::uint64_t epoch() const noexcept { return epoch_; }
@@ -151,39 +147,33 @@ class Telemetry {
   // --- kernel interface -------------------------------------------------
   /// Samples the due boundary and returns the next one (absolute); called
   /// by the simulation kernel once its clock stands at the due boundary.
-  /// Throws std::runtime_error, out of the simulation's run, once the
-  /// counted samples would pass kMaxSamples.
+  /// Throws std::runtime_error naming the interval flag and variable, out
+  /// of the simulation's run, once the samples would pass kMaxSamples.
   sim::Time sampleDue();
 
-  /// The most samples a count may reach: 0.8 GB of values. Every figure
-  /// binary's default sweep stays under it at the default interval; an
-  /// interval too fine for the runs fails them instead of exhausting
-  /// memory.
+  /// The most samples one registry may hold: 0.8 GB of values. Every
+  /// figure binary's default runs stay far under it at the default
+  /// interval; one too fine for a run fails it instead of exhausting memory.
   static constexpr std::size_t kMaxSamples = 100'000'000;
-
-  /// Throws the ceiling's std::runtime_error, which names the interval
-  /// flag and variable, when `samples` pass kMaxSamples.
-  static void checkSampleCeiling(std::size_t samples);
 
   // --- inspection / export ---------------------------------------------
   const std::vector<std::unique_ptr<Node>>& nodes() const noexcept {
     return nodes_;
   }
   const Node* find(const std::string& path) const;
-  std::size_t sampleCount() const noexcept;
+  /// Series points over all nodes.
+  std::size_t sampleCount() const noexcept { return sample_count_; }
   /// Every sample time, relative to attach.
   const std::vector<sim::Time>& sampleTimes() const noexcept {
     return times_;
   }
 
-  /// Schema-versioned CSV dump (`# daosim-metrics schema=2`): summary rows
-  /// (`kind,path,value,total`) followed by a time-series section
-  /// (`series,path,t_ns,value`). Requires finish().
-  void writeCsv(std::ostream& os) const;
-
-  /// Summary + series rows only (no header); every path gets `prefix`
-  /// prepended. Used by TelemetryHub to splice runs into one dump.
-  void writeCsvRows(std::ostream& os, const std::string& prefix) const;
+  /// The registry's dump rows, after a writeDumpHeader header: summary
+  /// rows (`kind,path,total,value`) followed by a time-series section
+  /// (`series,path,t_ns,value`), every path with `prefix` prepended.
+  /// Requires finish().
+  std::ostream& writeCsvRows(std::ostream& os,
+                             const std::string& prefix) const;
 
  private:
   Node* instrument(const std::string& path, Kind kind);
@@ -197,36 +187,12 @@ class Telemetry {
   sim::Time next_due_ = 0;     // absolute next boundary
   sim::Time last_sample_ = 0;  // absolute time of the previous sample
   bool finished_ = false;
-  std::atomic<std::size_t>* samples_;  // see the constructor; may be null
+  std::size_t sample_count_ = 0;  // series points over all nodes
   sim::Simulation* sim_ = nullptr;
   std::uint64_t epoch_;
   std::vector<sim::Time> times_;  // relative to attach, one per sample time
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::string, Node*> by_path_;
-};
-
-/// Collects finished per-run Telemetry registries and writes one merged
-/// dump with every path prefixed by its run label. The dump iterates labels
-/// sorted, so it does not depend on the order runs were added in. A hub is
-/// single-threaded: a sweep whose runs execute concurrently keeps one
-/// registry per run and adds them once the sweep is done
-/// (apps::SweepObservation).
-class TelemetryHub {
- public:
-  /// Takes ownership of a run's registry (finishing it). Labels must be
-  /// unique per run and deterministic (derived from the run's identity,
-  /// not from scheduling); a duplicate label keeps the first registry.
-  void add(const std::string& label, Telemetry t);
-
-  std::size_t runCount() const noexcept { return runs_.size(); }
-
-  /// Schema-versioned CSV dump of every run. An empty hub writes just the
-  /// header, which is the metrics file format: callers append flat rows
-  /// such as obs::Observer::writeOpRows after it.
-  void writeCsv(std::ostream& os) const;
-
- private:
-  std::map<std::string, Telemetry> runs_;
 };
 
 }  // namespace daosim::obs

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/telemetry.h"
 
@@ -74,54 +76,65 @@ std::vector<std::string> splitPath(const std::string& path) {
 TelemetryDump parseTelemetryCsv(std::istream& is) {
   TelemetryDump dump;
   std::string line;
-  if (!std::getline(is, line)) {
-    throw std::runtime_error("telemetry dump is empty");
-  }
+  std::size_t line_no = 0;
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error("telemetry dump line " +
+                             std::to_string(line_no) + ": " + what);
+  };
+  // Parses all of `s`, in every form the writer prints: nan and inf too,
+  // and a double rounded past the range (DBL_MAX at 15 digits) as strtod.
+  const auto number = [&]<typename T>(const std::string& s, T& v) {
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ptr != s.data() + s.size() || ec == std::errc::invalid_argument ||
+        (ec != std::errc{} && std::is_integral_v<T>)) {
+      fail("bad number '" + s + "'");
+    }
+    if (ec != std::errc{}) v = static_cast<T>(std::strtod(s.c_str(), nullptr));
+  };
   const std::string magic = "# daosim-metrics schema=";
-  if (line.rfind(magic, 0) != 0) {
-    throw std::runtime_error(
-        "not a daosim metrics/telemetry dump (missing '# daosim-metrics "
-        "schema=N' header line)");
-  }
-  dump.schema = std::atoi(line.c_str() + magic.size());
-  if (dump.schema != kMetricsSchemaVersion) {
-    throw std::runtime_error(
-        "unsupported metrics dump schema " + std::to_string(dump.schema) +
-        " (this reader understands schema " +
-        std::to_string(kMetricsSchemaVersion) +
-        "); re-export the dump with a matching daosim build");
-  }
   while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      // "# telemetry [run=<label>] interval_ns=<n>"
-      std::string label;
-      const auto run_pos = line.find("run=");
-      const auto int_pos = line.find("interval_ns=");
-      if (run_pos != std::string::npos) {
-        const auto end = line.find(' ', run_pos);
-        label = line.substr(run_pos + 4, end == std::string::npos
-                                             ? std::string::npos
-                                             : end - (run_pos + 4));
+    ++line_no;
+    // A dump ends in a newline: a last line without one was cut off.
+    if (is.eof()) fail("no newline at the end; the dump is truncated");
+    if (line_no == 1) {
+      if (line.rfind(magic, 0) != 0) {
+        throw std::runtime_error(
+            "not a daosim metrics/telemetry dump (missing '# daosim-metrics "
+            "schema=N' header line)");
       }
-      if (int_pos != std::string::npos) {
-        dump.run_intervals[label] = std::strtoull(
-            line.c_str() + int_pos + std::string("interval_ns=").size(),
-            nullptr, 10);
+      number(line.substr(magic.size()), dump.schema);
+      if (dump.schema != kMetricsSchemaVersion) {
+        throw std::runtime_error(
+            "unsupported metrics dump schema " + std::to_string(dump.schema) +
+            " (this reader understands schema " +
+            std::to_string(kMetricsSchemaVersion) +
+            "); re-export the dump with a matching daosim build");
       }
       continue;
     }
+    // Comments (the runs' `# telemetry` lines) and the column header.
+    if (line.empty() || line[0] == '#' || line == "kind,name,field,value") {
+      continue;
+    }
     const auto f = splitCsv(line);
-    if (f.size() != 4 || f[0] == "kind") continue;  // column header / junk
+    if (f.size() != 4) fail("want 4 fields, got " + std::to_string(f.size()));
+    if (f[0] != "counter" && f[0] != "gauge" && f[0] != "rate" &&
+        f[0] != "series" && f[0] != "histogram") {
+      fail("unknown kind '" + f[0] + "'");
+    }
+    double value = 0;
+    number(f[3], value);
     if (f[0] == "series") {
-      dump.series[f[1]].emplace_back(std::strtoll(f[2].c_str(), nullptr, 10),
-                                     std::strtod(f[3].c_str(), nullptr));
+      std::int64_t t = 0;
+      number(f[2], t);
+      dump.series[f[1]].emplace_back(t, value);
     } else if (f[2] == "total") {
-      dump.summary[f[1]] = {f[0], std::strtod(f[3].c_str(), nullptr)};
+      dump.summary[f[1]] = {f[0], value};
     } else {
-      dump.metrics[f[1]][f[2]] = std::strtod(f[3].c_str(), nullptr);
+      dump.metrics[f[1]][f[2]] = value;
     }
   }
+  if (line_no == 0) throw std::runtime_error("telemetry dump is empty");
   return dump;
 }
 

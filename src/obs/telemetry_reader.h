@@ -1,8 +1,8 @@
 // Reader + end-of-run analyzer for telemetry dumps (obs/telemetry.h).
 //
-// parseTelemetryCsv loads a schema=2 dump (as written by
-// Telemetry/TelemetryHub::writeCsv) back into memory, rejecting other
-// schema versions with a clear error. analyze() then
+// parseTelemetryCsv loads a schema=2 dump (as apps::SweepObservation
+// writes it) back into memory, rejecting other schema versions and damaged
+// dumps with a clear error. analyze() then
 //   (a) attributes utilization per station class to name the bottleneck
 //       (classes are derived from metric paths: the `.../busy_frac` leaf is
 //       dropped and run/topology index segments stripped, so
@@ -27,8 +27,6 @@ namespace daosim::obs {
 /// A parsed telemetry dump.
 struct TelemetryDump {
   int schema = 0;
-  /// run label -> sampling interval (label "" for single-run dumps).
-  std::map<std::string, std::uint64_t> run_intervals;
   /// summary rows: path -> (kind, final value).
   std::map<std::string, std::pair<std::string, double>> summary;
   /// series rows: path -> [(t_ns relative, value)...] in file order.
@@ -39,7 +37,9 @@ struct TelemetryDump {
 };
 
 /// Parses a schema=2 CSV dump; throws std::runtime_error with an
-/// actionable message on a missing header or schema mismatch.
+/// actionable message on a missing header or schema mismatch, and one
+/// naming the line on a row without 4 fields, an unknown kind, a number
+/// that does not parse in full, or a last line without its newline.
 TelemetryDump parseTelemetryCsv(std::istream& is);
 
 /// Station-class grouping key for a utilization series path: drops the

@@ -231,7 +231,7 @@ TEST(RunTest, StartsDfuseOnlyForApisThatMountIt) {
     ObserveSpec observe;
     observe.telemetry_file = file;
     observe.telemetry_interval = sim::kMillisecond;
-    SweepObservation sweep(observe, 1);
+    SweepObservation sweep(observe, {"run"});
     IorConfig cfg = smallIor();
     cfg.ops = 2;
     RunSpec spec;
@@ -240,7 +240,7 @@ TEST(RunTest, StartsDfuseOnlyForApisThatMountIt) {
     spec.clients = 1;
     spec.ppn = 1;
     spec.bench = cfg;
-    (void)run(spec, 1, sweep.slot(0, "run"));
+    (void)run(spec, 1, sweep.slot(0));
     std::ostringstream reports;
     sweep.finish(reports);
     std::ifstream in(file);

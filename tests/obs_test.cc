@@ -156,7 +156,7 @@ TEST(Metrics, OpRowsAreExact) {
 
   // A metrics file is the telemetry dump of no runs plus the op rows.
   std::ostringstream os;
-  obs::TelemetryHub{}.writeCsv(os);
+  obs::writeDumpHeader(os);
   o.writeOpRows(os);
   EXPECT_EQ(os.str(),
             "# daosim-metrics schema=2\n"

@@ -2,15 +2,22 @@
 // intervals that do not divide the run, zero-length runs, intervals longer
 // than the run, and the clock standing at each boundary while probes are
 // read), rate-meter windowing with a partial final bin, probe sampling, CSV
-// name escaping + reader round-trip, schema-version rejection, the
-// bottleneck analyzer on a synthetic two-station pipeline and on every
-// testbed's probes, NVMe utilization bins under saturation, and
-// byte-identical hub dumps for serial vs parallel sweeps.
+// name escaping + reader round-trip, the reader's refusal of malformed
+// dumps, the bottleneck analyzer on a synthetic two-station pipeline and on
+// every testbed's probes, NVMe utilization bins under saturation, and the
+// sweep's streamed dump: byte-identical for serial vs parallel sweeps and
+// for runs that end in any order, with the heap bounded by the runs not yet
+// written, and no dump left by a failed sweep.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
-#include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -18,8 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "apps/experiment.h"
 #include "apps/fault_injector.h"
 #include "apps/ior.h"
+#include "apps/observe.h"
 #include "apps/runner.h"
 #include "apps/telemetry_probes.h"
 #include "apps/testbed.h"
@@ -45,6 +54,14 @@ using namespace sim::literals;
 
 Task<void> idleUntil(Simulation* sim, Time t) {
   co_await sim->delay(t - sim->now());
+}
+
+/// A one-run dump whose paths carry no run label.
+std::string dumpOf(const Telemetry& t) {
+  std::ostringstream os;
+  obs::writeDumpHeader(os);
+  t.writeCsvRows(os, "");
+  return os.str();
 }
 
 // --- sampler bin boundaries ------------------------------------------------
@@ -95,7 +112,6 @@ TEST(TelemetrySampler, FinishIsIdempotent) {
   t.finish();
   const std::size_t n = t.sampleCount();
   t.finish();
-  t.detach();
   EXPECT_EQ(t.sampleCount(), n);
 }
 
@@ -150,43 +166,11 @@ TEST(TelemetrySampler, NodeRegisteredMidRunStartsAtItsFirstSample) {
   const Telemetry::Node* b = t.find("b");
   ASSERT_EQ(b->samples.size(), 2u);
   EXPECT_EQ(b->first, 1u);
-  std::ostringstream os;
-  t.writeCsv(os);
-  EXPECT_NE(os.str().find("series,a,10000000,1\n"), std::string::npos);
-  EXPECT_NE(os.str().find("series,b,20000000,2\nseries,b,25000000,2\n"),
+  const std::string dump = dumpOf(t);
+  EXPECT_NE(dump.find("series,a,10000000,1\n"), std::string::npos);
+  EXPECT_NE(dump.find("series,b,20000000,2\nseries,b,25000000,2\n"),
             std::string::npos)
-      << os.str();
-}
-
-// Registries that share a count (the runs of one sweep) stop sampling once
-// their samples together would pass the ceiling; the error names the
-// interval variable.
-TEST(TelemetrySampler, SharedCountStopsSamplingAtTheCeiling) {
-  std::atomic<std::size_t> count{Telemetry::kMaxSamples - 6};
-  Simulation sim_a;
-  Telemetry a(1_ms, &count);
-  a.gauge("x");
-  a.gauge("y");
-  a.attach(sim_a);
-  sim_a.spawn(idleUntil(&sim_a, 2_ms + 500_us));
-  sim_a.run();
-  a.finish();  // two whole bins and a partial one, two nodes each
-  EXPECT_EQ(count.load(), Telemetry::kMaxSamples);
-  Simulation sim_b;
-  Telemetry b(1_ms, &count);
-  b.gauge("x");
-  b.attach(sim_b);
-  sim_b.spawn(idleUntil(&sim_b, 10_ms));
-  try {
-    sim_b.run();
-    FAIL() << "sampling passed the ceiling";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("DAOSIM_TELEMETRY_INTERVAL"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(b.sampleCount(), 0u);
-  EXPECT_EQ(count.load(), Telemetry::kMaxSamples);
+      << dump;
 }
 
 // --- rate windowing --------------------------------------------------------
@@ -289,8 +273,7 @@ TEST(TelemetryCsv, CommaAndQuoteNamesRoundTripThroughReader) {
   sim.spawn(idleUntil(&sim, 12_ms));
   sim.run();
   t.finish();
-  std::stringstream ss;
-  t.writeCsv(ss);
+  std::stringstream ss(dumpOf(t));
   const obs::TelemetryDump dump = obs::parseTelemetryCsv(ss);
   EXPECT_EQ(dump.schema, 2);
   ASSERT_EQ(dump.summary.count(evil), 1u);
@@ -338,8 +321,7 @@ TEST(TelemetryCsv, NumbersFormatAsAStreamAtPrecision15) {
 
   std::string want = "# daosim-metrics schema=" +
                      std::to_string(obs::kMetricsSchemaVersion) +
-                     "\n# telemetry interval_ns=1000000\n"
-                     "kind,name,field,value\n";
+                     "\nkind,name,field,value\n";
   for (std::size_t i = 0; i < values.size(); ++i) {
     want += "gauge,g" + std::to_string(100 + i) + ",total," +
             streamFormatted(values[i]) + "\n";
@@ -358,9 +340,10 @@ TEST(TelemetryCsv, NumbersFormatAsAStreamAtPrecision15) {
     want +=
         "series,series," + bin(k) + "," + streamFormatted(values[k]) + "\n";
   }
-  std::ostringstream got;
-  t.writeCsv(got);
-  EXPECT_EQ(got.str(), want);
+  EXPECT_EQ(dumpOf(t), want);
+  // The reader takes every form the writer prints, nan and inf included.
+  std::stringstream ss(want);
+  EXPECT_NO_THROW(obs::parseTelemetryCsv(ss));
 }
 
 TEST(TelemetryCsv, ReaderRejectsOtherSchemas) {
@@ -375,6 +358,55 @@ TEST(TelemetryCsv, ReaderRejectsOtherSchemas) {
   }
   std::stringstream junk("not,a,dump\n");
   EXPECT_THROW(obs::parseTelemetryCsv(junk), std::runtime_error);
+}
+
+/// Parses `dump`, which must fail; returns the error.
+std::string parseError(const std::string& dump) {
+  std::stringstream ss(dump);
+  try {
+    obs::parseTelemetryCsv(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "parsed: " << dump;
+  return "";
+}
+
+const std::string kHeader =
+    "# daosim-metrics schema=2\nkind,name,field,value\n";
+
+// A damaged dump must not yield a report: a row cut short once turned an
+// nvme verdict into nic/tx.
+TEST(TelemetryCsv, ReaderRejectsARowWithoutFourFields) {
+  EXPECT_NE(parseError(kHeader + "gauge,a,total,1\nseries,a,10\n")
+                .find("line 4: want 4 fields, got 3"),
+            std::string::npos);
+}
+
+TEST(TelemetryCsv, ReaderRejectsAnUnknownKind) {
+  EXPECT_NE(parseError(kHeader + "meter,a,total,1\n").find("line 3"),
+            std::string::npos);
+}
+
+TEST(TelemetryCsv, ReaderRejectsANumberThatDoesNotParseInFull) {
+  for (const char* row : {"series,a,10x,1\n", "series,a,10,1.5.1\n",
+                          "gauge,a,total,\n", "counter,a,value, 3\n"}) {
+    EXPECT_NE(parseError(kHeader + row).find("line 3: bad number"),
+              std::string::npos)
+        << row;
+  }
+}
+
+TEST(TelemetryCsv, ReaderRejectsTrailingCharactersAfterTheSchema) {
+  EXPECT_NE(parseError("# daosim-metrics schema=2x\n").find("line 1"),
+            std::string::npos);
+}
+
+// A dump cut anywhere but at a line end loses its last newline.
+TEST(TelemetryCsv, ReaderRejectsALastLineWithoutItsNewline) {
+  EXPECT_NE(parseError(kHeader + "gauge,a,total,1\nseries,a,10000000,0.")
+                .find("line 4: no newline"),
+            std::string::npos);
 }
 
 // --- station classes + analyzer ---------------------------------------------
@@ -429,7 +461,56 @@ TEST(TelemetryAnalyzer, ImbalancedClassFlagsStraggler) {
   EXPECT_NEAR(a.classes[0].imbalance, 0.9 / 0.3, 1e-9);
 }
 
-// --- hub determinism ---------------------------------------------------------
+// --- streamed sweep dumps ---------------------------------------------------
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+std::vector<std::string> repLabels(std::size_t runs) {
+  std::vector<std::string> labels;
+  for (std::size_t rep = 0; rep < runs; ++rep) {
+    labels.push_back("rep/" + std::to_string(rep));
+  }
+  return labels;
+}
+
+apps::ObserveSpec dumpSpec(const std::string& file, Time interval) {
+  apps::ObserveSpec spec;
+  spec.telemetry_file = ::testing::TempDir() + file;
+  spec.telemetry_interval = interval;
+  return spec;
+}
+
+apps::DaosTestbed::Options smallTestbed(std::size_t rep) {
+  apps::DaosTestbed::Options opt;
+  opt.server_nodes = 2;
+  opt.client_nodes = 1;
+  opt.seed = 7 + rep;
+  opt.with_dfuse = false;
+  return opt;
+}
+
+/// Observes `runs` runs through one sweep with a telemetry file: `body`
+/// runs each on a slot of it, on `jobs` threads. Returns the dump.
+template <typename Body>
+std::string sweepDump(std::size_t runs, int jobs, Time interval,
+                      const Body& body) {
+  const apps::ObserveSpec spec = dumpSpec("sweep_dump.csv", interval);
+  {
+    apps::SweepObservation sweep(spec, repLabels(runs));
+    sim::parallelMap(runs, jobs, [&](std::size_t rep) {
+      body(sweep.slot(rep), rep);
+      return 0;
+    });
+    std::ostringstream reports;
+    sweep.finish(reports);
+  }
+  std::string dump = readFile(spec.telemetry_file);
+  std::remove(spec.telemetry_file.c_str());
+  return dump;
+}
 
 Task<void> hubWorkload(Simulation* sim, Telemetry::Handle ops,
                        std::uint64_t seed) {
@@ -439,40 +520,33 @@ Task<void> hubWorkload(Simulation* sim, Telemetry::Handle ops,
   }
 }
 
-/// Merges per-run registries into one dump in run order, the way a sweep
-/// does: runs finish on any thread, each into its own slot.
-std::string mergedDump(std::vector<Telemetry> runs) {
-  obs::TelemetryHub hub;
-  for (std::size_t rep = 0; rep < runs.size(); ++rep) {
-    hub.add("rep/" + std::to_string(rep), std::move(runs[rep]));
-  }
-  std::ostringstream os;
-  hub.writeCsv(os);
-  return os.str();
-}
-
 std::string hubDump(int jobs) {
-  return mergedDump(sim::parallelMap(4, jobs, [](std::size_t rep) {
-    Simulation sim;
-    Telemetry t(10_ms);
-    Telemetry::Handle ops = t.rate("ops");
+  return sweepDump(4, jobs, 10_ms, [](const apps::RunSlot& slot,
+                                      std::size_t rep) {
+    apps::DaosTestbed tb(smallTestbed(rep));
+    apps::ObservedRun observed(slot, tb);
+    Telemetry& t = *observed.telemetry();
+    Simulation& sim = tb.sim();
     t.addProbe("now_ms", Telemetry::Kind::kGauge,
                [&sim] { return sim::toSeconds(sim.now()) * 1e3; });
-    t.attach(sim);
-    sim.spawn(hubWorkload(&sim, ops, rep));
+    sim.spawn(hubWorkload(&sim, t.rate("ops"), rep));
     sim.run();
-    t.detach();
-    return t;
-  }));
+  });
 }
 
-TEST(TelemetryHub, SerialAndParallelDumpsAreByteIdentical) {
+TEST(SweepObservation, SerialAndParallelDumpsAreByteIdentical) {
   const std::string serial = hubDump(1);
   EXPECT_EQ(serial, hubDump(4));
-  // And the merged dump parses with every run's series present.
+  // And the dump names every run and parses with every run's series.
+  std::size_t runs = 0;
+  for (std::size_t at = 0;
+       (at = serial.find("\n# telemetry run=", at)) != std::string::npos;
+       ++at) {
+    ++runs;
+  }
+  EXPECT_EQ(runs, 4u);
   std::stringstream ss(serial);
   const obs::TelemetryDump dump = obs::parseTelemetryCsv(ss);
-  EXPECT_EQ(dump.run_intervals.size(), 4u);
   EXPECT_EQ(dump.series.count("rep/0/ops"), 1u);
   EXPECT_EQ(dump.series.count("rep/3/ops"), 1u);
 }
@@ -482,23 +556,17 @@ TEST(TelemetryHub, SerialAndParallelDumpsAreByteIdentical) {
 /// and perturb nothing: all four combinations (with/without machinery,
 /// serial/parallel) produce byte-identical CSV.
 std::string testbedDump(int jobs, bool with_fault_machinery) {
-  return mergedDump(sim::parallelMap(2, jobs, [with_fault_machinery](
-                                                  std::size_t rep) {
-    apps::DaosTestbed::Options opt;
-    opt.server_nodes = 2;
-    opt.client_nodes = 1;
-    opt.seed = 7 + rep;
-    opt.with_dfuse = false;
-    apps::DaosTestbed tb(opt);
-    Telemetry t(1_ms);
-    apps::registerProbes(t, tb);
+  return sweepDump(2, jobs, 1_ms, [with_fault_machinery](
+                                      const apps::RunSlot& slot,
+                                      std::size_t rep) {
+    apps::DaosTestbed tb(smallTestbed(rep));
     std::optional<apps::FaultInjector> inj;
+    apps::ObservedRun observed(slot, tb);
     if (with_fault_machinery) {
       inj.emplace(tb, sim::FaultPlan{});
-      inj->registerTelemetry(t);
+      inj->registerTelemetry(*observed.telemetry());
       inj->install();
     }
-    t.attach(tb.sim());
     daos::Client client(tb.daos(), tb.clients()[0], 42);
     struct Work {
       static Task<void> run(daos::Client* c, daos::Container cont,
@@ -514,12 +582,10 @@ std::string testbedDump(int jobs, bool with_fault_machinery) {
     };
     tb.sim().spawn(Work::run(&client, tb.container(), rep));
     tb.sim().run();
-    t.detach();
-    return t;
-  }));
+  });
 }
 
-TEST(TelemetryHub, EmptyFaultPlanDumpsAreByteIdenticalSerialAndParallel) {
+TEST(SweepObservation, EmptyFaultPlanDumpsAreByteIdenticalSerialAndParallel) {
   const std::string plain = testbedDump(1, false);
   EXPECT_EQ(plain, testbedDump(1, true));
   EXPECT_EQ(plain, testbedDump(2, true));
@@ -530,19 +596,115 @@ TEST(TelemetryHub, EmptyFaultPlanDumpsAreByteIdenticalSerialAndParallel) {
   EXPECT_NE(plain.find("rep/0/daos/targets_failed"), std::string::npos);
 }
 
-TEST(TelemetryHub, DuplicateLabelKeepsFirstRegistry) {
-  obs::TelemetryHub hub;
-  Telemetry a;
-  a.gauge("first");
-  Telemetry b;
-  b.gauge("second");
-  hub.add("rep/0", std::move(a));
-  hub.add("rep/0", std::move(b));
-  EXPECT_EQ(hub.runCount(), 1u);
-  std::ostringstream os;
-  hub.writeCsv(os);
-  EXPECT_NE(os.str().find("rep/0/first"), std::string::npos);
-  EXPECT_EQ(os.str().find("rep/0/second"), std::string::npos);
+Task<void> idleFor(Simulation* sim, Time d) { co_await sim->delay(d); }
+
+/// Three observed runs that end in `order`. After each end, the dump on
+/// disk holds the rows of exactly the runs whose earlier runs have all
+/// ended. Returns the finished dump.
+std::string dumpEndingIn(const std::vector<std::size_t>& order) {
+  const apps::ObserveSpec spec = dumpSpec("sweep_order.csv", 1_ms);
+  {
+    apps::SweepObservation sweep(spec, repLabels(3));
+    std::vector<std::unique_ptr<apps::DaosTestbed>> tbs;
+    std::vector<std::optional<apps::ObservedRun>> runs(3);
+    for (std::size_t rep = 0; rep < 3; ++rep) {
+      tbs.push_back(std::make_unique<apps::DaosTestbed>(smallTestbed(rep)));
+      runs[rep].emplace(sweep.slot(rep), *tbs[rep]);
+      Simulation& sim = tbs[rep]->sim();
+      sim.spawn(idleFor(&sim, static_cast<Time>(5 + rep) * 1_ms));
+      sim.run();
+    }
+    std::size_t written = 0;
+    for (std::size_t rep : order) {
+      runs[rep].reset();
+      while (written < 3 && !runs[written]) ++written;
+      const std::string dump = readFile(spec.telemetry_file);
+      for (std::size_t r = 0; r < 3; ++r) {
+        const std::string rows = "series,rep/" + std::to_string(r) + "/";
+        EXPECT_EQ(dump.find(rows) != std::string::npos, r < written)
+            << "run " << r << " after run " << rep << " ended";
+      }
+    }
+    std::ostringstream reports;
+    sweep.finish(reports);
+  }
+  std::string dump = readFile(spec.telemetry_file);
+  std::remove(spec.telemetry_file.c_str());
+  return dump;
+}
+
+TEST(SweepObservation, RunsThatEndOutOfOrderWriteTheSameDump) {
+  const std::string in_order = dumpEndingIn({0, 1, 2});
+  EXPECT_EQ(dumpEndingIn({2, 0, 1}), in_order);
+  EXPECT_EQ(dumpEndingIn({1, 2, 0}), in_order);
+  EXPECT_NE(in_order.find("series,rep/2/"), std::string::npos);
+}
+
+// A sweep writes each run's rows and frees its registry once every earlier
+// run has ended, so the heap in use stays flat however many runs end.
+TEST(SweepObservation, HeapInUseDoesNotGrowWithEndedRuns) {
+  const apps::ObserveSpec spec = dumpSpec("sweep_heap.csv", 100_us);
+  constexpr std::size_t kRuns = 12;
+  apps::RunSpec run;
+  run.servers = 1;
+  run.clients = 1;
+  run.ppn = 1;
+  apps::IorConfig cfg;
+  cfg.ops = 20;
+  run.bench = cfg;
+  std::vector<std::size_t> in_use;
+  {
+    apps::SweepObservation sweep(spec, repLabels(kRuns));
+    for (std::size_t rep = 0; rep < kRuns; ++rep) {
+      (void)apps::run(run, rep + 1, sweep.slot(rep));
+      in_use.push_back(mallinfo2().uordblks);
+    }
+    std::ostringstream reports;
+    sweep.finish(reports);
+  }
+  const obs::TelemetryDump dump = [&] {
+    std::ifstream in(spec.telemetry_file);
+    return obs::parseTelemetryCsv(in);
+  }();
+  std::remove(spec.telemetry_file.c_str());
+  std::size_t samples = 0;
+  for (const auto& [path, points] : dump.series) {
+    if (path.starts_with("rep/1/")) samples += points.size();
+  }
+  // From the second run to the second-to-last (the last attaches the
+  // sweep's observer), the heap grows by less than one run's samples.
+  ASSERT_GT(samples, 10'000u);
+  const std::size_t first = in_use[1];
+  const std::size_t last = in_use[kRuns - 2];
+  EXPECT_LT(last, first + samples * sizeof(double))
+      << "heap in use " << first << " -> " << last << " bytes";
+}
+
+TEST(SweepObservation, UnwritableDumpFailsBeforeAnyRun) {
+  const apps::ObserveSpec spec = dumpSpec("no/such/dir/t.csv", 1_ms);
+  EXPECT_THROW(apps::SweepObservation(spec, repLabels(1)),
+               std::runtime_error);
+}
+
+// A run that fails writes nothing, and its sweep leaves no dump.
+TEST(SweepObservation, FailedSweepLeavesNoDump) {
+  const apps::ObserveSpec spec = dumpSpec("sweep_failed.csv", 1_ms);
+  {
+    apps::SweepObservation sweep(spec, repLabels(2));
+    const auto body = [&](std::size_t rep) {
+      apps::DaosTestbed tb(smallTestbed(rep));
+      apps::ObservedRun observed(sweep.slot(rep), tb);
+      tb.sim().spawn(idleFor(&tb.sim(), 5_ms));
+      tb.sim().run();
+      if (rep == 1) throw std::runtime_error("run 1 failed");
+      return 0;
+    };
+    EXPECT_THROW(sim::parallelMap(2, 1, body), std::runtime_error);
+    const std::string dump = readFile(spec.telemetry_file);
+    EXPECT_NE(dump.find("series,rep/0/"), std::string::npos);
+    EXPECT_EQ(dump.find(",rep/1/"), std::string::npos);
+  }
+  EXPECT_FALSE(std::filesystem::exists(spec.telemetry_file));
 }
 
 // --- testbed probes ----------------------------------------------------------
@@ -559,8 +721,7 @@ std::set<std::string> analyzedClasses(Testbed& tb, const std::string& api) {
   apps::Ior bench(tb.ioEnv(), api, cfg);
   apps::runSpmd(tb.sim(), tb.clients(), 2, bench);
   t.finish();
-  std::stringstream ss;
-  t.writeCsv(ss);
+  std::stringstream ss(dumpOf(t));
   std::set<std::string> classes;
   for (const obs::ClassUtil& c :
        obs::analyze(obs::parseTelemetryCsv(ss)).classes) {

@@ -407,13 +407,15 @@ int main(int argc, char** argv) {
     const int jobs = o.jobs > 0 ? o.jobs : apps::envJobs();
     const apps::RunSpec spec = runSpec(o);
     const auto reps = static_cast<std::size_t>(o.reps);
-    apps::SweepObservation observed(o.observe, reps);
+    std::vector<std::string> runs(reps);  // telemetry run labels
+    for (std::size_t r = 0; r < reps; ++r) runs[r] = "rep/" + std::to_string(r);
+    apps::SweepObservation observed(o.observe, std::move(runs));
     // Repetitions are independent simulations; run them on --jobs /
     // DAOSIM_JOBS threads. Aggregation stays in rep order, so the printed
     // numbers are identical to a serial run for a fixed --seed.
     auto results = sim::parallelMap(reps, jobs, [&](std::size_t rep) {
       return apps::run(spec, o.seed + static_cast<std::uint64_t>(rep),
-                       observed.slot(rep, "rep/" + std::to_string(rep)));
+                       observed.slot(rep));
     });
     apps::Measurement m;
     for (const auto& r : results) m.add(r);
